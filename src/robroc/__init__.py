@@ -27,8 +27,7 @@ from .roc import (GroupFit, PopulationPair, RocResult, adjusted_values,
 from .simulate import (ESTIMATORS, McEstimatorSummary, McReport, Scenario,
                        comparator_fit, generate, run_study, scenario,
                        true_auc)
-from .splines import (KnotSpec, LinearDesign, SplineSpec, bspline_row,
-                      build_design, full_basis_row, knot_sequence)
+from .splines import KnotSpec, SplineSpec, full_basis_row, knot_sequence
 from .wecdf import WeightedEcdf
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "roc_values", "unconditional_auc", "youden_index",
     "ESTIMATORS", "McEstimatorSummary", "McReport", "Scenario",
     "comparator_fit", "generate", "run_study", "scenario", "true_auc",
-    "KnotSpec", "LinearDesign", "SplineSpec", "bspline_row", "build_design",
-    "full_basis_row", "knot_sequence",
+    "KnotSpec", "SplineSpec", "full_basis_row", "knot_sequence",
     "WeightedEcdf",
 ]

@@ -19,16 +19,16 @@ for a fixed configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, irls_fit
-from .roc import (GroupFit, PopulationPair, auc_closed_form, roc_values,
-                  unconditional_auc, youden_index)
-from .wecdf import WeightedEcdf
+from .roc import (GroupFit, PopulationPair, auc_closed_form,
+                  robust_unconditional_auc, roc_values, unconditional_auc,
+                  youden_index)
 
 FAILURE_WARNING_FRACTION = 0.05
 
@@ -38,7 +38,6 @@ class BootstrapConfig:
     n_replicates: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    keep_replicates: bool = False
 
     def __post_init__(self):
         if self.n_replicates < 1:
@@ -68,7 +67,6 @@ class TargetResult:
     youden: tuple[float, float] | None = None
     youden_lower: float | None = None
     youden_upper: float | None = None
-    auc_replicates: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -100,10 +98,43 @@ def _resample_indices(rng: np.random.Generator, weights: np.ndarray) -> np.ndarr
     return rng.choice(weights.size, size=weights.size, replace=True, p=p)
 
 
-def _group_ingredients(group: GroupFit, sample: GroupSample):
-    Z = group.design.matrix(sample.covariates)
-    mu_rows = Z @ group.fit.beta
-    return Z, mu_rows
+def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | None,
+                statistic) -> tuple[list, BootstrapResult]:
+    """Run the replicate loop shared by every bootstrap in this module.
+
+    fits and designs hold the nondiseased then the diseased group's fit and
+    design matrix.  Replicate b resamples each group's standardized
+    residuals in that order from the stream (seed, b), rebuilds outcomes on
+    the design rows, refits warm-started at the observed coefficients, and
+    records statistic(refits, outcomes).  Replicates that raise
+    NumericalError are skipped and counted; converged=False refits are kept
+    and counted.
+    """
+    means = [Z @ fit.beta for Z, fit in zip(designs, fits)]
+    values = []
+    n_failed = 0
+    n_nonconverged = 0
+    for b in range(cfg.n_replicates):
+        rng = np.random.default_rng((cfg.seed, b))
+        ys = [mu + fit.sigma * fit.std_residuals[_resample_indices(rng, fit.truncated_weights)]
+              for mu, fit in zip(means, fits)]
+        try:
+            refits = [irls_fit(Z, y, fit_config, beta_init=fit.beta)
+                      for Z, y, fit in zip(designs, ys, fits)]
+            value = statistic(refits, ys)
+        except NumericalError:
+            n_failed += 1
+            continue
+        if not all(f.converged for f in refits):
+            n_nonconverged += 1
+        values.append(value)
+    if not values:
+        raise NumericalError("every bootstrap replicate failed")
+    return values, BootstrapResult(
+        targets=[], n_replicates=cfg.n_replicates, n_failed=n_failed,
+        n_nonconverged=n_nonconverged,
+        unreliable=n_failed > FAILURE_WARNING_FRACTION * cfg.n_replicates,
+    )
 
 
 def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
@@ -124,90 +155,39 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
                for t in targets]
     if not targets:
         raise ValueError("no bootstrap targets")
+    groups = (pair.nondiseased, pair.diseased)
 
-    Z_nd, mu_nd = _group_ingredients(pair.nondiseased, nondiseased)
-    Z_d, mu_d = _group_ingredients(pair.diseased, diseased)
-    eps_nd = pair.nondiseased.fit.std_residuals
-    eps_d = pair.diseased.fit.std_residuals
-    w_nd = pair.nondiseased.fit.truncated_weights
-    w_d = pair.diseased.fit.truncated_weights
-    sig_nd = pair.nondiseased.fit.sigma
-    sig_d = pair.diseased.fit.sigma
+    def evaluate(refits, _):
+        rep_pair = PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
+                                    for f, g in zip(refits, groups)))
+        return [(auc_closed_form(rep_pair, tgt.x),
+                 roc_values(rep_pair, tgt.x, tgt.t_grid) if tgt.t_grid is not None else None,
+                 youden_index(rep_pair, tgt.x)[0] if tgt.youden else None)
+                for tgt in targets]
 
-    auc_reps = [[] for _ in targets]
-    roc_reps: list[list[np.ndarray]] = [[] for _ in targets]
-    yi_reps = [[] for _ in targets]
-    n_failed = 0
-    n_nonconverged = 0
-    for b in range(cfg.n_replicates):
-        rng = np.random.default_rng((cfg.seed, b))
-        idx_nd = _resample_indices(rng, w_nd)
-        idx_d = _resample_indices(rng, w_d)
-        y_nd = mu_nd + sig_nd * eps_nd[idx_nd]
-        y_d = mu_d + sig_d * eps_d[idx_d]
-        try:
-            fit_nd = irls_fit(Z_nd, y_nd, fcfg, beta_init=pair.nondiseased.fit.beta)
-            fit_d = irls_fit(Z_d, y_d, fcfg, beta_init=pair.diseased.fit.beta)
-            rep_pair = PopulationPair(
-                nondiseased=GroupFit(
-                    fit=fit_nd, design=pair.nondiseased.design,
-                    ecdf=WeightedEcdf.from_residuals(fit_nd.std_residuals,
-                                                     fit_nd.truncated_weights),
-                    label=pair.nondiseased.label),
-                diseased=GroupFit(
-                    fit=fit_d, design=pair.diseased.design,
-                    ecdf=WeightedEcdf.from_residuals(fit_d.std_residuals,
-                                                     fit_d.truncated_weights),
-                    label=pair.diseased.label),
-            )
-            evals = []
-            for tgt in targets:
-                a = auc_closed_form(rep_pair, tgt.x)
-                r = roc_values(rep_pair, tgt.x, tgt.t_grid) if tgt.t_grid is not None else None
-                yi = youden_index(rep_pair, tgt.x)[0] if tgt.youden else None
-                evals.append((a, r, yi))
-        except NumericalError:
-            n_failed += 1
-            continue
-        if not (fit_nd.converged and fit_d.converged):
-            n_nonconverged += 1
-        for k, (a, r, yi) in enumerate(evals):
-            auc_reps[k].append(a)
-            if r is not None:
-                roc_reps[k].append(r)
-            if yi is not None:
-                yi_reps[k].append(yi)
+    reps, result = _replicates(
+        [g.fit for g in groups],
+        [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
+        cfg, fcfg, evaluate)
 
-    if n_failed == cfg.n_replicates:
-        raise NumericalError("every bootstrap replicate failed")
-
-    results = []
     for k, tgt in enumerate(targets):
-        auc_hat = auc_closed_form(pair, tgt.x)
-        a_lo, a_hi = percentile_interval(auc_reps[k], cfg.alpha)
-        res = TargetResult(x=tgt.x, auc=auc_hat, auc_lower=a_lo, auc_upper=a_hi)
+        a_lo, a_hi = percentile_interval([r[k][0] for r in reps], cfg.alpha)
+        res = TargetResult(x=tgt.x, auc=auc_closed_form(pair, tgt.x),
+                           auc_lower=a_lo, auc_upper=a_hi)
         if tgt.t_grid is not None:
-            reps = np.vstack(roc_reps[k])
+            band = np.vstack([r[k][1] for r in reps])
             res.roc = roc_values(pair, tgt.x, tgt.t_grid)
-            lo = np.empty(reps.shape[1])
-            hi = np.empty(reps.shape[1])
-            for j in range(reps.shape[1]):
-                lo[j], hi[j] = percentile_interval(reps[:, j], cfg.alpha)
+            lo = np.empty(band.shape[1])
+            hi = np.empty(band.shape[1])
+            for j in range(band.shape[1]):
+                lo[j], hi[j] = percentile_interval(band[:, j], cfg.alpha)
             res.roc_lower, res.roc_upper = lo, hi
         if tgt.youden:
             res.youden = youden_index(pair, tgt.x)
-            res.youden_lower, res.youden_upper = percentile_interval(yi_reps[k], cfg.alpha)
-        if cfg.keep_replicates:
-            res.auc_replicates = np.asarray(auc_reps[k])
-        results.append(res)
-
-    return BootstrapResult(
-        targets=results,
-        n_replicates=cfg.n_replicates,
-        n_failed=n_failed,
-        n_nonconverged=n_nonconverged,
-        unreliable=n_failed > FAILURE_WARNING_FRACTION * cfg.n_replicates,
-    )
+            res.youden_lower, res.youden_upper = percentile_interval(
+                [r[k][2] for r in reps], cfg.alpha)
+        result.targets.append(res)
+    return result
 
 
 def unconditional_auc_bootstrap(y_nondiseased, y_diseased,
@@ -216,39 +196,14 @@ def unconditional_auc_bootstrap(y_nondiseased, y_diseased,
                                 ) -> tuple[float, float, float, BootstrapResult]:
     """Percentile interval for the unconditional AUC via the same residual
     scheme applied to intercept-only fits of each group."""
-    from .roc import robust_unconditional_auc
-
     cfg = config or BootstrapConfig()
     y_nd = np.asarray(y_nondiseased, dtype=float).ravel()
     y_d = np.asarray(y_diseased, dtype=float).ravel()
     auc_hat, fit_nd, fit_d = robust_unconditional_auc(y_nd, y_d, fit_config)
-    reps = []
-    n_failed = 0
-    n_nonconverged = 0
-    ones_nd = np.ones((y_nd.size, 1))
-    ones_d = np.ones((y_d.size, 1))
-    for b in range(cfg.n_replicates):
-        rng = np.random.default_rng((cfg.seed, b))
-        idx_nd = _resample_indices(rng, fit_nd.truncated_weights)
-        idx_d = _resample_indices(rng, fit_d.truncated_weights)
-        y_nd_b = fit_nd.beta[0] + fit_nd.sigma * fit_nd.std_residuals[idx_nd]
-        y_d_b = fit_d.beta[0] + fit_d.sigma * fit_d.std_residuals[idx_d]
-        try:
-            f_nd = irls_fit(ones_nd, y_nd_b, fit_config, beta_init=fit_nd.beta)
-            f_d = irls_fit(ones_d, y_d_b, fit_config, beta_init=fit_d.beta)
-        except NumericalError:
-            n_failed += 1
-            continue
-        if not (f_nd.converged and f_d.converged):
-            n_nonconverged += 1
-        reps.append(unconditional_auc(y_nd_b, y_d_b,
-                                      f_nd.truncated_weights, f_d.truncated_weights))
-    if not reps:
-        raise NumericalError("every bootstrap replicate failed")
+    reps, summary = _replicates(
+        [fit_nd, fit_d], [np.ones((y_nd.size, 1)), np.ones((y_d.size, 1))],
+        cfg, fit_config,
+        lambda refits, ys: unconditional_auc(ys[0], ys[1], refits[0].truncated_weights,
+                                             refits[1].truncated_weights))
     lo, hi = percentile_interval(reps, cfg.alpha)
-    summary = BootstrapResult(
-        targets=[], n_replicates=cfg.n_replicates, n_failed=n_failed,
-        n_nonconverged=n_nonconverged,
-        unreliable=n_failed > FAILURE_WARNING_FRACTION * cfg.n_replicates,
-    )
     return auc_hat, lo, hi, summary

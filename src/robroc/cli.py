@@ -25,7 +25,8 @@ from .io import (CONFIG_ENV_VAR, RunConfig, load_config, parse_grid,
                  parse_knots, parse_values, read_csv, write_manifest,
                  write_table)
 from .model_select import knot_grid, select_knots
-from .roc import auc_closed_form, fit_pair, roc_curve, youden_index
+from .roc import (auc_closed_form, fit_pair, robust_unconditional_auc, roc_curve,
+                  youden_index)
 from .simulate import ESTIMATORS, run_study, scenario
 
 
@@ -160,6 +161,12 @@ def _point(cfg: RunConfig) -> np.ndarray:
     return x
 
 
+def _t_grid(cfg: RunConfig) -> np.ndarray:
+    if cfg.t_points < 2:
+        raise UsageError(f"--t-points must be at least 2, got {cfg.t_points}")
+    return np.linspace(0.0, 1.0, cfg.t_points)
+
+
 def _default_grid(pair, count: int = 40) -> np.ndarray:
     # inside the intersection of both groups' boundary-knot ranges
     spec_nd = pair.nondiseased.design.knots[0]
@@ -254,7 +261,7 @@ def _cmd_select_knots(cfg: RunConfig) -> list[str]:
 def _cmd_roc(cfg: RunConfig) -> list[str]:
     _, _, _, pair = _fitted_pair(cfg)
     x = _point(cfg)
-    t_grid = np.linspace(0.0, 1.0, cfg.t_points)
+    t_grid = _t_grid(cfg)
     result = roc_curve(pair, x, t_grid, n_panels=cfg.simpson_panels)
     out = _outdir(cfg)
     path = os.path.join(out, "roc_curve.csv")
@@ -308,7 +315,7 @@ def _cmd_youden(cfg: RunConfig) -> list[str]:
 def _cmd_bootstrap(cfg: RunConfig, youden: bool) -> list[str]:
     _, nd, d, pair = _fitted_pair(cfg)
     x = _point(cfg)
-    t_grid = np.linspace(0.0, 1.0, cfg.t_points)
+    t_grid = _t_grid(cfg)
     target = BootstrapTarget(x=x, t_grid=t_grid, youden=youden)
     boot = residual_bootstrap(pair, nd, d, [target],
                               BootstrapConfig(n_replicates=cfg.replicates,
@@ -339,6 +346,9 @@ def _cmd_bootstrap(cfg: RunConfig, youden: bool) -> list[str]:
 
 
 def _cmd_uauc(cfg: RunConfig) -> list[str]:
+    if cfg.replicates < 0:
+        raise UsageError(f"--replicates must be >= 0 (0 disables the interval), "
+                         f"got {cfg.replicates}")
     _, nd, d = _load_groups(cfg, need_covariates=False)
     out = _outdir(cfg)
     path = os.path.join(out, "uauc.csv")
@@ -354,8 +364,6 @@ def _cmd_uauc(cfg: RunConfig) -> list[str]:
         write_table(path, ["auc", "lower", "upper"], [[auc, lo, hi]])
         print(f"unconditional AUC: {auc:.6f} [{lo:.6f}, {hi:.6f}]")
     else:
-        from .roc import robust_unconditional_auc
-
         auc, _, _ = robust_unconditional_auc(nd.outcomes, d.outcomes,
                                              _fit_config(cfg))
         write_table(path, ["auc"], [[auc]])
@@ -380,6 +388,10 @@ def _cmd_simulate(cfg: RunConfig) -> list[str]:
     if not cfg.sizes:
         raise UsageError("simulate needs --sizes nondiseased,diseased")
     n_nd, n_d = _parse_sizes(cfg.sizes)
+    if cfg.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {cfg.reps}")
+    if cfg.grid_points < 1:
+        raise UsageError(f"--grid-points must be at least 1, got {cfg.grid_points}")
     kappa = None
     if cfg.kappa:
         values = parse_values(cfg.kappa)

@@ -81,6 +81,14 @@ class FitConfig:
     max_iterations: int = 50
     tol: float = 1e-8
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        for name in ("tol", "tuning", "truncation"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
 
 @dataclass
 class RobustFit:
@@ -100,10 +108,6 @@ class RobustFit:
     converged: bool
     tuning: float = DEFAULT_TUNING
     truncation: float = DEFAULT_TRUNCATION
-
-    @property
-    def n_parameters(self) -> int:
-        return self.beta.size
 
 
 def _scaled_lstsq(Z: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:

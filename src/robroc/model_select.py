@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, RobustFit, irls_fit
+from .huber import FitConfig, RobustFit, huber_psi, irls_fit
 from .splines import SplineSpec
 
 
@@ -37,7 +37,7 @@ def raic_penalty(fit: RobustFit, Z) -> float:
     u = fit.std_residuals
     b = fit.tuning
     inside = (np.abs(u) <= b).astype(float)
-    psi = np.clip(u, -b, b)
+    psi = huber_psi(u, b)
     s2 = fit.sigma ** 2
     J = (Z * inside[:, None]).T @ Z / (n * s2)
     U = (Z * (psi ** 2)[:, None]).T @ Z / (n * s2)

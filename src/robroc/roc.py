@@ -31,7 +31,7 @@ import numpy as np
 from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, RobustFit, irls_fit
-from .splines import LinearDesign, SplineSpec
+from .splines import SplineSpec
 from .wecdf import WeightedEcdf
 
 
@@ -40,9 +40,15 @@ class GroupFit:
     """One population's fitted model: coefficients, scale, residual law."""
 
     fit: RobustFit
-    design: SplineSpec | LinearDesign
+    design: SplineSpec
     ecdf: WeightedEcdf
     label: str = ""
+
+    @classmethod
+    def from_fit(cls, fit: RobustFit, design: SplineSpec, label: str = "") -> "GroupFit":
+        """Attach the truncated-weight residual distribution to a fit."""
+        ecdf = WeightedEcdf.from_residuals(fit.std_residuals, fit.truncated_weights)
+        return cls(fit=fit, design=design, ecdf=ecdf, label=label)
 
 
 @dataclass
@@ -64,9 +70,7 @@ def fit_group(sample: GroupSample, n_interior, config: FitConfig | None = None) 
     """Fit one population: spline design, IRLS, residual distribution."""
     spec = SplineSpec.from_data(sample.covariates, n_interior)
     Z = spec.matrix(sample.covariates)
-    fit = irls_fit(Z, sample.outcomes, config)
-    ecdf = WeightedEcdf.from_residuals(fit.std_residuals, fit.truncated_weights)
-    return GroupFit(fit=fit, design=spec, ecdf=ecdf, label=sample.label)
+    return GroupFit.from_fit(irls_fit(Z, sample.outcomes, config), spec, sample.label)
 
 
 def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior_nd,
@@ -80,7 +84,7 @@ def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior_nd,
     )
 
 
-def predict_mean(fit: RobustFit, design: SplineSpec | LinearDesign, x) -> float:
+def predict_mean(fit: RobustFit, design: SplineSpec, x) -> float:
     """Fitted regression mean at a covariate point."""
     return float(design.row(x) @ fit.beta)
 
@@ -199,6 +203,11 @@ def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,
         sum_j sum_i w_dj w_ndi [ 1{y_ndi < y_dj} + 0.5 * 1{y_ndi = y_dj} ]
         -----------------------------------------------------------------
                                   W_d * W_nd
+
+    It stays separate from auc_closed_form on intercept-only fits because
+    there the adjusted values beta_hat + sigma_hat * eps_hat_i reproduce y_i
+    only up to rounding, so tied integer outcomes across groups could stop
+    tying and silently lose their half credit.
     """
     y_nd = np.asarray(y_nondiseased, dtype=float).ravel()
     y_d = np.asarray(y_diseased, dtype=float).ravel()

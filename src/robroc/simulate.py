@@ -38,9 +38,8 @@ from .data import GroupSample
 from .errors import DataError, NumericalError
 from .huber import FitConfig, ols_as_robust_fit
 from .model_select import select_knots
-from .roc import GroupFit, PopulationPair, auc_closed_form, auc_simpson, fit_group
-from .splines import LinearDesign, SplineSpec
-from .wecdf import WeightedEcdf
+from .roc import GroupFit, PopulationPair, auc_closed_form, fit_pair
+from .splines import SplineSpec
 
 ESTIMATORS = ("robust", "ols_linear", "ols_bspline")
 
@@ -206,28 +205,26 @@ def true_auc(scn: Scenario, x) -> np.ndarray | float:
 def comparator_fit(kind: str, sample: GroupSample, n_interior=0) -> GroupFit:
     """Least squares comparators sharing the downstream ROC machinery.
 
-    ols_linear uses an intercept-plus-covariates design; ols_bspline uses
-    the same spline design as the robust fit.  Both keep unit weights and
-    the classical residual scale.  The downstream AUC of these comparators
-    does not depend on sigma-hat, so they show outliers only through mu-hat.
+    ols_linear uses an intercept-plus-covariates design (every covariate a
+    passthrough column); ols_bspline uses the same spline design as the
+    robust fit.  Both keep unit weights and the classical residual scale.
+    The downstream AUC of these comparators does not depend on sigma-hat,
+    so they show outliers only through mu-hat.
     """
     if kind == "ols_linear":
-        design: SplineSpec | LinearDesign = LinearDesign(sample.n_covariates)
+        design = SplineSpec((None,) * sample.n_covariates)
     elif kind == "ols_bspline":
         design = SplineSpec.from_data(sample.covariates, n_interior)
     else:
         raise ValueError(f"unknown comparator {kind!r}")
-    Z = design.matrix(sample.covariates)
-    fit = ols_as_robust_fit(Z, sample.outcomes)
-    ecdf = WeightedEcdf.from_residuals(fit.std_residuals, fit.truncated_weights)
-    return GroupFit(fit=fit, design=design, ecdf=ecdf, label=sample.label)
+    fit = ols_as_robust_fit(design.matrix(sample.covariates), sample.outcomes)
+    return GroupFit.from_fit(fit, design, sample.label)
 
 
 def _fit_estimator(kind: str, nd: GroupSample, d: GroupSample, n_interior,
                    config: FitConfig | None) -> PopulationPair:
     if kind == "robust":
-        return PopulationPair(nondiseased=fit_group(nd, n_interior, config),
-                              diseased=fit_group(d, n_interior, config))
+        return fit_pair(nd, d, n_interior, config=config)
     return PopulationPair(nondiseased=comparator_fit(kind, nd, n_interior),
                           diseased=comparator_fit(kind, d, n_interior))
 
@@ -253,9 +250,7 @@ class McReport:
 def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
               n_replicates: int, seed=0, x_grid=None,
               estimators=("robust",), n_interior=0,
-              select_candidates=None, config: FitConfig | None = None,
-              auc_method: str = "closed_form",
-              simpson_panels: int = 200) -> McReport:
+              select_candidates=None, config: FitConfig | None = None) -> McReport:
     """Monte Carlo study of covariate-specific AUC estimation.
 
     Per replicate: draw data, fit each estimator, evaluate AUC over the
@@ -269,8 +264,6 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     for kind in estimators:
         if kind not in ESTIMATORS:
             raise ValueError(f"unknown estimator {kind!r}; choose from {ESTIMATORS}")
-    if auc_method not in ("closed_form", "simpson"):
-        raise ValueError(f"unknown AUC method {auc_method!r}")
     if x_grid is None:
         x_grid = scn.default_grid()
     x_grid = np.asarray(x_grid, dtype=float)
@@ -305,10 +298,7 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
             row = aucs[kind][r]
             for i in range(g):
                 try:
-                    if auc_method == "closed_form":
-                        row[i] = auc_closed_form(pair, x_grid[i])
-                    else:
-                        row[i] = auc_simpson(pair, x_grid[i], simpson_panels)
+                    row[i] = auc_closed_form(pair, x_grid[i])
                 except (DataError, NumericalError):
                     pass  # stays NaN; outside this replicate's boundary knots
 

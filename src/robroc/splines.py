@@ -15,7 +15,8 @@ columns.  Evaluation outside the boundary knots is refused: the basis has no
 support there and predictions would be extrapolation.
 
 Binary 0/1 covariates can bypass the spline expansion and enter the design
-as a single passthrough column.
+as a single passthrough column; a design whose every covariate passes
+through is the plain linear design [1, X].
 """
 
 from __future__ import annotations
@@ -132,16 +133,6 @@ def full_basis_row(x: float, knots: KnotSpec) -> np.ndarray:
     return _full_basis(np.asarray([x], dtype=float), knots)[0]
 
 
-def bspline_row(x: float, knots: KnotSpec) -> np.ndarray:
-    """The K + 3 retained basis values at a single point.
-
-    The first function of the full basis is dropped; at the left boundary
-    that function carries all the mass, so the returned row is identically
-    zero there.
-    """
-    return full_basis_row(x, knots)[1:]
-
-
 def _basis_block(col: np.ndarray, knots: KnotSpec) -> np.ndarray:
     return _full_basis(col, knots)[:, 1:]
 
@@ -212,32 +203,3 @@ class SplineSpec:
 
     def row(self, x) -> np.ndarray:
         return self.matrix(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
-
-
-@dataclass(frozen=True)
-class LinearDesign:
-    """Intercept plus untransformed covariates, for the linear comparator."""
-
-    n_covariates: int
-
-    @property
-    def n_columns(self) -> int:
-        return 1 + self.n_covariates
-
-    def matrix(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.shape[1] != self.n_covariates:
-            raise DataError(
-                f"design expects {self.n_covariates} covariate columns, got {X.shape[1]}"
-            )
-        return np.hstack([np.ones((X.shape[0], 1)), X])
-
-    def row(self, x) -> np.ndarray:
-        return self.matrix(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
-
-
-def build_design(X, spec: SplineSpec | LinearDesign) -> np.ndarray:
-    """Evaluate a design recipe on covariate rows."""
-    return spec.matrix(X)

@@ -8,11 +8,10 @@ from robroc.bootstrap import (BootstrapConfig, BootstrapTarget,
                               residual_bootstrap, unconditional_auc_bootstrap)
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
-from robroc.huber import RobustFit
+from robroc.huber import FitConfig, RobustFit
 from robroc.roc import GroupFit, PopulationPair, fit_pair
 from robroc.simulate import generate, scenario, true_auc
-from robroc.splines import LinearDesign
-from robroc.wecdf import WeightedEcdf
+from robroc.splines import SplineSpec
 
 X0 = np.array([0.5])
 
@@ -23,7 +22,8 @@ def linear_pair(rng, n_nd=35, n_d=35):
 
 
 def hand_pair(nd_residuals, d_residuals, x):
-    """Pair over LinearDesign(1) whose refit inputs are fully controlled."""
+    """Pair over the linear design [1, x] whose refit inputs are fully
+    controlled."""
     def group(res, label):
         res = np.asarray(res, dtype=float)
         n = res.size
@@ -31,8 +31,7 @@ def hand_pair(nd_residuals, d_residuals, x):
                         std_residuals=res, huber_weights=np.ones(n),
                         truncated_weights=np.ones(n), iterations=1,
                         converged=True)
-        return GroupFit(fit=fit, design=LinearDesign(1),
-                        ecdf=WeightedEcdf.from_residuals(res), label=label)
+        return GroupFit.from_fit(fit, SplineSpec((None,)), label)
 
     x = np.asarray(x, dtype=float)
     nd = GroupSample(outcomes=x + np.asarray(nd_residuals, dtype=float),
@@ -101,17 +100,16 @@ class TestResidualBootstrap:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(19)
         nd, d, pair = linear_pair(rng)
-        cfg = BootstrapConfig(n_replicates=40, seed=7, keep_replicates=True)
-        first = residual_bootstrap(pair, nd, d, [X0], cfg)
-        second = residual_bootstrap(pair, nd, d, [X0], cfg)
-        t1, t2 = first.targets[0], second.targets[0]
-        assert (t1.auc_lower, t1.auc_upper) == (t2.auc_lower, t2.auc_upper)
-        np.testing.assert_array_equal(t1.auc_replicates, t2.auc_replicates)
-        other = residual_bootstrap(pair, nd, d, [X0],
-                                   BootstrapConfig(n_replicates=40, seed=8,
-                                                   keep_replicates=True))
-        assert not np.array_equal(t1.auc_replicates,
-                                  other.targets[0].auc_replicates)
+        target = BootstrapTarget(x=X0, t_grid=np.linspace(0.0, 1.0, 11))
+
+        def band(seed):
+            res = residual_bootstrap(pair, nd, d, [target],
+                                     BootstrapConfig(n_replicates=40, seed=seed))
+            t = res.targets[0]
+            return np.concatenate([[t.auc_lower, t.auc_upper], t.roc_lower, t.roc_upper])
+
+        np.testing.assert_array_equal(band(7), band(7))
+        assert not np.array_equal(band(7), band(8))
 
     def test_bare_x_targets_are_wrapped(self):
         rng = np.random.default_rng(23)
@@ -183,6 +181,26 @@ class TestResidualBootstrap:
             tgt = res.targets[0]
             covered += tgt.auc_lower <= truth <= tgt.auc_upper
         assert 0.85 <= covered / 60 <= 1.0
+
+
+class TestReplicateTallies:
+    # one warm-started IRLS step never meets the tolerance, so every
+    # replicate that does not fail is a non-converged one
+    def test_residual_bootstrap_counts_nonconverged(self):
+        nd, d, pair = linear_pair(np.random.default_rng(61))
+        res = residual_bootstrap(pair, nd, d, [X0],
+                                 BootstrapConfig(n_replicates=25, seed=4),
+                                 FitConfig(max_iterations=1))
+        assert res.n_replicates == 25
+        assert res.n_nonconverged == res.n_replicates - res.n_failed > 0
+
+    def test_unconditional_bootstrap_counts_nonconverged(self):
+        rng = np.random.default_rng(67)
+        *_, summary = unconditional_auc_bootstrap(
+            rng.normal(0.0, 1.0, 60), rng.normal(1.0, 1.0, 60),
+            BootstrapConfig(n_replicates=25, seed=4), FitConfig(max_iterations=1))
+        assert summary.n_replicates == 25
+        assert summary.n_nonconverged == summary.n_replicates - summary.n_failed > 0
 
 
 class TestUnconditionalAucBootstrap:

@@ -120,6 +120,34 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--max-iterations", "0"], "max_iterations"),
+        (["fit", "--tol", "0"], "tol"),
+        (["fit", "--tol", "-1"], "tol"),
+        (["fit", "--tuning", "0"], "tuning"),
+        (["fit", "--truncation", "0"], "truncation"),
+        (["roc", "--x", "0.5", "--t-points", "1"], "--t-points"),
+        (["bootstrap", "--x", "0.5", "--t-points", "0"], "--t-points"),
+        (["uauc", "--replicates", "-3"], "--replicates"),
+    ])
+    def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
+        code, _ = run(tmp_path, *argv, "--data", str(data_csv), "--covariates", "age")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--reps", "0"], "--reps"),
+        (["--grid-points", "0"], "--grid-points"),
+        (["--max-iterations", "0"], "max_iterations"),
+    ])
+    def test_nonsense_study_settings_rejected(self, tmp_path, capsys, argv, message):
+        code, _ = run(tmp_path, "simulate", "--scenario", "I", "--sizes", "30,30", *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and message in err
+
+
 class TestCurveCommands:
     def test_roc_grid_size(self, tmp_path, data_csv, capsys):
         code, out = run(tmp_path, "roc", "--data", str(data_csv),
@@ -302,6 +330,12 @@ class TestSimulateCommand:
 
 
 class TestEntryPoints:
+    def test_public_names_resolve(self):
+        import robroc
+
+        missing = [name for name in robroc.__all__ if not hasattr(robroc, name)]
+        assert missing == []
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

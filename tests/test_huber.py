@@ -69,6 +69,19 @@ class TestLossPieces:
         assert isinstance(huber_rho(1.0), float)
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 0), ("max_iterations", -2), ("tol", 0.0), ("tol", -1.0),
+        ("tol", float("nan")), ("tuning", 0.0), ("truncation", -3.0)])
+    def test_nonsense_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+
+    def test_defaults_and_infinite_tuning_accepted(self):
+        assert FitConfig().max_iterations == 50
+        assert FitConfig(tuning=float("inf"), truncation=float("inf")).tol == 1e-8
+
+
 class TestMadScale:
     def test_symmetric_integers(self):
         assert mad_scale([-2, -1, 0, 1, 2]) == pytest.approx(1.4826, abs=1e-12)

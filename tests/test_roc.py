@@ -9,8 +9,7 @@ from robroc.roc import (PopulationPair, adjusted_values, auc_closed_form,
                         auc_simpson, composite_simpson, fit_pair, GroupFit,
                         predict_mean, robust_unconditional_auc, roc_curve,
                         roc_values, unconditional_auc, youden_index)
-from robroc.splines import LinearDesign
-from robroc.wecdf import WeightedEcdf
+from robroc.splines import SplineSpec
 
 X0 = np.array([0.0])
 
@@ -23,8 +22,7 @@ def hand_group(values, weights=None, label="g") -> GroupFit:
     fit = RobustFit(beta=np.zeros(2), sigma=1.0, std_residuals=v,
                     huber_weights=np.ones(n), truncated_weights=w,
                     iterations=1, converged=True)
-    return GroupFit(fit=fit, design=LinearDesign(1),
-                    ecdf=WeightedEcdf.from_residuals(v, w), label=label)
+    return GroupFit.from_fit(fit, SplineSpec((None,)), label)
 
 
 def hand_pair(nd_values, d_values, nd_weights=None, d_weights=None):
@@ -69,7 +67,7 @@ class TestPredictMean:
                         std_residuals=np.zeros(3), huber_weights=np.ones(3),
                         truncated_weights=np.ones(3), iterations=1,
                         converged=True)
-        design = LinearDesign(1)
+        design = SplineSpec((None,))
         for x in (-5.0, 0.0, 17.3):
             assert predict_mean(fit, design, [x]) == 4.2
 
@@ -356,3 +354,25 @@ class TestUnconditionalAuc:
         unweighted = unconditional_auc(y_nd, y_d)
         assert auc > unweighted  # the high nondiseased outlier drags plain AUC down
         assert 0.0 <= auc <= 1.0
+
+
+class TestRobustUnconditionalAucTies:
+    def test_integer_outcomes_match_half_tie_double_loop(self):
+        # integer scores tie across groups; the robust statistic must give
+        # each tie half credit under both fits' truncated weights
+        rng = np.random.default_rng(101)
+        y_nd = rng.integers(0, 6, 70).astype(float)
+        y_d = rng.integers(2, 9, 60).astype(float)
+        y_nd[:3] = [40.0, 45.0, 50.0]
+        auc, fit_nd, fit_d = robust_unconditional_auc(y_nd, y_d)
+        w_nd, w_d = fit_nd.truncated_weights, fit_d.truncated_weights
+        assert np.any(w_nd < 1.0)
+        assert np.intersect1d(y_nd, y_d).size > 0
+        total = 0.0
+        for yj, wj in zip(y_d, w_d):
+            for yi, wi in zip(y_nd, w_nd):
+                if yi < yj:
+                    total += wi * wj
+                elif yi == yj:
+                    total += 0.5 * wi * wj
+        assert auc == pytest.approx(total / (w_nd.sum() * w_d.sum()), abs=1e-12)

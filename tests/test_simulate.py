@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from robroc.roc import predict_mean
+from robroc.roc import auc_simpson, fit_pair, predict_mean
 from robroc.simulate import (ESTIMATORS, Scenario, _contaminated_count,
                              comparator_fit, generate, run_study, scenario,
                              true_auc)
@@ -218,8 +218,6 @@ class TestRunStudy:
     def test_estimator_names_validated(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             run_study(scenario("I"), 30, 30, 1, estimators=("lasso",))
-        with pytest.raises(ValueError, match="unknown AUC method"):
-            run_study(scenario("I"), 30, 30, 1, auc_method="trapezoid")
 
     def test_grid_column_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grid"):
@@ -227,12 +225,15 @@ class TestRunStudy:
                       x_grid=np.linspace(0.1, 0.9, 5))
 
     def test_custom_grid_and_simpson_agree_with_closed_form(self):
+        # the study's means on a custom grid, against Simpson integration of
+        # the ROC curves fitted to the same replicate draws (seed, r)
         grid = np.array([0.3, 0.5, 0.7])
         closed = run_study(scenario("I"), 80, 80, 2, seed=43, x_grid=grid)
-        simpson = run_study(scenario("I"), 80, 80, 2, seed=43, x_grid=grid,
-                            auc_method="simpson", simpson_panels=2000)
-        np.testing.assert_allclose(simpson.estimators["robust"].mean,
-                                   closed.estimators["robust"].mean, atol=1e-3)
+        np.testing.assert_array_equal(closed.x_grid, grid[:, None])
+        pairs = [fit_pair(*generate(scenario("I"), 80, 80, seed=(43, r)), 0)
+                 for r in range(2)]
+        simpson = [np.mean([auc_simpson(p, [x], 2000) for p in pairs]) for x in grid]
+        np.testing.assert_allclose(simpson, closed.estimators["robust"].mean, atol=1e-3)
 
     def test_knot_counts_tallied_per_group(self):
         report = run_study(scenario("I"), 60, 60, 4, seed=47,

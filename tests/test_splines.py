@@ -5,8 +5,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 from robroc.errors import DataError
-from robroc.splines import (KnotSpec, LinearDesign, SplineSpec, bspline_row,
-                            build_design, full_basis_row, knot_sequence)
+from robroc.splines import KnotSpec, SplineSpec, full_basis_row, knot_sequence
 
 
 def scipy_basis_matrix(xs, spec):
@@ -14,6 +13,12 @@ def scipy_basis_matrix(xs, spec):
     lo, hi = spec.boundary
     t = np.concatenate([[lo] * 4, spec.interior, [hi] * 4])
     return BSpline.design_matrix(np.asarray(xs, dtype=float), t, 3).toarray()
+
+
+def retained_row(x, spec):
+    """The K + 3 basis values a one-covariate design keeps after its
+    intercept: the full basis without its first function."""
+    return SplineSpec((spec,)).row([x])[1:]
 
 
 class TestKnotSequence:
@@ -77,7 +82,7 @@ class TestBasisRows:
     def test_row_lengths(self, k):
         spec = knot_sequence(np.linspace(0, 1, 50), k)
         assert full_basis_row(0.5, spec).size == k + 4
-        assert bspline_row(0.5, spec).size == k + 3
+        assert retained_row(0.5, spec).size == k + 3
         assert spec.n_columns == k + 3
 
     def test_partition_of_unity(self):
@@ -95,7 +100,7 @@ class TestBasisRows:
 
     def test_left_boundary_row_is_zero_after_drop(self):
         spec = knot_sequence(np.linspace(2, 9, 40), 0)
-        np.testing.assert_array_equal(bspline_row(2.0, spec), np.zeros(3))
+        np.testing.assert_array_equal(retained_row(2.0, spec), np.zeros(3))
         full = full_basis_row(2.0, spec)
         assert full[0] == 1.0
 
@@ -117,7 +122,7 @@ class TestBasisRows:
     def test_extrapolation_rejected(self, x):
         spec = KnotSpec(boundary=(0.0, 1.0))
         with pytest.raises(DataError, match="extrapolate"):
-            bspline_row(x, spec)
+            retained_row(x, spec)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_against_scipy_basis(self, k):
@@ -130,6 +135,7 @@ class TestBasisRows:
         for x, ref in zip(xs, expected):
             np.testing.assert_allclose(full_basis_row(x, spec), ref,
                                        rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(retained_row(x, spec), full_basis_row(x, spec)[1:])
 
 
 class TestDesigns:
@@ -174,7 +180,8 @@ class TestDesigns:
             np.testing.assert_array_equal(spec.row(X[j]), Z[j])
 
     def test_linear_design(self):
-        design = LinearDesign(2)
+        # all-passthrough spec: the plain intercept-plus-covariates design
+        design = SplineSpec((None, None))
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         Z = design.matrix(X)
         assert design.n_columns == 3
@@ -197,9 +204,3 @@ class TestDesigns:
         spec = SplineSpec.from_data(X, 0)
         with pytest.raises(DataError):
             spec.matrix(X[:, :1])
-
-    def test_build_design_delegates(self):
-        rng = np.random.default_rng(41)
-        X = rng.uniform(size=(15, 1))
-        spec = SplineSpec.from_data(X, 0)
-        np.testing.assert_array_equal(build_design(X, spec), spec.matrix(X))
