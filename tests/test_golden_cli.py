@@ -1,25 +1,29 @@
 """Golden CLI outputs: every subcommand on fixed inputs reproduces the
-recorded tables.
+recorded tables and printed summary, and accepts the recorded options.
 
 tests/golden/ holds a seeded 160-row study CSV (data.csv, written by
-write_study_data) and one directory per entry of CASES with the CSV tables
-and the path-normalized manifest that case wrote when recorded.
-Labels must match exactly and numbers within 1e-12 relative.  A deliberate
+write_study_data) and one directory per entry of CASES with the CSV tables,
+the path-normalized manifest and the stdout (out directory shown as <out>)
+that case wrote when recorded.  Table labels must match exactly and numbers
+within 1e-12 relative; stdout must match byte for byte.  A deliberate
 change of output is re-recorded with
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
 
+import argparse
 import csv
 import json
 import math
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robroc.cli import main
+from robroc.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
@@ -51,6 +55,24 @@ CASES = {
                             "--seed", "9"],
 }
 
+_COMMON = {"-h", "--help", "--config", "--out"}
+_FIT = {"--knots", "--tuning", "--truncation", "--max-iterations", "--tol"}
+_DATA = _COMMON | _FIT | {"--data", "--outcome", "--disease", "--covariates",
+                          "--skip-missing"}
+_BOOT = {"--replicates", "--alpha", "--seed"}
+OPTIONS = {
+    "fit": _DATA,
+    "select-knots": _DATA | {"--candidates"},
+    "roc": _DATA | {"--x", "--t-points", "--simpson-panels"},
+    "auc": _DATA | _BOOT | {"--x-grid", "--ci"},
+    "youden": _DATA | {"--x", "--x-grid"},
+    "bootstrap": _DATA | _BOOT | {"--x", "--t-points", "--youden"},
+    "uauc": _DATA | _BOOT,
+    "simulate": _COMMON | _FIT | {"--seed", "--scenario", "--sizes", "--reps",
+                                  "--contamination", "--kappa", "--outlier-kind",
+                                  "--select", "--grid-points", "--estimators"},
+}
+
 
 def write_study_data(path) -> None:
     """80 nondiseased and 80 diseased rows: scenario I means and scales
@@ -72,11 +94,15 @@ def write_study_data(path) -> None:
         writer.writerows(rows)
 
 
-def run_case(name: str, data: Path, out: Path) -> int:
+def run_case(name: str, data: Path, out: Path) -> tuple[int, str]:
+    """Exit code and stdout, with the out directory shown as <out>."""
     argv = list(CASES[name])
     if argv[0] != "simulate":
         argv += ["--data", str(data)]
-    return main([*argv, "--out", str(out)])
+    stdout = StringIO()
+    with redirect_stdout(stdout):
+        code = main([*argv, "--out", str(out)])
+    return code, stdout.getvalue().replace(str(out), "<out>")
 
 
 def normalized_manifest(out: Path) -> dict:
@@ -108,7 +134,9 @@ def cells_match(got: str, want: str) -> bool:
 def test_golden_case(name, tmp_path):
     expected = GOLDEN / name
     out = tmp_path / "out"
-    assert run_case(name, GOLDEN / "data.csv", out) == 0
+    code, stdout = run_case(name, GOLDEN / "data.csv", out)
+    assert code == 0
+    assert stdout == (expected / "stdout.txt").read_text()
     manifest = normalized_manifest(out)
     assert manifest == json.loads((expected / "manifest.json").read_text())
     for table in manifest["outputs"]:
@@ -122,13 +150,23 @@ def test_golden_case(name, tmp_path):
                 assert cells_match(g, w), f"{table} row {i} {column}: {g} != {w}"
 
 
+def test_subcommand_options():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     write_study_data(GOLDEN / "data.csv")
     for name in CASES:
         out = GOLDEN / name
-        if run_case(name, GOLDEN / "data.csv", out) != 0:
+        code, stdout = run_case(name, GOLDEN / "data.csv", out)
+        if code != 0:
             raise SystemExit(f"case {name} failed")
+        (out / "stdout.txt").write_text(stdout)
         manifest = normalized_manifest(out)
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
