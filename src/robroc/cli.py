@@ -41,69 +41,71 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--out", help="output directory (default .)")
+    # option groups, each declared once and named by the subcommands using it
+    base = _Parser(add_help=False)
+    base.add_argument("--config", help="key=value config file")
+    base.add_argument("--out", help="output directory (default .)")
+    base.add_argument("--knots", help="interior knots per covariate, e.g. 0 or 2,0 or cat")
+    base.add_argument("--tuning", type=float, help="Huber tuning constant (1.345)")
+    base.add_argument("--truncation", type=float,
+                      help="weight truncation threshold (3)")
+    base.add_argument("--max-iterations", type=int, help="IRLS iteration cap (50)")
+    base.add_argument("--tol", type=float, help="IRLS convergence tolerance (1e-8)")
 
-    data = _Parser(add_help=False)
+    data = _Parser(add_help=False, parents=[base])
     data.add_argument("--data", help="CSV data file")
     data.add_argument("--outcome", help="outcome column name")
     data.add_argument("--disease", help="0/1 disease column name")
     data.add_argument("--covariates", help="comma-separated covariate columns")
     data.add_argument("--skip-missing", action="store_true", default=None,
                       help="drop rows with missing values instead of failing")
-    data.add_argument("--knots", help="interior knots per covariate, e.g. 0 or 2,0 or cat")
-    data.add_argument("--tuning", type=float, help="Huber tuning constant (1.345)")
-    data.add_argument("--truncation", type=float,
-                      help="weight truncation threshold (3)")
-    data.add_argument("--max-iterations", type=int, help="IRLS iteration cap (50)")
-    data.add_argument("--tol", type=float, help="IRLS convergence tolerance (1e-8)")
 
-    p = sub.add_parser("fit", parents=[common, data],
+    seed, point, grid, t_points = (_Parser(add_help=False) for _ in range(4))
+    seed.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    point.add_argument("--x", help="covariate point, one comma-separated value per covariate")
+    grid.add_argument("--x-grid", help="grid as start:stop:count")
+    t_points.add_argument("--t-points", type=int, help="ROC grid size on [0,1] (default 201)")
+
+    boot = _Parser(add_help=False, parents=[seed])
+    boot.add_argument("--replicates", type=int,
+                      help="bootstrap replicates (default 1000; for uauc 0 skips the interval)")
+    boot.add_argument("--alpha", type=float, help="interval miscoverage (default 0.05)")
+
+    p = sub.add_parser("fit", parents=[data],
                        help="fit both groups and report coefficients and weights")
+    p.set_defaults(run=_cmd_fit)
 
-    p = sub.add_parser("select-knots", parents=[common, data],
+    p = sub.add_parser("select-knots", parents=[data],
                        help="rank interior knot counts per group by robust AIC")
     p.add_argument("--candidates", help="knot counts to try per covariate (default 0,1,2,3,4)")
+    p.set_defaults(run=_cmd_select_knots)
 
-    p = sub.add_parser("roc", parents=[common, data],
+    p = sub.add_parser("roc", parents=[data, point, t_points],
                        help="covariate-specific ROC curve at a point")
-    p.add_argument("--x", help="covariate value(s), comma-separated")
-    p.add_argument("--t-points", type=int, help="grid size on [0,1] (default 201)")
     p.add_argument("--simpson-panels", type=int, help="Simpson panel count (default 200)")
+    p.set_defaults(run=_cmd_roc)
 
-    p = sub.add_parser("auc", parents=[common, data],
+    p = sub.add_parser("auc", parents=[data, boot, grid],
                        help="covariate-specific AUC over a grid")
-    p.add_argument("--x-grid", help="grid as start:stop:count")
     p.add_argument("--ci", action="store_true", default=False,
                    help="add bootstrap percentile intervals")
-    p.add_argument("--replicates", type=int, help="bootstrap replicates (default 1000)")
-    p.add_argument("--alpha", type=float, help="interval miscoverage (default 0.05)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.set_defaults(run=_cmd_auc)
 
-    p = sub.add_parser("youden", parents=[common, data],
+    p = sub.add_parser("youden", parents=[data, point, grid],
                        help="Youden index and optimal threshold over a grid")
-    p.add_argument("--x", help="single covariate point, comma-separated")
-    p.add_argument("--x-grid", help="grid as start:stop:count")
+    p.set_defaults(run=_cmd_youden)
 
-    p = sub.add_parser("bootstrap", parents=[common, data],
+    p = sub.add_parser("bootstrap", parents=[data, boot, point, t_points],
                        help="bootstrap bands for ROC and AUC at a point")
-    p.add_argument("--x", help="covariate value(s), comma-separated")
-    p.add_argument("--t-points", type=int, help="ROC grid size (default 201)")
-    p.add_argument("--replicates", type=int, help="bootstrap replicates (default 1000)")
-    p.add_argument("--alpha", type=float, help="interval miscoverage (default 0.05)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--youden", action="store_true", default=False,
                    help="also bootstrap the Youden index")
+    p.set_defaults(run=_cmd_bootstrap)
 
-    p = sub.add_parser("uauc", parents=[common, data],
+    p = sub.add_parser("uauc", parents=[data, boot],
                        help="unconditional AUC with robust weights")
-    p.add_argument("--replicates", type=int,
-                   help="bootstrap replicates for the interval; 0 disables")
-    p.add_argument("--alpha", type=float, help="interval miscoverage (default 0.05)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    p.set_defaults(run=_cmd_uauc)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[base, seed],
                        help="Monte Carlo study on a built-in scenario")
     p.add_argument("--scenario", help="I, II, III, or IV")
     p.add_argument("--sizes", help="group sizes as nondiseased,diseased")
@@ -112,15 +114,10 @@ def _build_parser() -> _Parser:
                    help="outcome fraction replaced per group (default 0)")
     p.add_argument("--kappa", help="outlier shift multipliers nd,d (default 15,20)")
     p.add_argument("--outlier-kind", choices=["location", "radial"])
-    p.add_argument("--knots", help="interior knots per covariate (default 0)")
     p.add_argument("--select", help="tally rAIC choices among these counts, e.g. 0,3")
     p.add_argument("--grid-points", type=int, help="AUC grid size (default 21)")
     p.add_argument("--estimators", help="comma list from: " + ", ".join(ESTIMATORS))
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--tuning", type=float)
-    p.add_argument("--truncation", type=float)
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--tol", type=float)
+    p.set_defaults(run=_cmd_simulate)
     return parser
 
 
@@ -130,26 +127,60 @@ def _resolve(args) -> RunConfig:
     return RunConfig.resolve(vars(args), config)
 
 
-def _fit_config(cfg: RunConfig) -> FitConfig:
+def _check(cfg: RunConfig) -> FitConfig:
+    """Reject nonsense settings before any file is read; return the FitConfig."""
+    for flag, value, least in (("--t-points", cfg.t_points, 2),
+                               ("--reps", cfg.reps, 1),
+                               ("--grid-points", cfg.grid_points, 1),
+                               ("--replicates", cfg.replicates, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     return FitConfig(tuning=cfg.tuning, truncation=cfg.truncation,
                      max_iterations=cfg.max_iterations, tol=cfg.tol)
 
 
-def _load_groups(cfg: RunConfig, need_covariates: bool = True):
+def _ints(flag: str, raw: str, least: int) -> list[int]:
+    """Parse a non-empty comma-separated list of integers, none below least."""
+    try:
+        values = [int(s) for s in str(raw).split(",") if s.strip()]
+    except ValueError:
+        values = []
+    if not values or min(values) < least:
+        raise UsageError(f"{flag} needs comma-separated integers >= {least}, got {raw!r}")
+    return values
+
+
+def _n_covariates(cfg: RunConfig) -> int:
+    if not cfg.covariates:
+        raise UsageError("no covariates; pass --covariates or set covariates=")
+    return len(cfg.covariates)
+
+
+def _load_groups(cfg: RunConfig):
     if not cfg.data:
         raise UsageError("no data file; pass --data or set data= in the config")
-    if need_covariates and not cfg.covariates:
-        raise UsageError("no covariates; pass --covariates or set covariates=")
     ds = read_csv(cfg.data, cfg.outcome, cfg.disease, cfg.covariates,
                   skip_missing=cfg.skip_missing)
-    return ds, ds.group(0), ds.group(1)
+    return ds.group(0), ds.group(1)
 
 
-def _fitted_pair(cfg: RunConfig):
-    ds, nd, d = _load_groups(cfg)
-    knots = parse_knots(cfg.knots, len(cfg.covariates))
-    pair = fit_pair(nd, d, knots, config=_fit_config(cfg))
-    return ds, nd, d, pair
+def _fitted_pair(cfg: RunConfig, fit_config: FitConfig):
+    knots = parse_knots(cfg.knots, _n_covariates(cfg))
+    nd, d = _load_groups(cfg)
+    return nd, d, fit_pair(nd, d, knots, config=fit_config)
+
+
+def _bootstrap(cfg: RunConfig, fit_config: FitConfig, method, *data):
+    """Call a bootstrap with the configured replicates, alpha and seed, and
+    warn on stderr when too many replicates failed."""
+    result = method(*data, BootstrapConfig(n_replicates=cfg.replicates,
+                                           alpha=cfg.alpha, seed=cfg.seed),
+                    fit_config)
+    boot = result[-1] if isinstance(result, tuple) else result
+    if boot.unreliable:
+        print(f"warning: {boot.n_failed}/{boot.n_replicates} bootstrap replicates "
+              "failed; intervals unreliable", file=sys.stderr)
+    return result
 
 
 def _point(cfg: RunConfig) -> np.ndarray:
@@ -161,29 +192,17 @@ def _point(cfg: RunConfig) -> np.ndarray:
     return x
 
 
-def _t_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.t_points < 2:
-        raise UsageError(f"--t-points must be at least 2, got {cfg.t_points}")
-    return np.linspace(0.0, 1.0, cfg.t_points)
-
-
-def _default_grid(pair, count: int = 40) -> np.ndarray:
-    # inside the intersection of both groups' boundary-knot ranges
-    spec_nd = pair.nondiseased.design.knots[0]
-    spec_d = pair.diseased.design.knots[0]
-    lo = max(spec_nd.boundary[0], spec_d.boundary[0])
-    hi = min(spec_nd.boundary[1], spec_d.boundary[1])
-    if not lo < hi:
-        raise DataError("group covariate ranges do not overlap")
-    return np.linspace(lo, hi, count)
-
-
 def _x_grid(cfg: RunConfig, pair) -> np.ndarray:
     if len(cfg.covariates) != 1:
         raise UsageError("grid commands support a single covariate; use the library API for more")
     if cfg.x_grid:
         return parse_grid(cfg.x_grid)
-    return _default_grid(pair)
+    # by default 40 points inside both groups' boundary-knot ranges
+    bounds = [g.design.knots[0].boundary for g in (pair.nondiseased, pair.diseased)]
+    lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
+    if not lo < hi:
+        raise DataError("group covariate ranges do not overlap")
+    return np.linspace(lo, hi, 40)
 
 
 def _term_names(design, names) -> list[str]:
@@ -196,284 +215,173 @@ def _term_names(design, names) -> list[str]:
     return out
 
 
-def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+# Each subcommand runs as run(cfg, fit_config, args, write): args carries
+# the parser-only flags (--ci, --youden) and write(name, header, rows) puts
+# a table into --out and returns its path.
 
+def _cmd_fit(cfg, fit_config, args, write) -> None:
+    nd, d, pair = _fitted_pair(cfg, fit_config)
+    groups = ((nd, pair.nondiseased), (d, pair.diseased))
+    rows = [[gf.label, term, est] for _, gf in groups
+            for term, est in zip(_term_names(gf.design, cfg.covariates), gf.fit.beta)]
+    write("coefficients.csv", ["group", "term", "estimate"], rows)
+    rows = [[gf.label, int(row), *values] for sample, gf in groups
+            for row, *values in zip(sample.rows, sample.outcomes, gf.fit.std_residuals,
+                                    gf.fit.huber_weights, gf.fit.truncated_weights)]
+    write("weights.csv", ["group", "row", "outcome", "std_residual", "huber_weight",
+                          "truncated_weight"], rows)
 
-def _cmd_fit(cfg: RunConfig) -> list[str]:
-    _, nd, d, pair = _fitted_pair(cfg)
-    out = _outdir(cfg)
-    coef_path = os.path.join(out, "coefficients.csv")
-    rows = []
-    for sample, gf in ((nd, pair.nondiseased), (d, pair.diseased)):
-        for term, est in zip(_term_names(gf.design, cfg.covariates), gf.fit.beta):
-            rows.append([gf.label, term, est])
-    write_table(coef_path, ["group", "term", "estimate"], rows)
-
-    weights_path = os.path.join(out, "weights.csv")
-    rows = []
-    for sample, gf in ((nd, pair.nondiseased), (d, pair.diseased)):
-        data_rows = sample.rows if sample.rows is not None else np.arange(1, sample.n + 1)
-        for j in range(sample.n):
-            rows.append([gf.label, int(data_rows[j]), sample.outcomes[j],
-                         gf.fit.std_residuals[j], gf.fit.huber_weights[j],
-                         gf.fit.truncated_weights[j]])
-    write_table(weights_path,
-                ["group", "row", "outcome", "std_residual", "huber_weight",
-                 "truncated_weight"], rows)
-
-    for gf in (pair.nondiseased, pair.diseased):
+    for _, gf in groups:
         state = "converged" if gf.fit.converged else "NOT converged"
         print(f"{gf.label}: n={gf.fit.std_residuals.size} sigma={gf.fit.sigma:.6g} "
               f"iterations={gf.fit.iterations} ({state})")
         if not gf.fit.converged:
             print(f"warning: {gf.label} fit hit the iteration cap", file=sys.stderr)
-    return [coef_path, weights_path]
 
 
-def _cmd_select_knots(cfg: RunConfig) -> list[str]:
-    _, nd, d = _load_groups(cfg)
-    p = len(cfg.covariates)
-    raw = cfg.candidates
-    counts = sorted({int(s) for s in str(raw).split(",") if s.strip()})
-    if not counts or any(c < 0 for c in counts):
-        raise UsageError(f"bad candidate list {raw!r}")
-    candidates = knot_grid([counts] * p)
-    out = _outdir(cfg)
-    path = os.path.join(out, "raic.csv")
+def _cmd_select_knots(cfg, fit_config, args, write) -> None:
+    counts = sorted(set(_ints("--candidates", cfg.candidates, 0)))
+    candidates = knot_grid([counts] * _n_covariates(cfg))
     rows = []
-    fc = _fit_config(cfg)
-    for sample in (nd, d):
-        report = select_knots(sample, candidates, fc)
-        best = report.best
+    for sample in _load_groups(cfg):
+        report = select_knots(sample, candidates, fit_config)
         for i, cand in enumerate(report.candidates):
             rows.append([sample.label, "|".join(str(k) for k in cand.n_interior),
                          cand.sigma, cand.penalty, cand.raic,
                          int(i == report.selected), cand.error or ""])
         print(f"{sample.label}: selected knots "
-              f"{','.join(str(k) for k in best.n_interior)} (rAIC {best.raic:.6g})")
-    write_table(path, ["group", "knots", "sigma", "penalty", "raic",
-                       "selected", "error"], rows)
-    return [path]
+              f"{','.join(str(k) for k in report.best.n_interior)} "
+              f"(rAIC {report.best.raic:.6g})")
+    write("raic.csv", ["group", "knots", "sigma", "penalty", "raic", "selected",
+                       "error"], rows)
 
 
-def _cmd_roc(cfg: RunConfig) -> list[str]:
-    _, _, _, pair = _fitted_pair(cfg)
-    x = _point(cfg)
-    t_grid = _t_grid(cfg)
-    result = roc_curve(pair, x, t_grid, n_panels=cfg.simpson_panels)
-    out = _outdir(cfg)
-    path = os.path.join(out, "roc_curve.csv")
-    write_table(path, ["t", "roc"], np.column_stack([result.t_grid, result.roc_values]))
+def _cmd_roc(cfg, fit_config, args, write) -> None:
+    _, _, pair = _fitted_pair(cfg, fit_config)
+    result = roc_curve(pair, _point(cfg), np.linspace(0.0, 1.0, cfg.t_points),
+                       n_panels=cfg.simpson_panels)
+    write("roc_curve.csv", ["t", "roc"],
+          np.column_stack([result.t_grid, result.roc_values]))
     print(f"AUC at x={cfg.x}: {result.auc_closed_form:.6f} "
           f"(Simpson check {result.auc_simpson:.6f})")
-    return [path]
 
 
-def _cmd_auc(cfg: RunConfig, ci: bool) -> list[str]:
-    _, nd, d, pair = _fitted_pair(cfg)
+def _cmd_auc(cfg, fit_config, args, write) -> None:
+    nd, d, pair = _fitted_pair(cfg, fit_config)
     grid = _x_grid(cfg, pair)
-    out = _outdir(cfg)
-    path = os.path.join(out, "auc.csv")
     name = cfg.covariates[0]
-    if not ci:
-        rows = [[x, auc_closed_form(pair, x)] for x in grid]
-        write_table(path, [name, "auc"], rows)
+    if not args.ci:
+        path = write("auc.csv", [name, "auc"],
+                     [[x, auc_closed_form(pair, x)] for x in grid])
     else:
         targets = [BootstrapTarget(x=np.atleast_1d(x)) for x in grid]
-        boot = residual_bootstrap(pair, nd, d, targets,
-                                  BootstrapConfig(n_replicates=cfg.replicates,
-                                                  alpha=cfg.alpha, seed=cfg.seed),
-                                  _fit_config(cfg))
-        if boot.unreliable:
-            print(f"warning: {boot.n_failed}/{boot.n_replicates} bootstrap "
-                  "replicates failed; intervals unreliable", file=sys.stderr)
-        rows = [[t.x[0], t.auc, t.auc_lower, t.auc_upper] for t in boot.targets]
-        write_table(path, [name, "auc", "lower", "upper"], rows)
+        boot = _bootstrap(cfg, fit_config, residual_bootstrap, pair, nd, d, targets)
+        path = write("auc.csv", [name, "auc", "lower", "upper"],
+                     [[t.x[0], t.auc, t.auc_lower, t.auc_upper] for t in boot.targets])
     print(f"wrote AUC over {len(grid)} grid points to {path}")
-    return [path]
 
 
-def _cmd_youden(cfg: RunConfig) -> list[str]:
-    _, _, _, pair = _fitted_pair(cfg)
-    if cfg.x:
-        points = _point(cfg)[None, :]
-    else:
-        points = _x_grid(cfg, pair)[:, None]
-    out = _outdir(cfg)
-    path = os.path.join(out, "youden.csv")
-    rows = []
-    for xrow in points:
-        yi, threshold = youden_index(pair, xrow)
-        rows.append([*xrow, yi, threshold])
-    write_table(path, [*cfg.covariates, "youden", "threshold"], rows)
+def _cmd_youden(cfg, fit_config, args, write) -> None:
+    _, _, pair = _fitted_pair(cfg, fit_config)
+    points = _point(cfg)[None, :] if cfg.x else _x_grid(cfg, pair)[:, None]
+    rows = [[*xrow, *youden_index(pair, xrow)] for xrow in points]
+    path = write("youden.csv", [*cfg.covariates, "youden", "threshold"], rows)
     print(f"wrote Youden index at {len(points)} point(s) to {path}")
-    return [path]
 
 
-def _cmd_bootstrap(cfg: RunConfig, youden: bool) -> list[str]:
-    _, nd, d, pair = _fitted_pair(cfg)
-    x = _point(cfg)
-    t_grid = _t_grid(cfg)
-    target = BootstrapTarget(x=x, t_grid=t_grid, youden=youden)
-    boot = residual_bootstrap(pair, nd, d, [target],
-                              BootstrapConfig(n_replicates=cfg.replicates,
-                                              alpha=cfg.alpha, seed=cfg.seed),
-                              _fit_config(cfg))
-    if boot.unreliable:
-        print(f"warning: {boot.n_failed}/{boot.n_replicates} bootstrap replicates "
-              "failed; intervals unreliable", file=sys.stderr)
-    res = boot.targets[0]
-    out = _outdir(cfg)
-    files = []
-    path = os.path.join(out, "auc_ci.csv")
-    write_table(path, [*cfg.covariates, "auc", "lower", "upper"],
-                [[*res.x, res.auc, res.auc_lower, res.auc_upper]])
-    files.append(path)
-    path = os.path.join(out, "roc_band.csv")
-    write_table(path, ["t", "roc", "lower", "upper"],
-                np.column_stack([t_grid, res.roc, res.roc_lower, res.roc_upper]))
-    files.append(path)
-    if youden:
-        path = os.path.join(out, "youden_ci.csv")
+def _cmd_bootstrap(cfg, fit_config, args, write) -> None:
+    nd, d, pair = _fitted_pair(cfg, fit_config)
+    t_grid = np.linspace(0.0, 1.0, cfg.t_points)
+    target = BootstrapTarget(x=_point(cfg), t_grid=t_grid, youden=args.youden)
+    res = _bootstrap(cfg, fit_config, residual_bootstrap, pair, nd, d,
+                     [target]).targets[0]
+    write("auc_ci.csv", [*cfg.covariates, "auc", "lower", "upper"],
+          [[*res.x, res.auc, res.auc_lower, res.auc_upper]])
+    write("roc_band.csv", ["t", "roc", "lower", "upper"],
+          np.column_stack([t_grid, res.roc, res.roc_lower, res.roc_upper]))
+    if args.youden:
         yi, threshold = res.youden
-        write_table(path, [*cfg.covariates, "youden", "threshold", "lower", "upper"],
-                    [[*res.x, yi, threshold, res.youden_lower, res.youden_upper]])
-        files.append(path)
+        write("youden_ci.csv", [*cfg.covariates, "youden", "threshold", "lower", "upper"],
+              [[*res.x, yi, threshold, res.youden_lower, res.youden_upper]])
     print(f"AUC at x={cfg.x}: {res.auc:.6f} [{res.auc_lower:.6f}, {res.auc_upper:.6f}]")
-    return files
 
 
-def _cmd_uauc(cfg: RunConfig) -> list[str]:
-    if cfg.replicates < 0:
-        raise UsageError(f"--replicates must be >= 0 (0 disables the interval), "
-                         f"got {cfg.replicates}")
-    _, nd, d = _load_groups(cfg, need_covariates=False)
-    out = _outdir(cfg)
-    path = os.path.join(out, "uauc.csv")
+def _cmd_uauc(cfg, fit_config, args, write) -> None:
+    nd, d = _load_groups(cfg)
     if cfg.replicates > 0:
-        auc, lo, hi, boot = unconditional_auc_bootstrap(
-            nd.outcomes, d.outcomes,
-            BootstrapConfig(n_replicates=cfg.replicates, alpha=cfg.alpha,
-                            seed=cfg.seed),
-            _fit_config(cfg))
-        if boot.unreliable:
-            print(f"warning: {boot.n_failed}/{boot.n_replicates} bootstrap "
-                  "replicates failed; interval unreliable", file=sys.stderr)
-        write_table(path, ["auc", "lower", "upper"], [[auc, lo, hi]])
+        auc, lo, hi, _ = _bootstrap(cfg, fit_config, unconditional_auc_bootstrap,
+                                    nd.outcomes, d.outcomes)
+        write("uauc.csv", ["auc", "lower", "upper"], [[auc, lo, hi]])
         print(f"unconditional AUC: {auc:.6f} [{lo:.6f}, {hi:.6f}]")
     else:
-        auc, _, _ = robust_unconditional_auc(nd.outcomes, d.outcomes,
-                                             _fit_config(cfg))
-        write_table(path, ["auc"], [[auc]])
+        auc, _, _ = robust_unconditional_auc(nd.outcomes, d.outcomes, fit_config)
+        write("uauc.csv", ["auc"], [[auc]])
         print(f"unconditional AUC: {auc:.6f}")
-    return [path]
 
 
-def _parse_sizes(raw: str) -> tuple[int, int]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    try:
-        values = [int(s) for s in items]
-    except ValueError:
-        raise UsageError(f"bad --sizes {raw!r}") from None
-    if len(values) != 2 or min(values) < 1:
+def _cmd_simulate(cfg, fit_config, args, write) -> None:
+    sizes = _ints("--sizes", cfg.sizes, 1)
+    if len(sizes) != 2:
         raise UsageError("--sizes needs two positive counts: nondiseased,diseased")
-    return values[0], values[1]
-
-
-def _cmd_simulate(cfg: RunConfig) -> list[str]:
-    if not cfg.scenario:
-        raise UsageError("simulate needs --scenario (I, II, III, or IV)")
-    if not cfg.sizes:
-        raise UsageError("simulate needs --sizes nondiseased,diseased")
-    n_nd, n_d = _parse_sizes(cfg.sizes)
-    if cfg.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {cfg.reps}")
-    if cfg.grid_points < 1:
-        raise UsageError(f"--grid-points must be at least 1, got {cfg.grid_points}")
     kappa = None
     if cfg.kappa:
         values = parse_values(cfg.kappa)
         if values.size != 2:
             raise UsageError("--kappa needs two values: nondiseased,diseased")
         kappa = (values[0], values[1])
-    if cfg.outlier_kind not in ("location", "radial"):
-        raise UsageError(f"unknown outlier kind {cfg.outlier_kind!r}")
     scn = scenario(cfg.scenario, contamination=cfg.contamination,
                    kappa=kappa, outlier_kind=cfg.outlier_kind)
     knots = parse_knots(cfg.knots, scn.n_covariates)
     if any(k is None for k in knots):
         raise UsageError("simulate expects integer knot counts")
     estimators = tuple(s.strip() for s in cfg.estimators.split(",") if s.strip())
-    select = None
-    if cfg.select:
-        select = sorted({int(s) for s in cfg.select.split(",") if s.strip()})
-    n_reps = cfg.reps
-    report = run_study(scn, n_nd, n_d, n_reps,
+    select = sorted(set(_ints("--select", cfg.select, 0))) if cfg.select else None
+    report = run_study(scn, *sizes, cfg.reps,
                        seed=cfg.seed, estimators=estimators, n_interior=knots,
-                       select_candidates=select, config=_fit_config(cfg),
+                       select_candidates=select, config=fit_config,
                        x_grid=scn.default_grid(cfg.grid_points))
-    out = _outdir(cfg)
-    files = []
     cov_names = [f"x{h + 1}" for h in range(scn.n_covariates)]
     for kind, summary in report.estimators.items():
-        path = os.path.join(out, f"sim_{kind}.csv")
         rows = np.column_stack([report.x_grid, report.true_auc, summary.mean,
                                 summary.lower, summary.upper, summary.n_ok])
-        write_table(path, [*cov_names, "true_auc", "mean", "lower", "upper", "n_ok"],
-                    rows)
-        files.append(path)
+        write(f"sim_{kind}.csv",
+              [*cov_names, "true_auc", "mean", "lower", "upper", "n_ok"], rows)
         bias = np.nanmax(np.abs(summary.mean - report.true_auc))
-        print(f"{kind}: max |mean - true| = {bias:.4f} over {n_reps} replicates"
+        print(f"{kind}: max |mean - true| = {bias:.4f} over {cfg.reps} replicates"
               + (f", {summary.n_failed_fits} failed fits" if summary.n_failed_fits else ""))
     if report.knot_counts is not None:
-        path = os.path.join(out, "knot_counts.csv")
-        rows = []
-        for group, counts in report.knot_counts.items():
-            for vec, count in sorted(counts.items()):
-                rows.append([group, "|".join(str(k) for k in vec), count])
-        write_table(path, ["group", "knots", "count"], rows)
-        files.append(path)
-    return files
+        rows = [[group, "|".join(str(k) for k in vec), count]
+                for group, counts in report.knot_counts.items()
+                for vec, count in sorted(counts.items())]
+        write("knot_counts.csv", ["group", "knots", "count"], rows)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         cfg = _resolve(args)
-        if args.command == "fit":
-            outputs = _cmd_fit(cfg)
-        elif args.command == "select-knots":
-            outputs = _cmd_select_knots(cfg)
-        elif args.command == "roc":
-            outputs = _cmd_roc(cfg)
-        elif args.command == "auc":
-            outputs = _cmd_auc(cfg, args.ci)
-        elif args.command == "youden":
-            outputs = _cmd_youden(cfg)
-        elif args.command == "bootstrap":
-            outputs = _cmd_bootstrap(cfg, args.youden)
-        elif args.command == "uauc":
-            outputs = _cmd_uauc(cfg)
-        elif args.command == "simulate":
-            outputs = _cmd_simulate(cfg)
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
-        manifest = os.path.join(_outdir(cfg), "manifest.json")
-        write_manifest(manifest, args.command, asdict(cfg), outputs)
+        fit_config = _check(cfg)
+        outputs: list[str] = []
+
+        def path(name: str) -> str:
+            os.makedirs(cfg.out, exist_ok=True)
+            return os.path.join(cfg.out, name)
+
+        def write(name: str, header, rows) -> str:
+            outputs.append(path(name))
+            write_table(outputs[-1], header, rows)
+            return outputs[-1]
+
+        args.run(cfg, fit_config, args, write)
+        write_manifest(path("manifest.json"), args.command, asdict(cfg), outputs)
         return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,8 +67,6 @@ def read_csv(path, outcome: str, disease: str, covariates,
     column are dropped and counted instead of raising.
     """
     covariates = list(covariates)
-    if not covariates:
-        raise UsageError("at least one covariate column is required")
     try:
         handle = open(path, newline="")
     except OSError as exc:
@@ -181,13 +179,6 @@ class RunConfig:
     estimators: str = "robust"
     grid_points: int = 21
 
-    _PARSERS = {
-        "tuning": float, "truncation": float, "tol": float, "alpha": float,
-        "max_iterations": int, "seed": int, "replicates": int,
-        "t_points": int, "simpson_panels": int, "reps": int,
-        "contamination": float, "grid_points": int,
-    }
-
     @classmethod
     def resolve(cls, flags: dict, config: dict[str, str]) -> "RunConfig":
         known = {f.name for f in fields(cls) if not f.name.startswith("_")}
@@ -215,14 +206,14 @@ class RunConfig:
             if low in ("0", "false", "no", "off"):
                 return False
             raise UsageError(f"config key skip_missing: expected a boolean, got {raw!r}")
-        parser = cls._PARSERS.get(name)
-        if parser is None:
+        kind = type(next(f.default for f in fields(cls) if f.name == name))
+        if kind not in (int, float):
             return raw
         try:
-            return parser(raw)
+            return kind(raw)
         except ValueError:
             raise UsageError(
-                f"config key {name}: expected {parser.__name__}, got {raw!r}"
+                f"config key {name}: expected {kind.__name__}, got {raw!r}"
             ) from None
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from robroc.cli import main
 from robroc.io import read_table
 from robroc.simulate import generate, scenario
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_study_csv(path, n=60, outlier=False, seed=3):
@@ -131,10 +134,22 @@ class TestExitCodes:
         (["uauc", "--replicates", "-3"], "--replicates"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
-        code, _ = run(tmp_path, *argv, "--data", str(data_csv), "--covariates", "age")
-        assert code == 1
+        # settings are checked before the data file is read
+        for data in (data_csv, tmp_path / "missing.csv"):
+            code, _ = run(tmp_path, *argv, "--data", str(data), "--covariates", "age")
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["select-knots", "--data", str(GOLDEN / "data.csv"), "--covariates", "x",
+         "--candidates", "0,x"],
+        ["simulate", "--scenario", "I", "--sizes", "30,30", "--select", "0,x"],
+    ])
+    def test_bad_knot_count_list(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv)[0] == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error") and message in err
+        assert err.startswith("usage error") and f"{argv[-2]} " in err and "'0,x'" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--reps", "0"], "--reps"),
@@ -230,6 +245,13 @@ class TestCurveCommands:
         assert code == 0
         header, _ = read_table(out / "uauc.csv")
         assert header == ["auc", "lower", "upper"]
+
+    def test_uauc_needs_no_covariates(self, tmp_path):
+        code, out = run(tmp_path, "uauc", "--data", str(GOLDEN / "data.csv"),
+                        "--replicates", "0")
+        assert code == 0
+        assert (out / "uauc.csv").read_bytes() == (GOLDEN / "uauc" / "uauc.csv").read_bytes()
+        assert run(tmp_path / "fit", "fit", "--data", str(GOLDEN / "data.csv"))[0] == 1
 
 
 class TestSelectKnots:

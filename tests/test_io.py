@@ -88,9 +88,10 @@ class TestReadCsv:
         with pytest.raises(DataError, match="no usable data rows"):
             read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"])
 
-    def test_no_covariates_rejected(self, tmp_path):
-        with pytest.raises(UsageError):
-            read_csv(write_data(tmp_path, BASIC), "outcome", "disease", [])
+    def test_no_covariates_gives_empty_matrix(self, tmp_path):
+        ds = read_csv(write_data(tmp_path, BASIC), "outcome", "disease", [])
+        assert ds.covariates.shape == (3, 0)
+        assert ds.group(1).covariates.shape == (2, 0)
 
     def test_absent_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open data file"):
