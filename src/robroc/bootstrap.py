@@ -26,9 +26,8 @@ import numpy as np
 from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, irls_fit
-from .roc import (GroupFit, PopulationPair, auc_closed_form,
-                  robust_unconditional_auc, roc_values, unconditional_auc,
-                  youden_index)
+from .roc import (GroupFit, PopulationPair, _auc, _roc, _row_means, _youden,
+                  robust_unconditional_auc, unconditional_auc)
 
 FAILURE_WARNING_FRACTION = 0.05
 
@@ -156,36 +155,39 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
     if not targets:
         raise ValueError("no bootstrap targets")
     groups = (pair.nondiseased, pair.diseased)
+    # the knots are frozen across replicates, so each group's design rows at
+    # the targets are built once and only the coefficients change
+    rows = [g.design.matrix(np.vstack([tgt.x for tgt in targets])) for g in groups]
 
-    def evaluate(refits, _):
-        rep_pair = PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
-                                    for f, g in zip(refits, groups)))
-        return [(auc_closed_form(rep_pair, tgt.x),
-                 roc_values(rep_pair, tgt.x, tgt.t_grid) if tgt.t_grid is not None else None,
-                 youden_index(rep_pair, tgt.x)[0] if tgt.youden else None)
-                for tgt in targets]
+    def evaluate(p: PopulationPair):
+        means = zip(*(_row_means(g.fit, r) for g, r in zip((p.nondiseased, p.diseased), rows)))
+        return [(_auc(p, *mu),
+                 _roc(p, *mu, tgt.t_grid) if tgt.t_grid is not None else None,
+                 _youden(p, *mu) if tgt.youden else None)
+                for tgt, mu in zip(targets, means)]
 
     reps, result = _replicates(
         [g.fit for g in groups],
         [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
-        cfg, fcfg, evaluate)
+        cfg, fcfg,
+        lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
+                                                    for f, g in zip(refits, groups)))))
 
-    for k, tgt in enumerate(targets):
+    for k, (tgt, (auc, band_hat, youden)) in enumerate(zip(targets, evaluate(pair))):
         a_lo, a_hi = percentile_interval([r[k][0] for r in reps], cfg.alpha)
-        res = TargetResult(x=tgt.x, auc=auc_closed_form(pair, tgt.x),
-                           auc_lower=a_lo, auc_upper=a_hi)
+        res = TargetResult(x=tgt.x, auc=auc, auc_lower=a_lo, auc_upper=a_hi)
         if tgt.t_grid is not None:
             band = np.vstack([r[k][1] for r in reps])
-            res.roc = roc_values(pair, tgt.x, tgt.t_grid)
+            res.roc = band_hat
             lo = np.empty(band.shape[1])
             hi = np.empty(band.shape[1])
             for j in range(band.shape[1]):
                 lo[j], hi[j] = percentile_interval(band[:, j], cfg.alpha)
             res.roc_lower, res.roc_upper = lo, hi
         if tgt.youden:
-            res.youden = youden_index(pair, tgt.x)
+            res.youden = youden
             res.youden_lower, res.youden_upper = percentile_interval(
-                [r[k][2] for r in reps], cfg.alpha)
+                [r[k][2][0] for r in reps], cfg.alpha)
         result.targets.append(res)
     return result
 

@@ -25,7 +25,7 @@ from .io import (CONFIG_ENV_VAR, RunConfig, load_config, parse_grid,
                  parse_knots, parse_values, read_csv, write_manifest,
                  write_table)
 from .model_select import knot_grid, select_knots
-from .roc import (auc_closed_form, fit_pair, robust_unconditional_auc, roc_curve,
+from .roc import (auc_grid, fit_pair, robust_unconditional_auc, roc_curve,
                   youden_index)
 from .simulate import ESTIMATORS, run_study, scenario
 
@@ -127,16 +127,23 @@ def _resolve(args) -> RunConfig:
     return RunConfig.resolve(vars(args), config)
 
 
-def _check(cfg: RunConfig) -> FitConfig:
-    """Reject nonsense settings before any file is read; return the FitConfig."""
+def _check(cfg: RunConfig, args) -> tuple[FitConfig, BootstrapConfig | None]:
+    """Reject nonsense settings before any file is read; return the FitConfig
+    and, for a run that bootstraps, the BootstrapConfig."""
     for flag, value, least in (("--t-points", cfg.t_points, 2),
                                ("--reps", cfg.reps, 1),
                                ("--grid-points", cfg.grid_points, 1),
                                ("--replicates", cfg.replicates, 0)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
-    return FitConfig(tuning=cfg.tuning, truncation=cfg.truncation,
-                     max_iterations=cfg.max_iterations, tol=cfg.tol)
+    fit_config = FitConfig(tuning=cfg.tuning, truncation=cfg.truncation,
+                           max_iterations=cfg.max_iterations, tol=cfg.tol)
+    bootstraps = (args.command == "bootstrap" or getattr(args, "ci", False)
+                  or (args.command == "uauc" and cfg.replicates > 0))
+    if not bootstraps:
+        return fit_config, None
+    return fit_config, BootstrapConfig(n_replicates=cfg.replicates, alpha=cfg.alpha,
+                                       seed=cfg.seed)
 
 
 def _ints(flag: str, raw: str, least: int) -> list[int]:
@@ -170,12 +177,10 @@ def _fitted_pair(cfg: RunConfig, fit_config: FitConfig):
     return nd, d, fit_pair(nd, d, knots, config=fit_config)
 
 
-def _bootstrap(cfg: RunConfig, fit_config: FitConfig, method, *data):
-    """Call a bootstrap with the configured replicates, alpha and seed, and
-    warn on stderr when too many replicates failed."""
-    result = method(*data, BootstrapConfig(n_replicates=cfg.replicates,
-                                           alpha=cfg.alpha, seed=cfg.seed),
-                    fit_config)
+def _bootstrap(args, fit_config: FitConfig, method, *data):
+    """Call a bootstrap with the checked BootstrapConfig, and warn on stderr
+    when too many replicates failed."""
+    result = method(*data, args.boot_config, fit_config)
     boot = result[-1] if isinstance(result, tuple) else result
     if boot.unreliable:
         print(f"warning: {boot.n_failed}/{boot.n_replicates} bootstrap replicates "
@@ -198,7 +203,11 @@ def _x_grid(cfg: RunConfig, pair) -> np.ndarray:
     if cfg.x_grid:
         return parse_grid(cfg.x_grid)
     # by default 40 points inside both groups' boundary-knot ranges
-    bounds = [g.design.knots[0].boundary for g in (pair.nondiseased, pair.diseased)]
+    knots = [g.design.knots[0] for g in (pair.nondiseased, pair.diseased)]
+    if any(k is None for k in knots):
+        raise UsageError(f"the default grid needs a splined covariate, but "
+                         f"{cfg.covariates[0]} passes through; pass --x-grid")
+    bounds = [k.boundary for k in knots]
     lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
     if not lo < hi:
         raise DataError("group covariate ranges do not overlap")
@@ -216,8 +225,8 @@ def _term_names(design, names) -> list[str]:
 
 
 # Each subcommand runs as run(cfg, fit_config, args, write): args carries
-# the parser-only flags (--ci, --youden) and write(name, header, rows) puts
-# a table into --out and returns its path.
+# the parser-only flags (--ci, --youden) and the checked boot_config, and
+# write(name, header, rows) puts a table into --out and returns its path.
 
 def _cmd_fit(cfg, fit_config, args, write) -> None:
     nd, d, pair = _fitted_pair(cfg, fit_config)
@@ -271,11 +280,10 @@ def _cmd_auc(cfg, fit_config, args, write) -> None:
     grid = _x_grid(cfg, pair)
     name = cfg.covariates[0]
     if not args.ci:
-        path = write("auc.csv", [name, "auc"],
-                     [[x, auc_closed_form(pair, x)] for x in grid])
+        path = write("auc.csv", [name, "auc"], np.column_stack([grid, auc_grid(pair, grid)]))
     else:
         targets = [BootstrapTarget(x=np.atleast_1d(x)) for x in grid]
-        boot = _bootstrap(cfg, fit_config, residual_bootstrap, pair, nd, d, targets)
+        boot = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d, targets)
         path = write("auc.csv", [name, "auc", "lower", "upper"],
                      [[t.x[0], t.auc, t.auc_lower, t.auc_upper] for t in boot.targets])
     print(f"wrote AUC over {len(grid)} grid points to {path}")
@@ -293,7 +301,7 @@ def _cmd_bootstrap(cfg, fit_config, args, write) -> None:
     nd, d, pair = _fitted_pair(cfg, fit_config)
     t_grid = np.linspace(0.0, 1.0, cfg.t_points)
     target = BootstrapTarget(x=_point(cfg), t_grid=t_grid, youden=args.youden)
-    res = _bootstrap(cfg, fit_config, residual_bootstrap, pair, nd, d,
+    res = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d,
                      [target]).targets[0]
     write("auc_ci.csv", [*cfg.covariates, "auc", "lower", "upper"],
           [[*res.x, res.auc, res.auc_lower, res.auc_upper]])
@@ -309,7 +317,7 @@ def _cmd_bootstrap(cfg, fit_config, args, write) -> None:
 def _cmd_uauc(cfg, fit_config, args, write) -> None:
     nd, d = _load_groups(cfg)
     if cfg.replicates > 0:
-        auc, lo, hi, _ = _bootstrap(cfg, fit_config, unconditional_auc_bootstrap,
+        auc, lo, hi, _ = _bootstrap(args, fit_config, unconditional_auc_bootstrap,
                                     nd.outcomes, d.outcomes)
         write("uauc.csv", ["auc", "lower", "upper"], [[auc, lo, hi]])
         print(f"unconditional AUC: {auc:.6f} [{lo:.6f}, {hi:.6f}]")
@@ -360,7 +368,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve(args)
-        fit_config = _check(cfg)
+        fit_config, args.boot_config = _check(cfg, args)
         outputs: list[str] = []
 
         def path(name: str) -> str:

@@ -25,10 +25,11 @@ get weight one, the rest keep their Huber weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .errors import NumericalError
 
@@ -110,23 +111,62 @@ class RobustFit:
     truncation: float = DEFAULT_TRUNCATION
 
 
+@functools.lru_cache(maxsize=64)
+def _workspace(n: int, q: int) -> tuple[int, int]:
+    """Optimal LAPACK workspace sizes of dgeqp3 and dorgqr for an n x q
+    system; they depend on the shape only, so each shape is queried once."""
+    a = np.zeros((n, q))
+    geqp3_work = dgeqp3(a, lwork=-1)[3]
+    orgqr_work = dorgqr(a, np.zeros(q), lwork=-1)[1]
+    return int(geqp3_work[0]), int(orgqr_work[0])
+
+
+def _lapack_ok(name: str, info: int) -> None:
+    if info != 0:
+        raise NumericalError(f"LAPACK {name} failed with info={info}")
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _scaled_lstsq(Z: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Least squares on the row-scaled system via pivoted QR.
 
-    Rank deficiency is detected from the triangular factor's diagonal with a
-    1e-10 relative threshold.
+    Calls the LAPACK routines behind scipy.linalg.qr(mode="economic",
+    pivoting=True) and solve_triangular directly, in the same order and with
+    the same arguments (dgeqp3, dorgqr, then dtrtrs on R.T as lower and
+    transposed), so the solution is bit for bit theirs without their
+    per-call wrapper cost.  Rank deficiency is detected from the triangular
+    factor's diagonal with a 1e-10 relative threshold.
     """
     if w is not None:
         sw = np.sqrt(w)
         Zs, ys = Z * sw[:, None], y * sw
     else:
         Zs, ys = Z, y
-    Q, R, piv = scipy.linalg.qr(Zs, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag.min() <= 1e-10 * diag.max():
+    _require_finite(Zs, ys)
+    n, q = Zs.shape
+    if Zs.size == 0 or n < q:
         raise NumericalError("singular design matrix")
-    beta = np.empty(Z.shape[1])
-    beta[piv] = scipy.linalg.solve_triangular(R, Q.T @ ys)
+    geqp3_lwork, orgqr_lwork = _workspace(n, q)
+    qr, piv, tau, _, info = dgeqp3(Zs, lwork=geqp3_lwork)
+    _lapack_ok("dgeqp3", info)
+    # R's upper triangle, copied before dorgqr overwrites qr; dtrtrs never
+    # reads the reflectors stored below it
+    R = qr[:q].copy()
+    diag = np.abs(np.diag(R))
+    if diag.min() <= 1e-10 * diag.max():
+        raise NumericalError("singular design matrix")
+    Q, _, info = dorgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
+    _lapack_ok("dorgqr", info)
+    rhs = Q.T @ ys
+    _require_finite(rhs)
+    x, info = dtrtrs(R.T, rhs, lower=1, trans=1)
+    _lapack_ok("dtrtrs", info)
+    beta = np.empty(q)
+    beta[piv - 1] = x
     return beta
 
 

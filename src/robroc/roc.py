@@ -89,28 +89,71 @@ def predict_mean(fit: RobustFit, design: SplineSpec, x) -> float:
     return float(design.row(x) @ fit.beta)
 
 
+def _row_means(fit: RobustFit, rows: np.ndarray) -> list[float]:
+    """Fitted means at precomputed design rows, each the 1-D product that
+    predict_mean takes, so they equal its values bit for bit."""
+    return [float(row @ fit.beta) for row in rows]
+
+
+def _point_means(pair: PopulationPair, x) -> tuple[float, float]:
+    return (predict_mean(pair.nondiseased.fit, pair.nondiseased.design, x),
+            predict_mean(pair.diseased.fit, pair.diseased.design, x))
+
+
+# The evaluators below take the groups' fitted means at one covariate point;
+# the public per-point functions compute those means and call them, and the
+# grid and bootstrap paths pass means from design rows built once.
+
 def _check_scales(pair: PopulationPair):
     if pair.nondiseased.fit.sigma <= 0.0 or pair.diseased.fit.sigma <= 0.0:
         raise NumericalError("degenerate scale in fitted pair")
 
 
-def _shift_and_ratio(pair: PopulationPair, x) -> tuple[float, float]:
+def _adjusted(group: GroupFit, mu: float) -> np.ndarray:
+    return mu + group.fit.sigma * group.ecdf.support
+
+
+def _auc(pair: PopulationPair, mu_nd: float, mu_d: float) -> float:
     _check_scales(pair)
-    mu_nd = predict_mean(pair.nondiseased.fit, pair.nondiseased.design, x)
-    mu_d = predict_mean(pair.diseased.fit, pair.diseased.design, x)
+    nd_vals = _adjusted(pair.nondiseased, mu_nd)
+    d_vals = _adjusted(pair.diseased, mu_d)
+    nd_w, d_w = pair.nondiseased.ecdf.weights, pair.diseased.ecdf.weights
+    # nd support is sorted; cumulative nd weight at nd_vals <= d_val
+    cum = np.cumsum(nd_w)
+    pos = np.searchsorted(nd_vals, d_vals, side="right")
+    covered = np.where(pos > 0, cum[pos - 1], 0.0)
+    return float((d_w @ covered) / (cum[-1] * d_w.sum()))
+
+
+def _roc(pair: PopulationPair, mu_nd: float, mu_d: float, t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise ValueError("t values must lie in [0, 1]")
+    _check_scales(pair)
     a = (mu_nd - mu_d) / pair.diseased.fit.sigma
     c = pair.nondiseased.fit.sigma / pair.diseased.fit.sigma
-    return a, c
+    q = pair.nondiseased.ecdf.quantile(1.0 - t)
+    return 1.0 - pair.diseased.ecdf.cdf(a + c * q)
+
+
+def _youden(pair: PopulationPair, mu_nd: float, mu_d: float,
+            candidates=None) -> tuple[float, float]:
+    _check_scales(pair)
+    if candidates is None:
+        candidates = np.union1d(_adjusted(pair.nondiseased, mu_nd),
+                                _adjusted(pair.diseased, mu_d))
+    else:
+        candidates = np.sort(np.asarray(candidates, dtype=float))
+    f_nd = pair.nondiseased.ecdf.cdf((candidates - mu_nd) / pair.nondiseased.fit.sigma)
+    f_d = pair.diseased.ecdf.cdf((candidates - mu_d) / pair.diseased.fit.sigma)
+    objective = f_nd - f_d
+    best = int(np.argmax(objective))  # first maximum = smallest candidate
+    return float(objective[best]), float(candidates[best])
 
 
 def roc_values(pair: PopulationPair, x, t) -> np.ndarray:
     """ROC(t | x) on an array of false positive fractions."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("t values must lie in [0, 1]")
-    a, c = _shift_and_ratio(pair, x)
-    q = pair.nondiseased.ecdf.quantile(1.0 - t)
-    return 1.0 - pair.diseased.ecdf.cdf(a + c * q)
+    return _roc(pair, *_point_means(pair, x), t)
 
 
 def adjusted_values(group: GroupFit, x) -> tuple[np.ndarray, np.ndarray]:
@@ -119,20 +162,20 @@ def adjusted_values(group: GroupFit, x) -> tuple[np.ndarray, np.ndarray]:
     The residual distribution already merged ties, so the support/weight
     arrays of the ecdf are reused directly.
     """
-    mu = predict_mean(group.fit, group.design, x)
-    return mu + group.fit.sigma * group.ecdf.support, group.ecdf.weights
+    return _adjusted(group, predict_mean(group.fit, group.design, x)), group.ecdf.weights
 
 
 def auc_closed_form(pair: PopulationPair, x) -> float:
     """Exact area under ROC(. | x): the weighted Mann-Whitney form."""
-    _check_scales(pair)
-    nd_vals, nd_w = adjusted_values(pair.nondiseased, x)
-    d_vals, d_w = adjusted_values(pair.diseased, x)
-    # nd support is sorted; cumulative nd weight at nd_vals <= d_val
-    cum = np.cumsum(nd_w)
-    pos = np.searchsorted(nd_vals, d_vals, side="right")
-    covered = np.where(pos > 0, cum[pos - 1], 0.0)
-    return float((d_w @ covered) / (cum[-1] * d_w.sum()))
+    return _auc(pair, *_point_means(pair, x))
+
+
+def auc_grid(pair: PopulationPair, X) -> np.ndarray:
+    """auc_closed_form at each row of X (a 1-d X holds points of a single
+    covariate), with one basis evaluation per group for the whole grid."""
+    means = [_row_means(g.fit, g.design.matrix(X))
+             for g in (pair.nondiseased, pair.diseased)]
+    return np.array([_auc(pair, mu_nd, mu_d) for mu_nd, mu_d in zip(*means)])
 
 
 def composite_simpson(values, lower: float, upper: float) -> float:
@@ -180,20 +223,7 @@ def youden_index(pair: PopulationPair, x, candidates=None) -> tuple[float, float
     union of both groups' adjusted values, which contains every point where
     the objective can change.
     """
-    _check_scales(pair)
-    if candidates is None:
-        nd_vals, _ = adjusted_values(pair.nondiseased, x)
-        d_vals, _ = adjusted_values(pair.diseased, x)
-        candidates = np.union1d(nd_vals, d_vals)
-    else:
-        candidates = np.sort(np.asarray(candidates, dtype=float))
-    mu_nd = predict_mean(pair.nondiseased.fit, pair.nondiseased.design, x)
-    mu_d = predict_mean(pair.diseased.fit, pair.diseased.design, x)
-    f_nd = pair.nondiseased.ecdf.cdf((candidates - mu_nd) / pair.nondiseased.fit.sigma)
-    f_d = pair.diseased.ecdf.cdf((candidates - mu_d) / pair.diseased.fit.sigma)
-    objective = f_nd - f_d
-    best = int(np.argmax(objective))  # first maximum = smallest candidate
-    return float(objective[best]), float(candidates[best])
+    return _youden(pair, *_point_means(pair, x), candidates)
 
 
 def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,

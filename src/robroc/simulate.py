@@ -35,10 +35,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .data import GroupSample
-from .errors import DataError, NumericalError
+from .errors import NumericalError
 from .huber import FitConfig, ols_as_robust_fit
 from .model_select import select_knots
-from .roc import GroupFit, PopulationPair, auc_closed_form, fit_pair
+from .roc import GroupFit, PopulationPair, auc_grid, fit_pair
 from .splines import SplineSpec
 
 ESTIMATORS = ("robust", "ols_linear", "ols_bspline")
@@ -295,12 +295,12 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
             except NumericalError:
                 failed[kind] += 1
                 continue
-            row = aucs[kind][r]
-            for i in range(g):
-                try:
-                    row[i] = auc_closed_form(pair, x_grid[i])
-                except (DataError, NumericalError):
-                    pass  # stays NaN; outside this replicate's boundary knots
+            # points outside this replicate's boundary knots stay NaN
+            inside = pair.nondiseased.design.covers(x_grid) & pair.diseased.design.covers(x_grid)
+            try:
+                aucs[kind][r, inside] = auc_grid(pair, x_grid[inside])
+            except NumericalError:
+                pass  # a degenerate scale leaves the whole row NaN
 
     report = McReport(
         x_grid=x_grid,

@@ -92,6 +92,11 @@ class KnotSpec:
         return self.n_interior + 3
 
 
+def _outside(x: np.ndarray, knots: KnotSpec) -> np.ndarray:
+    lo, hi = knots.boundary
+    return (x < lo) | (x > hi)
+
+
 def _full_basis(x: np.ndarray, knots: KnotSpec) -> np.ndarray:
     """All K + 4 clamped cubic B-spline basis functions, one row per x.
 
@@ -100,7 +105,7 @@ def _full_basis(x: np.ndarray, knots: KnotSpec) -> np.ndarray:
     the basis still sums to one at the right edge.
     """
     lo, hi = knots.boundary
-    if x.size and (x.min() < lo or x.max() > hi):
+    if np.any(_outside(x, knots)):
         raise DataError(
             f"covariate value outside boundary knots [{lo}, {hi}], refusing to extrapolate"
         )
@@ -200,6 +205,18 @@ class SplineSpec:
             else:
                 blocks.append(_basis_block(X[:, h], k))
         return np.hstack(blocks)
+
+    def covers(self, X) -> np.ndarray:
+        """One flag per row of X: True where matrix() evaluates the row,
+        False where a covariate lies outside its boundary knots."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[:, None]
+        inside = np.ones(X.shape[0], dtype=bool)
+        for h, k in enumerate(self.knots):
+            if k is not None:
+                inside &= ~_outside(X[:, h], k)
+        return inside
 
     def row(self, x) -> np.ndarray:
         return self.matrix(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from robroc import bootstrap
 from robroc.bootstrap import (BootstrapConfig, BootstrapTarget,
                               _resample_indices, percentile_interval,
                               residual_bootstrap, unconditional_auc_bootstrap)
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit
-from robroc.roc import GroupFit, PopulationPair, fit_pair
+from robroc.roc import (GroupFit, PopulationPair, auc_closed_form, fit_pair,
+                        roc_values, youden_index)
 from robroc.simulate import generate, scenario, true_auc
 from robroc.splines import SplineSpec
 
@@ -146,6 +148,39 @@ class TestResidualBootstrap:
         assert 0.0 <= yi <= 1.0
         assert np.isfinite(threshold)
         assert tgt.youden_lower <= tgt.youden_upper
+
+    def test_frozen_rows_equal_per_point_functions(self, monkeypatch):
+        # the replicate values, computed from target rows built once, equal
+        # the per-point functions on the same refits bit for bit
+        nd, d = generate(scenario("I", contamination=0.05), 90, 80, seed=37)
+        pair = fit_pair(nd, d, 2)
+        t_grid = np.linspace(0.0, 1.0, 41)
+        targets = [BootstrapTarget(x=np.array([x]), t_grid=t_grid, youden=True)
+                   for x in (0.12, 0.3, 0.5, 0.71, 0.88)]
+        seen = []
+        replicates = bootstrap._replicates
+
+        def recording(fits, designs, cfg, fit_config, statistic):
+            def record(refits, ys):
+                seen.append((refits, statistic(refits, ys)))
+                return seen[-1][1]
+            return replicates(fits, designs, cfg, fit_config, record)
+
+        monkeypatch.setattr(bootstrap, "_replicates", recording)
+        res = residual_bootstrap(pair, nd, d, targets,
+                                 BootstrapConfig(n_replicates=24, seed=5))
+        assert len(seen) == 24
+        groups = (pair.nondiseased, pair.diseased)
+        for refits, values in seen:
+            rep = PopulationPair(*(GroupFit.from_fit(f, g.design) for f, g in zip(refits, groups)))
+            for tgt, (auc, band, youden) in zip(targets, values):
+                assert auc == auc_closed_form(rep, tgt.x)
+                assert np.array_equal(band, roc_values(rep, tgt.x, t_grid))
+                assert youden == youden_index(rep, tgt.x)
+        for tgt, out in zip(targets, res.targets):
+            assert out.auc == auc_closed_form(pair, tgt.x)
+            assert np.array_equal(out.roc, roc_values(pair, tgt.x, t_grid))
+            assert out.youden == youden_index(pair, tgt.x)
 
     def test_single_distinct_residual_fails_every_replicate(self):
         # constant residuals put every refit outcome exactly on the fitted

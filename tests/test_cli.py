@@ -132,6 +132,10 @@ class TestExitCodes:
         (["roc", "--x", "0.5", "--t-points", "1"], "--t-points"),
         (["bootstrap", "--x", "0.5", "--t-points", "0"], "--t-points"),
         (["uauc", "--replicates", "-3"], "--replicates"),
+        (["bootstrap", "--x", "0.5", "--alpha", "1.5"], "alpha"),
+        (["bootstrap", "--x", "0.5", "--replicates", "0"], "bootstrap replicate"),
+        (["auc", "--ci", "--replicates", "0"], "bootstrap replicate"),
+        (["uauc", "--replicates", "5", "--alpha", "0"], "alpha"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
         # settings are checked before the data file is read
@@ -140,6 +144,21 @@ class TestExitCodes:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error") and message in err
+
+    def test_bootstrap_settings_unused_without_ci(self, tmp_path, data_csv):
+        assert run(tmp_path, "auc", "--data", str(data_csv), "--covariates", "age",
+                   "--replicates", "0")[0] == 0
+
+    @pytest.mark.parametrize("command", ["auc", "youden"])
+    def test_default_grid_needs_splined_covariate(self, tmp_path, command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "robroc", command, "--data", str(GOLDEN / "data.csv"),
+             "--outcome", "outcome", "--disease", "disease", "--covariates", "z",
+             "--knots", "cat", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage error") and "splined covariate" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["select-knots", "--data", str(GOLDEN / "data.csv"), "--covariates", "x",

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from robroc import huber
 from robroc.errors import NumericalError
 from robroc.huber import (FitConfig, huber_psi, huber_rho, huber_weight,
                           irls_fit, mad_scale, ols_as_robust_fit, ols_fit)
@@ -148,6 +150,62 @@ class TestOlsFit:
         Z = np.eye(3)
         with pytest.raises(NumericalError, match="underdetermined"):
             ols_fit(Z, np.ones(3))
+
+
+def wrapper_lstsq(Z, y, w):
+    """The weighted solve through scipy's QR and triangular-solve wrappers."""
+    sw = np.sqrt(w)
+    Q, R, piv = scipy.linalg.qr(Z * sw[:, None], mode="economic", pivoting=True)
+    beta = np.empty(Z.shape[1])
+    beta[piv] = scipy.linalg.solve_triangular(R, Q.T @ (y * sw))
+    return beta
+
+
+class TestScaledLstsq:
+    @pytest.mark.parametrize("n, q", [(n, q) for n in (5, 13, 300, 4000, 20000)
+                                      for q in (1, 2, 4, 8, 12) if q < n])
+    def test_bit_identical_to_scipy_wrappers(self, n, q):
+        rng = np.random.default_rng(1000 * n + q)
+        for _ in range(3):
+            Z = rng.normal(size=(n, q)) * rng.uniform(0.01, 100.0, size=q)
+            Z[:, 0] = 1.0
+            y = rng.standard_t(3, size=n) * 10.0
+            w = huber_weight(rng.standard_t(2, size=n), B)
+            assert np.array_equal(huber._scaled_lstsq(Z, y, w), wrapper_lstsq(Z, y, w))
+            assert np.array_equal(huber._scaled_lstsq(Z, y, None),
+                                  wrapper_lstsq(Z, y, np.ones(n)))
+
+    @pytest.mark.parametrize("column", ["duplicate", "zero"])
+    def test_singular_design_rejected(self, column):
+        rng = np.random.default_rng(2)
+        Z = np.column_stack([np.ones(40), rng.normal(size=40), np.zeros(40)])
+        if column == "duplicate":
+            Z[:, 2] = Z[:, 1]
+        with pytest.raises(NumericalError, match="singular"):
+            huber._scaled_lstsq(Z, rng.normal(size=40), np.ones(40))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_is_value_error(self, bad):
+        rng = np.random.default_rng(3)
+        Z = np.column_stack([np.ones(30), rng.normal(size=30)])
+        y = rng.normal(size=30)
+        y[4] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            huber._scaled_lstsq(Z, y, np.ones(30))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            irls_fit(Z, y)
+        Z[7, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            huber._scaled_lstsq(Z, np.zeros(30), None)
+
+    def test_workspace_queried_once_per_shape(self):
+        rng = np.random.default_rng(4)
+        huber._workspace.cache_clear()
+        for _ in range(3):
+            huber._scaled_lstsq(rng.normal(size=(50, 3)), rng.normal(size=50), None)
+        huber._scaled_lstsq(rng.normal(size=(60, 3)), rng.normal(size=60), None)
+        info = huber._workspace.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
 
 class TestIrlsFit:

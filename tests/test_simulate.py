@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from robroc.roc import auc_simpson, fit_pair, predict_mean
+from robroc.errors import DataError
+from robroc.roc import auc_closed_form, auc_simpson, fit_pair, predict_mean
 from robroc.simulate import (ESTIMATORS, Scenario, _contaminated_count,
-                             comparator_fit, generate, run_study, scenario,
-                             true_auc)
+                             _fit_estimator, comparator_fit, generate, run_study,
+                             scenario, true_auc)
 
 
 def normal_cdf(z: float) -> float:
@@ -234,6 +235,33 @@ class TestRunStudy:
                  for r in range(2)]
         simpson = [np.mean([auc_simpson(p, [x], 2000) for p in pairs]) for x in grid]
         np.testing.assert_allclose(simpson, closed.estimators["robust"].mean, atol=1e-3)
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:All-NaN slice")
+    def test_grid_points_outside_knots_are_nan_cells(self):
+        # the same cells as a per-point loop that leaves NaN wherever
+        # auc_closed_form refuses a point outside the boundary knots
+        scn = scenario("IV", contamination=0.05)
+        # points hugging the edges of x1 and of x2, covered by some replicates
+        grid = np.array([[-0.1, 1.0], [0.01, 1.0], [0.02, 1.0], [0.04, 1.0],
+                         [0.5, 0.02], [0.5, 0.05], [0.5, 1.0], [0.5, 1.95],
+                         [0.5, 1.98], [0.96, 1.0], [0.98, 1.0], [0.99, 1.0]])
+        kinds = ("robust", "ols_linear", "ols_bspline")
+        report = run_study(scn, 40, 40, 8, seed=61, x_grid=grid, estimators=kinds,
+                           n_interior=1)
+        for kind in kinds:
+            cells = np.full((8, grid.shape[0]), np.nan)
+            for r in range(8):
+                pair = _fit_estimator(kind, *generate(scn, 40, 40, seed=(61, r)), 1, None)
+                for i, x in enumerate(grid):
+                    try:
+                        cells[r, i] = auc_closed_form(pair, x)
+                    except DataError:
+                        pass
+            summary = report.estimators[kind]
+            np.testing.assert_array_equal(summary.n_ok, np.isfinite(cells).sum(axis=0))
+            np.testing.assert_array_equal(summary.mean, np.nanmean(cells, axis=0))
+        n_ok = report.estimators["robust"].n_ok
+        assert n_ok[0] == 0 and n_ok[6] == 8 and np.all((0 < n_ok[1:6]) & (n_ok[1:6] < 8))
 
     def test_knot_counts_tallied_per_group(self):
         report = run_study(scenario("I"), 60, 60, 4, seed=47,
