@@ -55,9 +55,11 @@ def huber_psi(u, b: float = DEFAULT_TUNING):
 
 def huber_weight(u, b: float = DEFAULT_TUNING):
     """IRLS weight psi(u)/u = min(1, b/|u|), equal to 1 at u = 0."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.minimum(1.0, b / np.abs(u))
+    au = np.abs(np.asarray(u, dtype=float))
+    # b / max(|u|, b) is min(1, b/|u|) bit for bit, 0, inf and NaN included,
+    # and never divides by zero; at b = inf (least squares) it would be
+    # inf/inf, so that case keeps the min form, whose inf/0 raises nothing
+    out = b / np.maximum(au, b) if b < np.inf else np.minimum(1.0, b / au)
     return float(out) if out.ndim == 0 else out
 
 
@@ -67,10 +69,20 @@ def mad_scale(residuals) -> float:
     The factor makes the estimate Fisher-consistent for the standard
     deviation under normal errors.
     """
-    r = np.asarray(residuals, dtype=float).ravel()
-    if r.size == 0:
+    a = np.abs(np.asarray(residuals, dtype=float).ravel())
+    n = a.size
+    if n == 0:
         raise ValueError("no residuals")
-    return MAD_FACTOR * float(np.median(np.abs(r)))
+    # np.median's selection, done in place on the copy np.abs made: the
+    # middle order statistics, and the last place, where any NaN sorts
+    k = n // 2
+    if n % 2:
+        a.partition((k, n - 1))
+        mid = float(a[k])
+    else:
+        a.partition((k - 1, k, n - 1))
+        mid = (float(a[k - 1]) + float(a[k])) / 2.0
+    return MAD_FACTOR * (float("nan") if np.isnan(a[-1]) else mid)
 
 
 @dataclass
@@ -132,7 +144,17 @@ def _require_finite(*arrays: np.ndarray) -> None:
 
 
 def _scaled_lstsq(Z: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Least squares on the row-scaled system via pivoted QR.
+    """Least squares on the row-scaled system sqrt(w) Z, sqrt(w) y (w=None
+    for unit weights), after checking that the scaled system is finite."""
+    if w is not None:
+        sw = np.sqrt(w)
+        Z, y = Z * sw[:, None], y * sw
+    _require_finite(Z, y)
+    return _lstsq(Z, y)
+
+
+def _lstsq(Zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Least squares on a finite system via pivoted QR.
 
     Calls the LAPACK routines behind scipy.linalg.qr(mode="economic",
     pivoting=True) and solve_triangular directly, in the same order and with
@@ -141,12 +163,6 @@ def _scaled_lstsq(Z: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> np.ndar
     per-call wrapper cost.  Rank deficiency is detected from the triangular
     factor's diagonal with a 1e-10 relative threshold.
     """
-    if w is not None:
-        sw = np.sqrt(w)
-        Zs, ys = Z * sw[:, None], y * sw
-    else:
-        Zs, ys = Z, y
-    _require_finite(Zs, ys)
     n, q = Zs.shape
     if Zs.size == 0 or n < q:
         raise NumericalError("singular design matrix")
@@ -211,8 +227,11 @@ def irls_fit(Z, y, config: FitConfig | None = None,
     if n <= q:
         raise NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
 
+    # checked once: every step's weights lie in [0, 1], so each scaled
+    # system is finite exactly when that step's weights are
+    _require_finite(Z, y)
     if beta_init is None:
-        beta, _ = ols_fit(Z, y)
+        beta = _lstsq(Z, y)
     else:
         beta = np.asarray(beta_init, dtype=float).copy()
         if beta.size != q:
@@ -229,7 +248,9 @@ def irls_fit(Z, y, config: FitConfig | None = None,
         if sigma <= floor:
             raise NumericalError("degenerate scale: MAD of residuals is zero")
         w = huber_weight(resid / sigma, cfg.tuning)
-        beta_new = _scaled_lstsq(Z, y, w)
+        _require_finite(w)
+        sw = np.sqrt(w)
+        beta_new = _lstsq(Z * sw[:, None], y * sw)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         resid = y - Z @ beta

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .data import GroupSample
 from .errors import NumericalError
@@ -48,15 +48,20 @@ def raic_penalty(fit: RobustFit, Z) -> float:
     piv = np.diag(L) ** 2
     if piv.min() <= 1e-10 * np.max(np.diag(J)):
         raise NumericalError("information matrix singular in rAIC")
-    half = scipy.linalg.solve_triangular(L, U, lower=True)
-    inv_JU = scipy.linalg.solve_triangular(L.T, half, lower=False)
+    # one LAPACK call on the factor: scipy's solve_triangular reaches a
+    # threaded dtrsm even at q = 4, and its woken thread spins between calls
+    inv_JU, info = dpotrs(L, U, lower=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK dpotrs failed with info={info}")
     return float(np.trace(inv_JU))
 
 
-def raic(fit: RobustFit, Z) -> float:
-    """Robust AIC of a fit on its design matrix."""
+def raic(fit: RobustFit, Z) -> tuple[float, float]:
+    """Robust AIC of a fit on its design matrix, and its penalty
+    trace(J^{-1} U)."""
     n = np.asarray(Z).shape[0]
-    return 2.0 * n * float(np.log(fit.sigma)) + 4.0 * raic_penalty(fit, Z)
+    penalty = raic_penalty(fit, Z)
+    return 2.0 * n * float(np.log(fit.sigma)) + 4.0 * penalty, penalty
 
 
 @dataclass
@@ -126,9 +131,7 @@ def select_knots(sample: GroupSample, candidates,
             spec = SplineSpec.from_data(sample.covariates, vec)
             Z = spec.matrix(sample.covariates)
             fit = irls_fit(Z, sample.outcomes, config)
-            cand.penalty = raic_penalty(fit, Z)
-            n = sample.n
-            cand.raic = 2.0 * n * float(np.log(fit.sigma)) + 4.0 * cand.penalty
+            cand.raic, cand.penalty = raic(fit, Z)
             cand.sigma = fit.sigma
             cand.fit = fit
             cand.spec = spec

@@ -63,6 +63,18 @@ class TestLossPieces:
         for u in rng.uniform(0.1, 6, size=40) * rng.choice([-1, 1], size=40):
             assert huber_weight(u, B) == pytest.approx(huber_psi(u, B) / u, abs=1e-12)
 
+    @pytest.mark.parametrize("b", [B, 0.5, 1e-300, 1e300, np.inf])
+    def test_weight_bit_identical_to_min_form(self, b):
+        rng = np.random.default_rng(7)
+        u = np.concatenate([[0.0, -0.0, b, -b, np.inf, -np.inf, np.nan, 5e-324],
+                            np.nextafter(b, [0.0, np.inf]),
+                            rng.standard_t(2, size=200) * B])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            expected = np.minimum(1.0, b / np.abs(u))
+        with np.errstate(invalid="ignore"):  # inf/inf at an infinite b
+            assert np.array_equal(huber_weight(u, b), expected, equal_nan=True)
+        assert huber_weight(0.0, b) == 1.0
+
     def test_vectorized_shapes(self):
         u = np.array([[0.0, 2.0], [-3.0, 1.0]])
         assert huber_rho(u).shape == (2, 2)
@@ -102,6 +114,27 @@ class TestMadScale:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mad_scale([])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 199, 200, 30000, 30001])
+    def test_bit_identical_to_np_median(self, n):
+        rng = np.random.default_rng(n)
+        cases = [rng.normal(size=n), np.round(rng.normal(size=n)),  # ties
+                 rng.integers(-2, 3, size=n).astype(float), np.zeros(n),
+                 rng.standard_t(1, size=n) * 1e5]
+        if n > 1:
+            nan_at = rng.normal(size=n)
+            nan_at[rng.integers(n)] = np.nan
+            cases.append(nan_at)
+        cases.append(np.full(n, np.nan))
+        for r in cases:
+            expected = 1.4826 * np.median(np.abs(r))
+            assert np.array_equal(mad_scale(r), expected, equal_nan=True)
+            assert isinstance(mad_scale(r), float)
+
+    def test_input_left_unchanged(self):
+        r = np.array([3.0, -1.0, 2.0, -5.0])
+        mad_scale(r)
+        np.testing.assert_array_equal(r, [3.0, -1.0, 2.0, -5.0])
 
 
 class TestOlsFit:
@@ -159,6 +192,27 @@ def wrapper_lstsq(Z, y, w):
     beta = np.empty(Z.shape[1])
     beta[piv] = scipy.linalg.solve_triangular(R, Q.T @ (y * sw))
     return beta
+
+
+def reference_irls(Z, y, cfg, beta_init=None):
+    """The IRLS loop as first written: np.median scale, min-form weights and
+    the scipy-wrapper solve, with the finite check on every scaled system."""
+    beta = wrapper_lstsq(Z, y, np.ones(y.size)) if beta_init is None else beta_init.copy()
+    resid = y - Z @ beta
+    converged, iterations = False, 0
+    for _ in range(cfg.max_iterations):
+        sigma = 1.4826 * float(np.median(np.abs(resid)))
+        with np.errstate(divide="ignore"):
+            w = np.minimum(1.0, cfg.tuning / np.abs(resid / sigma))
+        beta_new = wrapper_lstsq(Z, y, w)
+        delta = float(np.max(np.abs(beta_new - beta)))
+        beta = beta_new
+        resid = y - Z @ beta
+        iterations += 1
+        if delta < cfg.tol:
+            converged = True
+            break
+    return beta, iterations, converged
 
 
 class TestScaledLstsq:
@@ -329,6 +383,31 @@ class TestIrlsFit:
         Z = np.ones((3, 3))
         with pytest.raises(NumericalError):
             irls_fit(Z, np.ones(3))
+
+    @pytest.mark.parametrize("n, q, tuning, cap", [
+        (200, 4, B, 50), (300, 7, B, 50), (150, 13, B, 50), (60, 2, 0.7, 50),
+        (200, 4, B, 3), (40, 3, np.inf, 50)])
+    def test_bit_identical_to_reference_loop(self, n, q, tuning, cap):
+        rng = np.random.default_rng(100 * n + q)
+        cfg = FitConfig(tuning=tuning, max_iterations=cap)
+        for _ in range(3):
+            Z = np.column_stack([np.ones(n), rng.uniform(0.0, 1.0, (n, q - 1)) ** 2])
+            y = Z @ rng.normal(size=q) + rng.standard_t(3, size=n)
+            y[rng.choice(n, n // 20, replace=False)] += 15.0
+            cold = irls_fit(Z, y, cfg)
+            start = cold.beta + rng.normal(scale=0.3, size=q)
+            for fit, beta_init in ((cold, None), (irls_fit(Z, y, cfg, start), start)):
+                beta, iterations, converged = reference_irls(Z, y, cfg, beta_init)
+                assert np.array_equal(fit.beta, beta)
+                assert (fit.iterations, fit.converged) == (iterations, converged)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf scale
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_warm_start_is_value_error(self, bad):
+        rng = np.random.default_rng(5)
+        Z = np.column_stack([np.ones(30), rng.normal(size=30)])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            irls_fit(Z, rng.normal(size=30), beta_init=np.array([0.0, bad]))
 
 
 class TestOlsAsRobustFit:

@@ -32,7 +32,7 @@ class TestRaicValues:
         Z = rng.normal(size=(8, 3))
         fit = hand_fit(np.zeros(8), sigma=1.0, q=3)
         assert raic_penalty(fit, Z) == 0.0
-        assert raic(fit, Z) == 0.0
+        assert raic(fit, Z) == (0.0, 0.0)
 
     def test_common_residual_magnitude(self):
         # all |u| = c inside the band: U = c^2 J, so the trace is c^2 Q
@@ -41,14 +41,14 @@ class TestRaicValues:
         u = 0.5 * np.array([1, -1] * 5, dtype=float)
         fit = hand_fit(u, sigma=1.0, q=4)
         assert raic_penalty(fit, Z) == pytest.approx(0.25 * 4, abs=1e-10)
-        assert raic(fit, Z) == pytest.approx(4.0, abs=1e-10)
+        assert raic(fit, Z)[0] == pytest.approx(4.0, abs=1e-10)
 
     def test_scalar_design_by_hand(self):
         # J = (1 + 0)/2, U = (0.5^2 + 1.345^2)/2, trace = U/J
         fit = hand_fit([0.5, 3.0], sigma=1.0, q=1)
         Z = np.ones((2, 1))
         assert raic_penalty(fit, Z) == pytest.approx(2.059025, abs=1e-12)
-        assert raic(fit, Z) == pytest.approx(8.2361, abs=1e-12)
+        assert raic(fit, Z)[0] == pytest.approx(8.2361, abs=1e-12)
 
     def test_sigma_enters_only_through_log_term(self):
         rng = np.random.default_rng(107)
@@ -58,8 +58,8 @@ class TestRaicValues:
         scaled = hand_fit(u, sigma=2.0, q=3)
         assert raic_penalty(scaled, Z) == pytest.approx(raic_penalty(base, Z),
                                                         rel=1e-12)
-        assert raic(scaled, Z) == pytest.approx(
-            raic(base, Z) + 2.0 * 12 * np.log(2.0), rel=1e-12)
+        assert raic(scaled, Z)[0] == pytest.approx(
+            raic(base, Z)[0] + 2.0 * 12 * np.log(2.0), rel=1e-12)
 
     def test_all_residuals_outside_band(self):
         fit = hand_fit([3.0, 4.0], sigma=1.0, q=1)
@@ -72,6 +72,30 @@ class TestRaicValues:
         with pytest.raises(NumericalError, match="information matrix singular"):
             raic_penalty(fit, Z)
 
+    def test_nearly_collinear_design_rejected(self):
+        # the factor exists, but its last pivot is below 1e-10 of J's diagonal
+        x = np.linspace(0.0, 1.0, 20)
+        Z = np.column_stack([np.ones(20), 1.0 + 1e-7 * x])
+        np.linalg.cholesky(Z.T @ Z)
+        fit = hand_fit(np.full(20, 0.5), sigma=1.0, q=2)
+        with pytest.raises(NumericalError, match="information matrix singular"):
+            raic_penalty(fit, Z)
+
+    @pytest.mark.parametrize("q", range(1, 14))
+    def test_penalty_matches_explicit_inverse(self, q):
+        # q = 7 and 13 are the shapes of the study workload's candidates
+        rng = np.random.default_rng(200 + q)
+        n = 150
+        Z = np.column_stack([np.ones(n), rng.uniform(0.0, 1.0, (n, q - 1)) ** 3])
+        u = rng.standard_t(3, size=n)
+        fit = hand_fit(u, sigma=0.7, q=q)
+        inside = (np.abs(u) <= fit.tuning).astype(float)
+        psi = np.clip(u, -fit.tuning, fit.tuning)
+        J = (Z * inside[:, None]).T @ Z / (n * 0.49)
+        U = (Z * (psi ** 2)[:, None]).T @ Z / (n * 0.49)
+        expected = np.trace(np.linalg.inv(J) @ U)
+        assert raic_penalty(fit, Z) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_row_order_invariance(self):
         rng = np.random.default_rng(109)
         Z = rng.normal(size=(12, 3))
@@ -79,7 +103,7 @@ class TestRaicValues:
         fit = hand_fit(u, sigma=1.3, q=3)
         perm = rng.permutation(12)
         fit_perm = hand_fit(u[perm], sigma=1.3, q=3)
-        assert raic(fit_perm, Z[perm]) == pytest.approx(raic(fit, Z), rel=1e-10)
+        assert raic(fit_perm, Z[perm])[0] == pytest.approx(raic(fit, Z)[0], rel=1e-10)
 
 
 class TestCandidateGrids:
@@ -111,7 +135,7 @@ class TestSelectKnots:
         report = select_knots(sample, [0, 1, 2])
         for cand in report.candidates:
             Z = cand.spec.matrix(sample.covariates)
-            assert cand.raic == pytest.approx(raic(cand.fit, Z), abs=1e-12)
+            assert (cand.raic, cand.penalty) == raic(cand.fit, Z)
 
     def test_int_broadcasts_across_covariates(self):
         rng = np.random.default_rng(131)
