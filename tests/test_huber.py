@@ -195,8 +195,8 @@ def wrapper_lstsq(Z, y, w):
 
 
 def reference_irls(Z, y, cfg, beta_init=None):
-    """The IRLS loop as first written: np.median scale, min-form weights and
-    the scipy-wrapper solve, with the finite check on every scaled system."""
+    """The IRLS loop before its step was trimmed: np.median scale, min-form
+    weights and the scipy-wrapper solve, which checks every scaled system."""
     beta = wrapper_lstsq(Z, y, np.ones(y.size)) if beta_init is None else beta_init.copy()
     resid = y - Z @ beta
     converged, iterations = False, 0
