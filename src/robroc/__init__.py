@@ -15,8 +15,8 @@ from .bootstrap import (BootstrapConfig, BootstrapResult, BootstrapTarget,
                         unconditional_auc_bootstrap)
 from .data import GroupSample
 from .errors import DataError, NumericalError, UsageError
-from .huber import (FitConfig, RobustFit, huber_psi, huber_rho, huber_weight,
-                    irls_fit, mad_scale, ols_as_robust_fit, ols_fit)
+from .huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
+                    mad_scale, ols_as_robust_fit, ols_fit)
 from .io import Dataset, RunConfig, load_config, read_csv
 from .model_select import (RaicCandidate, RaicReport, default_candidates,
                            knot_grid, raic, raic_penalty, select_knots)
@@ -27,7 +27,7 @@ from .roc import (GroupFit, PopulationPair, RocResult, adjusted_values,
 from .simulate import (ESTIMATORS, McEstimatorSummary, McReport, Scenario,
                        comparator_fit, generate, run_study, scenario,
                        true_auc)
-from .splines import KnotSpec, SplineSpec, full_basis_row, knot_sequence
+from .splines import KnotSpec, SplineSpec, knot_sequence
 from .wecdf import WeightedEcdf
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "BootstrapConfig", "BootstrapResult", "BootstrapTarget",
     "percentile_interval", "residual_bootstrap", "unconditional_auc_bootstrap",
     "GroupSample", "DataError", "NumericalError", "UsageError",
-    "FitConfig", "RobustFit", "huber_psi", "huber_rho", "huber_weight",
+    "FitConfig", "RobustFit", "huber_psi", "huber_weight",
     "irls_fit", "mad_scale", "ols_as_robust_fit", "ols_fit",
     "Dataset", "RunConfig", "load_config", "read_csv",
     "RaicCandidate", "RaicReport", "default_candidates", "knot_grid",
@@ -46,6 +46,6 @@ __all__ = [
     "roc_values", "unconditional_auc", "youden_index",
     "ESTIMATORS", "McEstimatorSummary", "McReport", "Scenario",
     "comparator_fit", "generate", "run_study", "scenario", "true_auc",
-    "KnotSpec", "SplineSpec", "full_basis_row", "knot_sequence",
+    "KnotSpec", "SplineSpec", "knot_sequence",
     "WeightedEcdf",
 ]

@@ -226,19 +226,20 @@ def _term_names(design, names) -> list[str]:
 
 # Each subcommand runs as run(cfg, fit_config, args, write): args carries
 # the parser-only flags (--ci, --youden) and the checked boot_config, and
-# write(name, header, rows) puts a table into --out and returns its path.
+# write(name, header, columns) puts a table into --out and returns its path.
 
 def _cmd_fit(cfg, fit_config, args, write) -> None:
     nd, d, pair = _fitted_pair(cfg, fit_config)
     groups = ((nd, pair.nondiseased), (d, pair.diseased))
     rows = [[gf.label, term, est] for _, gf in groups
             for term, est in zip(_term_names(gf.design, cfg.covariates), gf.fit.beta)]
-    write("coefficients.csv", ["group", "term", "estimate"], rows)
-    rows = [[gf.label, int(row), *values] for sample, gf in groups
-            for row, *values in zip(sample.rows, sample.outcomes, gf.fit.std_residuals,
-                                    gf.fit.huber_weights, gf.fit.truncated_weights)]
+    write("coefficients.csv", ["group", "term", "estimate"], list(zip(*rows)))
+    per_group = [(sample.rows, sample.outcomes, gf.fit.std_residuals,
+                  gf.fit.huber_weights, gf.fit.truncated_weights) for sample, gf in groups]
     write("weights.csv", ["group", "row", "outcome", "std_residual", "huber_weight",
-                          "truncated_weight"], rows)
+                          "truncated_weight"],
+          [[gf.label for sample, gf in groups for _ in range(sample.n)],
+           *map(np.concatenate, zip(*per_group))])
 
     for _, gf in groups:
         state = "converged" if gf.fit.converged else "NOT converged"
@@ -262,15 +263,14 @@ def _cmd_select_knots(cfg, fit_config, args, write) -> None:
               f"{','.join(str(k) for k in report.best.n_interior)} "
               f"(rAIC {report.best.raic:.6g})")
     write("raic.csv", ["group", "knots", "sigma", "penalty", "raic", "selected",
-                       "error"], rows)
+                       "error"], list(zip(*rows)))
 
 
 def _cmd_roc(cfg, fit_config, args, write) -> None:
     _, _, pair = _fitted_pair(cfg, fit_config)
     result = roc_curve(pair, _point(cfg), np.linspace(0.0, 1.0, cfg.t_points),
                        n_panels=cfg.simpson_panels)
-    write("roc_curve.csv", ["t", "roc"],
-          np.column_stack([result.t_grid, result.roc_values]))
+    write("roc_curve.csv", ["t", "roc"], [result.t_grid, result.roc_values])
     print(f"AUC at x={cfg.x}: {result.auc_closed_form:.6f} "
           f"(Simpson check {result.auc_simpson:.6f})")
 
@@ -280,12 +280,13 @@ def _cmd_auc(cfg, fit_config, args, write) -> None:
     grid = _x_grid(cfg, pair)
     name = cfg.covariates[0]
     if not args.ci:
-        path = write("auc.csv", [name, "auc"], np.column_stack([grid, auc_grid(pair, grid)]))
+        path = write("auc.csv", [name, "auc"], [grid, auc_grid(pair, grid)])
     else:
         targets = [BootstrapTarget(x=np.atleast_1d(x)) for x in grid]
         boot = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d, targets)
         path = write("auc.csv", [name, "auc", "lower", "upper"],
-                     [[t.x[0], t.auc, t.auc_lower, t.auc_upper] for t in boot.targets])
+                     list(zip(*[[t.x[0], t.auc, t.auc_lower, t.auc_upper]
+                                for t in boot.targets])))
     print(f"wrote AUC over {len(grid)} grid points to {path}")
 
 
@@ -293,7 +294,7 @@ def _cmd_youden(cfg, fit_config, args, write) -> None:
     _, _, pair = _fitted_pair(cfg, fit_config)
     points = _point(cfg)[None, :] if cfg.x else _x_grid(cfg, pair)[:, None]
     rows = [[*xrow, *youden_index(pair, xrow)] for xrow in points]
-    path = write("youden.csv", [*cfg.covariates, "youden", "threshold"], rows)
+    path = write("youden.csv", [*cfg.covariates, "youden", "threshold"], list(zip(*rows)))
     print(f"wrote Youden index at {len(points)} point(s) to {path}")
 
 
@@ -304,13 +305,13 @@ def _cmd_bootstrap(cfg, fit_config, args, write) -> None:
     res = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d,
                      [target]).targets[0]
     write("auc_ci.csv", [*cfg.covariates, "auc", "lower", "upper"],
-          [[*res.x, res.auc, res.auc_lower, res.auc_upper]])
+          [[v] for v in (*res.x, res.auc, res.auc_lower, res.auc_upper)])
     write("roc_band.csv", ["t", "roc", "lower", "upper"],
-          np.column_stack([t_grid, res.roc, res.roc_lower, res.roc_upper]))
+          [t_grid, res.roc, res.roc_lower, res.roc_upper])
     if args.youden:
         yi, threshold = res.youden
         write("youden_ci.csv", [*cfg.covariates, "youden", "threshold", "lower", "upper"],
-              [[*res.x, yi, threshold, res.youden_lower, res.youden_upper]])
+              [[v] for v in (*res.x, yi, threshold, res.youden_lower, res.youden_upper)])
     print(f"AUC at x={cfg.x}: {res.auc:.6f} [{res.auc_lower:.6f}, {res.auc_upper:.6f}]")
 
 
@@ -319,7 +320,7 @@ def _cmd_uauc(cfg, fit_config, args, write) -> None:
     if cfg.replicates > 0:
         auc, lo, hi, _ = _bootstrap(args, fit_config, unconditional_auc_bootstrap,
                                     nd.outcomes, d.outcomes)
-        write("uauc.csv", ["auc", "lower", "upper"], [[auc, lo, hi]])
+        write("uauc.csv", ["auc", "lower", "upper"], [[auc], [lo], [hi]])
         print(f"unconditional AUC: {auc:.6f} [{lo:.6f}, {hi:.6f}]")
     else:
         auc, _, _ = robust_unconditional_auc(nd.outcomes, d.outcomes, fit_config)
@@ -350,10 +351,11 @@ def _cmd_simulate(cfg, fit_config, args, write) -> None:
                        x_grid=scn.default_grid(cfg.grid_points))
     cov_names = [f"x{h + 1}" for h in range(scn.n_covariates)]
     for kind, summary in report.estimators.items():
-        rows = np.column_stack([report.x_grid, report.true_auc, summary.mean,
-                                summary.lower, summary.upper, summary.n_ok])
+        # n_ok is written as a float, as column_stack makes it
+        columns = np.column_stack([report.x_grid, report.true_auc, summary.mean,
+                                   summary.lower, summary.upper, summary.n_ok]).T
         write(f"sim_{kind}.csv",
-              [*cov_names, "true_auc", "mean", "lower", "upper", "n_ok"], rows)
+              [*cov_names, "true_auc", "mean", "lower", "upper", "n_ok"], columns)
         bias = np.nanmax(np.abs(summary.mean - report.true_auc))
         print(f"{kind}: max |mean - true| = {bias:.4f} over {cfg.reps} replicates"
               + (f", {summary.n_failed_fits} failed fits" if summary.n_failed_fits else ""))
@@ -361,7 +363,7 @@ def _cmd_simulate(cfg, fit_config, args, write) -> None:
         rows = [[group, "|".join(str(k) for k in vec), count]
                 for group, counts in report.knot_counts.items()
                 for vec, count in sorted(counts.items())]
-        write("knot_counts.csv", ["group", "knots", "count"], rows)
+        write("knot_counts.csv", ["group", "knots", "count"], list(zip(*rows)))
 
 
 def main(argv=None) -> int:
@@ -375,9 +377,9 @@ def main(argv=None) -> int:
             os.makedirs(cfg.out, exist_ok=True)
             return os.path.join(cfg.out, name)
 
-        def write(name: str, header, rows) -> str:
+        def write(name: str, header, columns) -> str:
             outputs.append(path(name))
-            write_table(outputs[-1], header, rows)
+            write_table(outputs[-1], header, columns)
             return outputs[-1]
 
         args.run(cfg, fit_config, args, write)

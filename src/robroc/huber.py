@@ -38,14 +38,6 @@ DEFAULT_TRUNCATION = 3.0
 MAD_FACTOR = 1.4826
 
 
-def huber_rho(u, b: float = DEFAULT_TUNING):
-    """Huber loss, quadratic inside [-b, b] and linear outside."""
-    u = np.asarray(u, dtype=float)
-    au = np.abs(u)
-    out = np.where(au <= b, 0.5 * u * u, b * au - 0.5 * b * b)
-    return float(out) if out.ndim == 0 else out
-
-
 def huber_psi(u, b: float = DEFAULT_TUNING):
     """Derivative of the Huber loss (the influence function)."""
     u = np.asarray(u, dtype=float)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -22,6 +23,7 @@ from .errors import DataError, UsageError
 
 CONFIG_ENV_VAR = "ROBROC_CONFIG"
 _MISSING_TOKENS = {"", "na", "nan", "null"}
+_FLAGS = (0.0, 1.0)
 
 
 @dataclass
@@ -58,64 +60,93 @@ def _is_missing(cell: str) -> bool:
     return cell.strip().lower() in _MISSING_TOKENS
 
 
+def _checked_row(i: int, row: list[str], column: dict[str, int], used: list[str],
+                 disease: str, skip_missing: bool) -> list[float] | None:
+    """Parse data row i cell by cell, naming its first fault in this order: a
+    missing token, an unparseable cell, a disease code other than 0/1.
+    Return the used columns' values, or None when the row is skipped."""
+    cells = {name: (row[column[name]] if column[name] < len(row) else "")
+             for name in used}
+    missing = [name for name, cell in cells.items() if _is_missing(cell)]
+    if missing:
+        if skip_missing:
+            return None
+        raise DataError(f"missing value in column {missing[0]!r} at data row {i}")
+    parsed = {}
+    for name, cell in cells.items():
+        try:
+            parsed[name] = float(cell)
+        except ValueError:
+            raise DataError(
+                f"cannot parse {cell!r} in column {name!r} at data row {i}"
+            ) from None
+    if parsed[disease] not in _FLAGS:
+        raise DataError(
+            f"disease column {disease!r} must be 0 or 1, got {cells[disease]!r}"
+            f" at data row {i}"
+        )
+    return [parsed[name] for name in used]
+
+
 def read_csv(path, outcome: str, disease: str, covariates,
              skip_missing: bool = False) -> Dataset:
     """Load a headered CSV into a Dataset.
 
     Row numbers in error messages are 1-based data rows (the header is row
-    0).  With skip_missing, rows containing a missing token in any used
-    column are dropped and counted instead of raising.
+    0); blank lines are not counted.  Where a column name repeats in the
+    header, its last column is used.  With skip_missing, rows containing a
+    missing token in any used column are dropped and counted instead of
+    raising.  A file the csv module cannot split, or that does not decode,
+    is a DataError too.
     """
     covariates = list(covariates)
+    used = [outcome, disease, *covariates]
     try:
         handle = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open data file {path}: {exc}") from None
+    values, rows = [], []
+    n_skipped = 0
+    i = -1
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for name in [outcome, disease, *covariates]:
-            if name not in header:
-                raise DataError(
-                    f"column {name!r} not in data file (columns: {', '.join(header)})"
-                )
-        used = [outcome, disease, *covariates]
-        y, dz, X, rows = [], [], [], []
-        n_skipped = 0
-        for i, record in enumerate(reader, start=1):
-            cells = {name: (record.get(name) or "") for name in used}
-            missing = [name for name, cell in cells.items() if _is_missing(cell)]
-            if missing:
-                if skip_missing:
-                    n_skipped += 1
-                    continue
-                raise DataError(
-                    f"missing value in column {missing[0]!r} at data row {i}"
-                )
-            parsed = {}
-            for name, cell in cells.items():
-                try:
-                    parsed[name] = float(cell)
-                except ValueError:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            i = 0
+            column = {name: j for j, name in enumerate(header)}  # last one wins
+            for name in used:
+                if name not in column:
                     raise DataError(
-                        f"cannot parse {cell!r} in column {name!r} at data row {i}"
-                    ) from None
-            flag = parsed[disease]
-            if flag not in (0.0, 1.0):
-                raise DataError(
-                    f"disease column {disease!r} must be 0 or 1, got {cells[disease]!r}"
-                    f" at data row {i}"
-                )
-            y.append(parsed[outcome])
-            dz.append(int(flag))
-            X.append([parsed[name] for name in covariates])
-            rows.append(i)
-    if not y:
+                        f"column {name!r} not in data file (columns: {', '.join(header)})"
+                    )
+            pick = operator.itemgetter(*(column[name] for name in used))
+            # A row whose used cells all parse, none to NaN, with a 0/1
+            # disease code is taken as it is; any other row is parsed again
+            # cell by cell to find its fault.  A NaN may be a missing token.
+            for i, row in enumerate(filter(None, reader), start=1):
+                try:
+                    parsed = [*map(float, pick(row))]
+                except (ValueError, IndexError):
+                    parsed = None
+                if parsed is None or parsed[1] not in _FLAGS or (s := sum(parsed)) != s:
+                    parsed = _checked_row(i, row, column, used, disease, skip_missing)
+                    if parsed is None:
+                        n_skipped += 1
+                        continue
+                values.extend(parsed)
+                rows.append(i)
+        except csv.Error as exc:
+            at = "its header" if i < 0 else f"data row {i + 1}"
+            raise DataError(f"cannot read data file {path} at {at}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot decode data file {path}: {exc}") from None
+    if not rows:
         raise DataError("no usable data rows")
+    table = np.array(values, dtype=float).reshape(len(rows), len(used))
     ds = Dataset(
-        outcomes=np.asarray(y, dtype=float),
-        disease=np.asarray(dz, dtype=int),
-        covariates=np.asarray(X, dtype=float),
+        outcomes=table[:, 0].copy(),
+        disease=table[:, 1].astype(int),
+        covariates=table[:, 2:].copy(),
         outcome_name=outcome,
         disease_name=disease,
         covariate_names=covariates,
@@ -275,20 +306,37 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_table(path, header, rows) -> None:
-    """CSV with repr-formatted floats, newline-terminated rows."""
+# Rows formatted and written per block: formatting whole columns at once
+# would hold every cell of a large table as a string.
+_BLOCK_ROWS = 4096
+
+
+def _format_column(column) -> list[str]:
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return [v if type(v) is str else _format_cell(v) for v in column]
+
+
+def write_table(path, header, columns) -> None:
+    """CSV with repr-formatted floats, newline-terminated rows.  columns
+    holds one equal-length sequence per header name."""
+    n = len(columns[0]) if len(columns) else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"columns of unequal length for {path}")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-
-
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        return header, [row for row in reader]
+        for start in range(0, n, _BLOCK_ROWS):
+            block = [_format_column(column[start:start + _BLOCK_ROWS])
+                     for column in columns]
+            text = "".join(map("".join, block))
+            if len(block) > 1 and not any(c in text for c in ',"\r\n'):
+                # no cell needs quoting, so csv.writer would write exactly this
+                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
+            else:
+                writer.writerows(zip(*block))
 
 
 def write_manifest(path, command: str, options: dict, outputs) -> None:

@@ -133,11 +133,6 @@ def _full_basis(x: np.ndarray, knots: KnotSpec) -> np.ndarray:
     return B
 
 
-def full_basis_row(x: float, knots: KnotSpec) -> np.ndarray:
-    """The complete K + 4 basis values at a single point (nothing dropped)."""
-    return _full_basis(np.asarray([x], dtype=float), knots)[0]
-
-
 def _basis_block(col: np.ndarray, knots: KnotSpec) -> np.ndarray:
     return _full_basis(col, knots)[:, 1:]
 

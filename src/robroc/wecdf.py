@@ -56,10 +56,6 @@ class WeightedEcdf:
             total=float(cum[-1]),
         )
 
-    @property
-    def n_support(self) -> int:
-        return self.support.size
-
     def cdf(self, y):
         """F_hat evaluated at one point or an array of points."""
         y = np.asarray(y, dtype=float)

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 import conftest
+from conftest import full_basis_row
 from robroc.bootstrap import BootstrapConfig, residual_bootstrap
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
@@ -25,7 +26,7 @@ from robroc.huber import irls_fit
 from robroc.roc import (auc_closed_form, auc_simpson, fit_pair, roc_values,
                         unconditional_auc)
 from robroc.simulate import comparator_fit, generate, run_study, scenario
-from robroc.splines import full_basis_row, knot_sequence
+from robroc.splines import knot_sequence
 from robroc.wecdf import WeightedEcdf
 
 

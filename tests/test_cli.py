@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_table
 from robroc.cli import main
-from robroc.io import read_table
 from robroc.simulate import generate, scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,6 +107,22 @@ class TestExitCodes:
         bad.write_text("outcome,disease,age\n1.0,0,30\n2.0,2,40\n")
         assert run(tmp_path, "fit", "--data", str(bad),
                    "--covariates", "age")[0] == 2
+
+    @pytest.mark.parametrize("tail, message", [
+        (b'"' + b"9" * 200_000 + b'",1,0.5\n', "field larger than field limit"),
+        (b"2.0,1,\xe9\n", "cannot decode data file"),
+    ], ids=["long_field", "non_utf8"])
+    def test_csv_faults_are_data_errors(self, tmp_path, data_csv, tail, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data_csv.read_bytes() + tail)
+        proc = subprocess.run(
+            [sys.executable, "-m", "robroc", "fit", "--data", str(bad),
+             "--covariates", "age", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("data error: ") and str(bad) in proc.stderr
+        assert message in proc.stderr
 
     def test_numerical_error(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

@@ -6,10 +6,19 @@ import scipy.linalg
 
 from robroc import huber
 from robroc.errors import NumericalError
-from robroc.huber import (FitConfig, huber_psi, huber_rho, huber_weight,
-                          irls_fit, mad_scale, ols_as_robust_fit, ols_fit)
+from robroc.huber import (FitConfig, huber_psi, huber_weight, irls_fit,
+                          mad_scale, ols_as_robust_fit, ols_fit)
 
 B = 1.345
+
+
+def huber_rho(u, b: float = B):
+    """Huber loss, quadratic inside [-b, b] and linear outside: the loss
+    whose derivative huber_psi is tested to be."""
+    u = np.asarray(u, dtype=float)
+    au = np.abs(u)
+    out = np.where(au <= b, 0.5 * u * u, b * au - 0.5 * b * b)
+    return float(out) if out.ndim == 0 else out
 
 
 def orthogonal_residuals(rng, Z, pattern):

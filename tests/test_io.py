@@ -1,14 +1,95 @@
 """Tests for CSV ingestion, config resolution, and output tables."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import read_table
 from robroc.errors import DataError, UsageError
-from robroc.io import (RunConfig, load_config, parse_grid, parse_knots,
-                       parse_values, read_csv, read_table, write_manifest,
-                       write_table)
+from robroc.io import (Dataset, RunConfig, _format_cell, load_config,
+                       parse_grid, parse_knots, parse_values, read_csv,
+                       write_manifest, write_table)
+
+
+def reference_read_csv(path, outcome, disease, covariates, skip_missing=False):
+    """The row-at-a-time reader (csv.DictReader, every cell stripped and
+    checked) that read_csv must agree with."""
+    covariates = list(covariates)
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open data file {path}: {exc}") from None
+    with handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        for name in [outcome, disease, *covariates]:
+            if name not in header:
+                raise DataError(
+                    f"column {name!r} not in data file (columns: {', '.join(header)})"
+                )
+        used = [outcome, disease, *covariates]
+        y, dz, X, rows = [], [], [], []
+        n_skipped = 0
+        for i, record in enumerate(reader, start=1):
+            cells = {name: (record.get(name) or "") for name in used}
+            missing = [name for name, cell in cells.items()
+                       if cell.strip().lower() in {"", "na", "nan", "null"}]
+            if missing:
+                if skip_missing:
+                    n_skipped += 1
+                    continue
+                raise DataError(
+                    f"missing value in column {missing[0]!r} at data row {i}"
+                )
+            parsed = {}
+            for name, cell in cells.items():
+                try:
+                    parsed[name] = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"cannot parse {cell!r} in column {name!r} at data row {i}"
+                    ) from None
+            flag = parsed[disease]
+            if flag not in (0.0, 1.0):
+                raise DataError(
+                    f"disease column {disease!r} must be 0 or 1, got {cells[disease]!r}"
+                    f" at data row {i}"
+                )
+            y.append(parsed[outcome])
+            dz.append(int(flag))
+            X.append([parsed[name] for name in covariates])
+            rows.append(i)
+    if not y:
+        raise DataError("no usable data rows")
+    ds = Dataset(
+        outcomes=np.asarray(y, dtype=float),
+        disease=np.asarray(dz, dtype=int),
+        covariates=np.asarray(X, dtype=float),
+        outcome_name=outcome,
+        disease_name=disease,
+        covariate_names=covariates,
+        rows=np.asarray(rows, dtype=int),
+        n_skipped=n_skipped,
+    )
+    for label in (0, 1):
+        if not np.any(ds.disease == label):
+            raise DataError(f"no rows with {disease} == {label}")
+    return ds
+
+
+def reference_write_table(path, header, rows):
+    """The row writer, one _format_cell call per cell, that write_table
+    must match byte for byte."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])
 
 
 def write_data(tmp_path, text, name="data.csv"):
@@ -96,6 +177,92 @@ class TestReadCsv:
     def test_absent_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open data file"):
             read_csv(tmp_path / "nope.csv", "outcome", "disease", ["age"])
+
+    def test_field_over_csv_limit_names_file_and_row(self, tmp_path):
+        text = BASIC + f'"{"9" * 200_000}",1,60\n'
+        path = write_data(tmp_path, text)
+        with pytest.raises(DataError, match=f"{path}.*data row 4.*field larger"):
+            read_csv(path, "outcome", "disease", ["age"])
+
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(BASIC.encode() + b"4.5,0,\xe9\n")
+        with pytest.raises(DataError, match=f"cannot decode data file {path}"):
+            read_csv(path, "outcome", "disease", ["age"])
+
+
+# Generated rows are mostly numbers, with a 0/1 code in the disease column
+# written several ways; up to two cells per row are then swapped for a
+# fault: a missing token in mixed case or padding, a disease code of 2 or
+# 0.5, or a cell that float() takes or refuses where a stricter parser
+# would differ.
+NUMBERS = ["0", "1", "1.5", "-3e2", " 4.25", "1_0", "inf", "-Infinity", "-nan",
+           "+NaN", "5e-324", "1,5"]
+CODES = ["0", "1", "1.0", "-0", " 1 ", "0e0"]
+FAULTS = ["2", "0.5", "", " ", "NA", "na", " nan ", "NaN", "NULL", "Null",
+          "x", '"7"', "1,5", "-nan"]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with repeated header names, blank lines, and short and long
+    rows, plus the covariate list to ask for."""
+    header = draw(st.permutations(
+        ["y", "d", "a", "b", *draw(st.lists(st.sampled_from(["y", "d", "a", "e"]),
+                                            max_size=2))]))
+    code_at = len(header) - 1 - header[::-1].index("d")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    if draw(st.integers(0, 9)) == 1:
+        buffer.write("\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 1:
+            buffer.write("\n")
+            continue
+        size = draw(st.sampled_from([len(header)] * 6 + [code_at, len(header) + 1]))
+        row = [draw(st.sampled_from(CODES if j == code_at else NUMBERS))
+               for j in range(max(size, 1))]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FAULTS))
+        writer.writerow(row)
+    covariates = draw(st.lists(st.sampled_from(["a", "b"]), max_size=2))
+    return buffer.getvalue(), covariates
+
+
+def load_outcome(reader, path, covariates, skip_missing):
+    try:
+        return reader(path, "y", "d", covariates, skip_missing=skip_missing)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestReadCsvMatchesReference:
+    @settings(derandomize=True, max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=csv_files(), skip_missing=st.booleans())
+    def test_same_arrays_counts_and_errors(self, tmp_path, data, skip_missing):
+        text, covariates = data
+        path = write_data(tmp_path, text)
+        got = load_outcome(read_csv, path, covariates, skip_missing)
+        want = load_outcome(reference_read_csv, path, covariates, skip_missing)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert isinstance(got, Dataset), got
+        for name in ("outcomes", "disease", "covariates", "rows"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b, equal_nan=True), name
+            assert a.flags.c_contiguous, name
+        assert got.n_skipped == want.n_skipped
+        assert got.covariate_names == want.covariate_names
+
+    def test_repeated_header_name_takes_last_column(self, tmp_path):
+        text = "outcome,age,disease,age\n1.0,5,0,30\n\n2.0,6,1,40\n"
+        ds = read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"])
+        np.testing.assert_array_equal(ds.covariates[:, 0], [30.0, 40.0])
+        np.testing.assert_array_equal(ds.rows, [1, 2])
 
 
 class TestLoadConfig:
@@ -189,24 +356,93 @@ class TestTables:
         path = tmp_path / "table.csv"
         values = [1 / 3, np.pi, 1e-17, -2.5000000000000004]
         write_table(path, ["name", "value"],
-                    [[f"v{i}", v] for i, v in enumerate(values)])
+                    [[f"v{i}" for i in range(len(values))], np.array(values)])
         header, rows = read_table(path)
         assert header == ["name", "value"]
         assert [float(r[1]) for r in rows] == values
 
     def test_integer_and_bool_cells(self, tmp_path):
         path = tmp_path / "table.csv"
-        write_table(path, ["a", "b", "c"], [[np.int64(7), True, False]])
+        write_table(path, ["a", "b", "c", "d"],
+                    [[np.int64(7)], [True], [False], np.array([True])])
         _, rows = read_table(path)
-        assert rows == [["7", "1", "0"]]
+        assert rows == [["7", "1", "0", "1"]]
 
     def test_byte_identical_rewrite(self, tmp_path):
         rng = np.random.default_rng(3)
-        rows = [[i, rng.normal()] for i in range(20)]
+        columns = [np.arange(20), rng.normal(size=20)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_table(p1, ["i", "x"], rows)
-        write_table(p2, ["i", "x"], rows)
+        write_table(p1, ["i", "x"], columns)
+        write_table(p2, ["i", "x"], columns)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            write_table(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+
+
+def awkward_floats(size):
+    return st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                         1 / 3, -1e300, float("nan"), float("inf"), float("-inf")])),
+        min_size=size, max_size=size)
+
+
+# One generated column kind each: how it is built from n rows.
+COLUMN_KINDS = {
+    "float64": lambda n: awkward_floats(n).map(np.array),
+    "int64": lambda n: st.lists(st.integers(-2**63, 2**63 - 1), min_size=n,
+                                max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+    "uint8": lambda n: st.lists(st.integers(0, 255), min_size=n,
+                                max_size=n).map(lambda v: np.array(v, dtype=np.uint8)),
+    "bool": lambda n: st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+    "float32": lambda n: st.lists(st.floats(width=32), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.float32)),
+    "cells": lambda n: st.lists(st.one_of(
+        st.booleans(), st.booleans().map(np.bool_), st.integers(),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.floats(),
+        st.floats().map(np.float64),
+        st.text(st.sampled_from('ab ,"\n\r\'é'), max_size=6)),
+        min_size=n, max_size=n),
+}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
+    return [f"c{j}" for j in range(len(kinds))], [draw(COLUMN_KINDS[k](n)) for k in kinds]
+
+
+class TestWriteTableMatchesReference:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=tables())
+    def test_same_bytes_as_row_writer(self, tmp_path, table):
+        header, columns = table
+        write_table(tmp_path / "got.csv", header, columns)
+        reference_write_table(tmp_path / "want.csv", header, zip(*columns))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", [
+        [["", "a"]], [["a", ""], [1, 2]], [["a,b", "c"], [1.5, 2.5]],
+        [['say "hi"', "x"], [1, 2]], [["x\ry", "z"], [1, 2]], [["x\ny", "z"], [1, 2]],
+    ], ids=["lone_empty_cell", "empty_cell", "comma", "quote", "cr", "newline"])
+    def test_cells_that_need_quoting(self, tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        write_table(tmp_path / "got.csv", header, columns)
+        reference_write_table(tmp_path / "want.csv", header, zip(*columns))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_same_bytes_across_row_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 3 * 4096 + 17
+        columns = [["nondiseased"] * n, np.arange(n), rng.standard_cauchy(n),
+                   rng.uniform(size=n) < 0.5, np.column_stack([rng.normal(size=n)] * 2).T[1]]
+        write_table(tmp_path / "got.csv", list("abcde"), columns)
+        reference_write_table(tmp_path / "want.csv", list("abcde"), zip(*columns))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestManifest:

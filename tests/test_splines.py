@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+from conftest import full_basis_row
 from robroc.errors import DataError
-from robroc.splines import KnotSpec, SplineSpec, full_basis_row, knot_sequence
+from robroc.splines import KnotSpec, SplineSpec, knot_sequence
 
 
 def scipy_basis_matrix(xs, spec):

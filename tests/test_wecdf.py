@@ -13,7 +13,7 @@ class TestConstruction:
         np.testing.assert_array_equal(d.support, [1.0, 2.0])
         np.testing.assert_array_equal(d.weights, [1.0, 2.0])
         assert d.total == 3.0
-        assert d.n_support == 2
+        assert d.support.size == 2
 
     def test_default_unit_weights(self):
         d = WeightedEcdf.from_residuals([3.0, 1.0, 2.0])
