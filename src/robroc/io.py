@@ -331,12 +331,7 @@ def write_table(path, header, columns) -> None:
         for start in range(0, n, _BLOCK_ROWS):
             block = [_format_column(column[start:start + _BLOCK_ROWS])
                      for column in columns]
-            text = "".join(map("".join, block))
-            if len(block) > 1 and not any(c in text for c in ',"\r\n'):
-                # no cell needs quoting, so csv.writer would write exactly this
-                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
-            else:
-                writer.writerows(zip(*block))
+            writer.writerows(zip(*block))
 
 
 def write_manifest(path, command: str, options: dict, outputs) -> None:
