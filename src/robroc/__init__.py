@@ -16,14 +16,13 @@ from .bootstrap import (BootstrapConfig, BootstrapResult, BootstrapTarget,
 from .data import GroupSample
 from .errors import DataError, NumericalError, UsageError
 from .huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
-                    mad_scale, ols_as_robust_fit, ols_fit)
-from .io import Dataset, RunConfig, load_config, read_csv
-from .model_select import (RaicCandidate, RaicReport, default_candidates,
-                           knot_grid, raic, raic_penalty, select_knots)
-from .roc import (GroupFit, PopulationPair, RocResult, adjusted_values,
-                  auc_closed_form, auc_simpson, composite_simpson, fit_group,
-                  fit_pair, predict_mean, robust_unconditional_auc, roc_curve,
-                  roc_values, unconditional_auc, youden_index)
+                    ols_as_robust_fit)
+from .io import RunConfig, load_config, read_csv
+from .model_select import (RaicCandidate, RaicReport, default_candidates, raic,
+                           raic_penalty, select_knots)
+from .roc import (GroupFit, PopulationPair, auc_closed_form, auc_simpson,
+                  fit_group, fit_pair, predict_mean, robust_unconditional_auc,
+                  roc_curve, roc_values, unconditional_auc, youden_index)
 from .simulate import (ESTIMATORS, McEstimatorSummary, McReport, Scenario,
                        comparator_fit, generate, run_study, scenario,
                        true_auc)
@@ -35,15 +34,14 @@ __all__ = [
     "BootstrapConfig", "BootstrapResult", "BootstrapTarget",
     "percentile_interval", "residual_bootstrap", "unconditional_auc_bootstrap",
     "GroupSample", "DataError", "NumericalError", "UsageError",
-    "FitConfig", "RobustFit", "huber_psi", "huber_weight",
-    "irls_fit", "mad_scale", "ols_as_robust_fit", "ols_fit",
-    "Dataset", "RunConfig", "load_config", "read_csv",
-    "RaicCandidate", "RaicReport", "default_candidates", "knot_grid",
-    "raic", "raic_penalty", "select_knots",
-    "GroupFit", "PopulationPair", "RocResult", "adjusted_values",
-    "auc_closed_form", "auc_simpson", "composite_simpson", "fit_group",
-    "fit_pair", "predict_mean", "robust_unconditional_auc", "roc_curve",
-    "roc_values", "unconditional_auc", "youden_index",
+    "FitConfig", "RobustFit", "huber_psi", "huber_weight", "irls_fit",
+    "ols_as_robust_fit",
+    "RunConfig", "load_config", "read_csv",
+    "RaicCandidate", "RaicReport", "default_candidates", "raic",
+    "raic_penalty", "select_knots",
+    "GroupFit", "PopulationPair", "auc_closed_form", "auc_simpson",
+    "fit_group", "fit_pair", "predict_mean", "robust_unconditional_auc",
+    "roc_curve", "roc_values", "unconditional_auc", "youden_index",
     "ESTIMATORS", "McEstimatorSummary", "McReport", "Scenario",
     "comparator_fit", "generate", "run_study", "scenario", "true_auc",
     "KnotSpec", "SplineSpec", "knot_sequence",

@@ -77,19 +77,17 @@ class BootstrapResult:
     unreliable: bool
 
 
-def percentile_interval(values, alpha: float) -> tuple[float, float]:
-    """Nearest-rank percentile interval over replicate values."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
+def percentile_interval(values, alpha: float) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Nearest-rank percentile interval over replicate values along axis 0:
+    a scalar pair for 1-d values, a pair of rows for a (replicates, points)
+    band."""
+    v = np.sort(np.asarray(values, dtype=float), axis=0)
+    n = v.shape[0]
+    if n == 0:
         raise ValueError("no replicate values")
-    lo = _nearest_rank(v, alpha / 2.0)
-    hi = _nearest_rank(v, 1.0 - alpha / 2.0)
+    lo = v[max(1, math.ceil(alpha / 2.0 * n)) - 1]
+    hi = v[max(1, math.ceil((1.0 - alpha / 2.0) * n)) - 1]
     return lo, hi
-
-
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
-    rank = max(1, math.ceil(q * sorted_values.size))
-    return float(sorted_values[rank - 1])
 
 
 def _resample_indices(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
@@ -177,13 +175,9 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
         a_lo, a_hi = percentile_interval([r[k][0] for r in reps], cfg.alpha)
         res = TargetResult(x=tgt.x, auc=auc, auc_lower=a_lo, auc_upper=a_hi)
         if tgt.t_grid is not None:
-            band = np.vstack([r[k][1] for r in reps])
             res.roc = band_hat
-            lo = np.empty(band.shape[1])
-            hi = np.empty(band.shape[1])
-            for j in range(band.shape[1]):
-                lo[j], hi[j] = percentile_interval(band[:, j], cfg.alpha)
-            res.roc_lower, res.roc_upper = lo, hi
+            res.roc_lower, res.roc_upper = percentile_interval(
+                np.vstack([r[k][1] for r in reps]), cfg.alpha)
         if tgt.youden:
             res.youden = youden
             res.youden_lower, res.youden_upper = percentile_interval(

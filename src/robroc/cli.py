@@ -136,6 +136,8 @@ def _check(cfg: RunConfig, args) -> tuple[FitConfig, BootstrapConfig | None]:
                                ("--replicates", cfg.replicates, 0)):
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
+    if cfg.simpson_panels < 2 or cfg.simpson_panels % 2:
+        raise UsageError(f"--simpson-panels must be even and at least 2, got {cfg.simpson_panels}")
     fit_config = FitConfig(tuning=cfg.tuning, truncation=cfg.truncation,
                            max_iterations=cfg.max_iterations, tol=cfg.tol)
     bootstraps = (args.command == "bootstrap" or getattr(args, "ci", False)

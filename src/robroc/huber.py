@@ -135,16 +135,6 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _scaled_lstsq(Z: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Least squares on the row-scaled system sqrt(w) Z, sqrt(w) y (w=None
-    for unit weights), after checking that the scaled system is finite."""
-    if w is not None:
-        sw = np.sqrt(w)
-        Z, y = Z * sw[:, None], y * sw
-    _require_finite(Z, y)
-    return _lstsq(Z, y)
-
-
 def _lstsq(Zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Least squares on a finite system via pivoted QR.
 
@@ -188,7 +178,8 @@ def ols_fit(Z, y) -> tuple[np.ndarray, float]:
         raise ValueError(f"{n} design rows but {y.size} outcomes")
     if n <= q:
         raise NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
-    beta = _scaled_lstsq(Z, y, None)
+    _require_finite(Z, y)
+    beta = _lstsq(Z, y)
     resid = y - Z @ beta
     sigma = float(np.sqrt(resid @ resid / (n - q)))
     return beta, sigma

@@ -74,13 +74,11 @@ def fit_group(sample: GroupSample, n_interior, config: FitConfig | None = None) 
 
 
 def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior_nd,
-             n_interior_d=None, config: FitConfig | None = None) -> PopulationPair:
-    """Fit both populations; knot counts may differ between groups."""
-    if n_interior_d is None:
-        n_interior_d = n_interior_nd
+             config: FitConfig | None = None) -> PopulationPair:
+    """Fit both populations with the same knot counts."""
     return PopulationPair(
         nondiseased=fit_group(nondiseased, n_interior_nd, config),
-        diseased=fit_group(diseased, n_interior_d, config),
+        diseased=fit_group(diseased, n_interior_nd, config),
     )
 
 
@@ -136,14 +134,10 @@ def _roc(pair: PopulationPair, mu_nd: float, mu_d: float, t) -> np.ndarray:
     return 1.0 - pair.diseased.ecdf.cdf(a + c * q)
 
 
-def _youden(pair: PopulationPair, mu_nd: float, mu_d: float,
-            candidates=None) -> tuple[float, float]:
+def _youden(pair: PopulationPair, mu_nd: float, mu_d: float) -> tuple[float, float]:
     _check_scales(pair)
-    if candidates is None:
-        candidates = np.union1d(_adjusted(pair.nondiseased, mu_nd),
-                                _adjusted(pair.diseased, mu_d))
-    else:
-        candidates = np.sort(np.asarray(candidates, dtype=float))
+    candidates = np.union1d(_adjusted(pair.nondiseased, mu_nd),
+                            _adjusted(pair.diseased, mu_d))
     f_nd = pair.nondiseased.ecdf.cdf((candidates - mu_nd) / pair.nondiseased.fit.sigma)
     f_d = pair.diseased.ecdf.cdf((candidates - mu_d) / pair.diseased.fit.sigma)
     objective = f_nd - f_d
@@ -154,15 +148,6 @@ def _youden(pair: PopulationPair, mu_nd: float, mu_d: float,
 def roc_values(pair: PopulationPair, x, t) -> np.ndarray:
     """ROC(t | x) on an array of false positive fractions."""
     return _roc(pair, *_point_means(pair, x), t)
-
-
-def adjusted_values(group: GroupFit, x) -> tuple[np.ndarray, np.ndarray]:
-    """Group's values mu_hat(x) + sigma_hat * eps_hat_i and their weights.
-
-    The residual distribution already merged ties, so the support/weight
-    arrays of the ecdf are reused directly.
-    """
-    return _adjusted(group, predict_mean(group.fit, group.design, x)), group.ecdf.weights
 
 
 def auc_closed_form(pair: PopulationPair, x) -> float:
@@ -216,14 +201,14 @@ def roc_curve(pair: PopulationPair, x, t_grid=None, n_panels: int = 200) -> RocR
     )
 
 
-def youden_index(pair: PopulationPair, x, candidates=None) -> tuple[float, float]:
+def youden_index(pair: PopulationPair, x) -> tuple[float, float]:
     """Maximum of F_nd(c | x) - F_d(c | x) and the smallest c attaining it.
 
-    The objective is a step function, so the default candidate set is the
-    union of both groups' adjusted values, which contains every point where
-    the objective can change.
+    The objective is a step function, so the candidate set is the union of
+    both groups' adjusted values, which contains every point where the
+    objective can change.
     """
-    return _youden(pair, *_point_means(pair, x), candidates)
+    return _youden(pair, *_point_means(pair, x))
 
 
 def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,

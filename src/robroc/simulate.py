@@ -58,7 +58,6 @@ class Scenario:
     kappa_nd: float = 15.0
     kappa_d: float = 20.0
     outlier_kind: str = "location"
-    normal: bool = True
 
     def __post_init__(self):
         for frac in (self.contamination_nd, self.contamination_d):
@@ -184,10 +183,8 @@ def generate(scn: Scenario, n_nondiseased: int, n_diseased: int,
 
 
 def true_auc(scn: Scenario, x) -> np.ndarray | float:
-    """Closed-form covariate-specific AUC of the clean model; only defined
-    for normal scenarios."""
-    if not scn.normal:
-        raise ValueError(f"scenario {scn.name!r} has no closed-form AUC")
+    """Closed-form covariate-specific AUC of the clean model, whose errors
+    are normal in every scenario."""
     X = np.asarray(x, dtype=float)
     # a 1-d array is a single point when the scenario is multi-covariate,
     # otherwise a grid of single-covariate points

@@ -133,10 +133,6 @@ def _full_basis(x: np.ndarray, knots: KnotSpec) -> np.ndarray:
     return B
 
 
-def _basis_block(col: np.ndarray, knots: KnotSpec) -> np.ndarray:
-    return _full_basis(col, knots)[:, 1:]
-
-
 @dataclass(frozen=True)
 class SplineSpec:
     """Design-matrix recipe: one entry per covariate, None meaning a binary
@@ -198,7 +194,7 @@ class SplineSpec:
             if k is None:
                 blocks.append(X[:, h : h + 1])
             else:
-                blocks.append(_basis_block(X[:, h], k))
+                blocks.append(_full_basis(X[:, h], k)[:, 1:])
         return np.hstack(blocks)
 
     def covers(self, X) -> np.ndarray:

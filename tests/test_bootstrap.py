@@ -68,6 +68,19 @@ class TestPercentileInterval:
         lo, hi = percentile_interval(values, 0.05)
         assert lo < np.median(values) < hi
 
+    @pytest.mark.parametrize("n_replicates", [1, 2, 199, 1000])
+    def test_band_equals_column_by_column(self, n_replicates):
+        rng = np.random.default_rng(n_replicates)
+        band = rng.normal(size=(n_replicates, 6))
+        band[:, 2] = np.round(band[:, 2])  # ties
+        band[:, 3] = 0.25  # one value throughout
+        for alpha in (0.05, 0.1, 0.5):
+            lo, hi = percentile_interval(band, alpha)
+            columns = [percentile_interval(band[:, j], alpha) for j in range(band.shape[1])]
+            assert lo.shape == hi.shape == (band.shape[1],)
+            assert np.array_equal(lo, [c[0] for c in columns])
+            assert np.array_equal(hi, [c[1] for c in columns])
+
 
 class TestBootstrapConfig:
     def test_validation(self):

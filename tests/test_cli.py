@@ -152,6 +152,9 @@ class TestExitCodes:
         (["bootstrap", "--x", "0.5", "--replicates", "0"], "bootstrap replicate"),
         (["auc", "--ci", "--replicates", "0"], "bootstrap replicate"),
         (["uauc", "--replicates", "5", "--alpha", "0"], "alpha"),
+        (["roc", "--x", "0.5", "--simpson-panels", "3"], "--simpson-panels"),
+        (["roc", "--x", "0.5", "--simpson-panels", "0"], "--simpson-panels"),
+        (["roc", "--x", "0.5", "--simpson-panels", "-2"], "--simpson-panels"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
         # settings are checked before the data file is read

@@ -225,6 +225,8 @@ def reference_irls(Z, y, cfg, beta_init=None):
 
 
 class TestScaledLstsq:
+    """The IRLS step: _lstsq on the row-scaled system sqrt(w) Z, sqrt(w) y."""
+
     @pytest.mark.parametrize("n, q", [(n, q) for n in (5, 13, 300, 4000, 20000)
                                       for q in (1, 2, 4, 8, 12) if q < n])
     def test_bit_identical_to_scipy_wrappers(self, n, q):
@@ -234,9 +236,10 @@ class TestScaledLstsq:
             Z[:, 0] = 1.0
             y = rng.standard_t(3, size=n) * 10.0
             w = huber_weight(rng.standard_t(2, size=n), B)
-            assert np.array_equal(huber._scaled_lstsq(Z, y, w), wrapper_lstsq(Z, y, w))
-            assert np.array_equal(huber._scaled_lstsq(Z, y, None),
-                                  wrapper_lstsq(Z, y, np.ones(n)))
+            sw = np.sqrt(w)
+            assert np.array_equal(huber._lstsq(Z * sw[:, None], y * sw),
+                                  wrapper_lstsq(Z, y, w))
+            assert np.array_equal(ols_fit(Z, y)[0], wrapper_lstsq(Z, y, np.ones(n)))
 
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
     def test_singular_design_rejected(self, column):
@@ -245,7 +248,7 @@ class TestScaledLstsq:
         if column == "duplicate":
             Z[:, 2] = Z[:, 1]
         with pytest.raises(NumericalError, match="singular"):
-            huber._scaled_lstsq(Z, rng.normal(size=40), np.ones(40))
+            huber._lstsq(Z, rng.normal(size=40))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_is_value_error(self, bad):
@@ -253,20 +256,20 @@ class TestScaledLstsq:
         Z = np.column_stack([np.ones(30), rng.normal(size=30)])
         y = rng.normal(size=30)
         y[4] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            huber._scaled_lstsq(Z, y, np.ones(30))
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            irls_fit(Z, y)
+        for fit in (ols_fit, irls_fit):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit(Z, y)
         Z[7, 1] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            huber._scaled_lstsq(Z, np.zeros(30), None)
+        for fit in (ols_fit, irls_fit):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit(Z, np.zeros(30))
 
     def test_workspace_queried_once_per_shape(self):
         rng = np.random.default_rng(4)
         huber._workspace.cache_clear()
         for _ in range(3):
-            huber._scaled_lstsq(rng.normal(size=(50, 3)), rng.normal(size=50), None)
-        huber._scaled_lstsq(rng.normal(size=(60, 3)), rng.normal(size=60), None)
+            huber._lstsq(rng.normal(size=(50, 3)), rng.normal(size=50))
+        huber._lstsq(rng.normal(size=(60, 3)), rng.normal(size=60))
         info = huber._workspace.cache_info()
         assert (info.misses, info.hits) == (2, 2)
 

@@ -5,10 +5,10 @@ import pytest
 
 from robroc.data import GroupSample
 from robroc.huber import FitConfig, RobustFit, irls_fit
-from robroc.roc import (PopulationPair, adjusted_values, auc_closed_form,
-                        auc_simpson, composite_simpson, fit_pair, GroupFit,
-                        predict_mean, robust_unconditional_auc, roc_curve,
-                        roc_values, unconditional_auc, youden_index)
+from robroc.roc import (PopulationPair, auc_closed_form, auc_simpson,
+                        composite_simpson, fit_pair, GroupFit, predict_mean,
+                        robust_unconditional_auc, roc_curve, roc_values,
+                        unconditional_auc, youden_index)
 from robroc.splines import SplineSpec
 
 X0 = np.array([0.0])
@@ -41,6 +41,13 @@ def linear_samples(rng, n_nd, n_d):
     nd = GroupSample(outcomes=y_nd, covariates=x_nd[:, None], label="nondiseased")
     d = GroupSample(outcomes=y_d, covariates=x_d[:, None], label="diseased")
     return nd, d
+
+
+def adjusted_values(pair, x):
+    """Each group's values mu_hat(x) + sigma_hat * eps_hat_i, computed from
+    the fitted mean and the residual support."""
+    return [predict_mean(g.fit, g.design, x) + g.fit.sigma * g.ecdf.support
+            for g in (pair.nondiseased, pair.diseased)]
 
 
 def brute_force_auc(nd_vals, nd_w, d_vals, d_w):
@@ -131,17 +138,6 @@ class TestRocAndClosedFormAuc:
             pair = hand_pair(nd_vals, d_vals, nd_w, d_w)
             expected = brute_force_auc(nd_vals, nd_w, d_vals, d_w)
             assert auc_closed_form(pair, X0) == pytest.approx(expected, abs=1e-12)
-
-    def test_adjusted_values_shift_and_scale(self):
-        rng = np.random.default_rng(59)
-        nd, d = linear_samples(rng, 30, 30)
-        pair = fit_pair(nd, d, 0)
-        x = np.array([0.5])
-        vals, w = adjusted_values(pair.diseased, x)
-        gf = pair.diseased
-        mu = predict_mean(gf.fit, gf.design, x)
-        np.testing.assert_allclose(vals, mu + gf.fit.sigma * gf.ecdf.support)
-        np.testing.assert_array_equal(w, gf.ecdf.weights)
 
     def test_curve_monotone_within_bounds(self):
         rng = np.random.default_rng(61)
@@ -268,11 +264,6 @@ class TestYouden:
         assert yi == 1.0
         assert c == 1.0  # smallest candidate where the gap reaches 1
 
-    def test_custom_candidates(self):
-        pair = hand_pair([0.0, 2.0], [1.0, 3.0])
-        yi, c = youden_index(pair, X0, candidates=[-10.0])
-        assert (yi, c) == (0.0, -10.0)
-
     def test_dense_grid_oracle(self):
         rng = np.random.default_rng(79)
         for _ in range(10):
@@ -281,9 +272,8 @@ class TestYouden:
                              rng.uniform(0.2, 2, size=n),
                              rng.uniform(0.2, 2, size=m))
             yi, c = youden_index(pair, X0)
-            nd_vals, _ = adjusted_values(pair.nondiseased, X0)
-            d_vals, _ = adjusted_values(pair.diseased, X0)
-            grid = np.union1d(nd_vals, d_vals)
+            grid = np.union1d(*adjusted_values(pair, X0))
+            assert c in grid
             dense = np.unique(np.concatenate(
                 [grid, (grid[:-1] + grid[1:]) / 2, grid - 1e-6, grid + 1e-6]))
             objective = (pair.nondiseased.ecdf.cdf(dense)
@@ -291,6 +281,12 @@ class TestYouden:
             assert yi == pytest.approx(objective.max(), abs=1e-12)
             attained = dense[np.abs(objective - objective.max()) < 1e-12]
             assert c <= attained.min() + 1e-9
+
+    def test_threshold_is_an_adjusted_value_of_a_fit(self):
+        nd, d = linear_samples(np.random.default_rng(59), 30, 30)
+        pair = fit_pair(nd, d, 0)
+        x = np.array([0.5])
+        assert youden_index(pair, x)[1] in np.union1d(*adjusted_values(pair, x))
 
 
 class TestUnconditionalAuc:

@@ -25,7 +25,6 @@ class TestScenarioRegistry:
         assert scn.n_covariates == 1
         assert (scn.kappa_nd, scn.kappa_d) == (15.0, 20.0)
         assert scn.contamination_nd == scn.contamination_d == 0.0
-        assert scn.normal
         X = np.array([[0.0], [1.0]])
         np.testing.assert_allclose(scn.mean_nd(X), [0.5, 1.5])
         np.testing.assert_allclose(scn.mean_d(X), [2.0, 6.0])
@@ -165,11 +164,6 @@ class TestTrueAuc:
     def test_huge_separation_saturates(self):
         scn = replace(scenario("I"), mean_d=lambda X: 100.0 + X[:, 0])
         assert true_auc(scn, 0.5) > 0.9999
-
-    def test_non_normal_scenario_rejected(self):
-        scn = replace(scenario("I"), normal=False)
-        with pytest.raises(ValueError, match="no closed-form"):
-            true_auc(scn, 0.5)
 
 
 class TestComparatorFit:
