@@ -25,11 +25,19 @@ import numpy as np
 
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, irls_fit
+# irls_fit stays bound here beside irls_refit: bench/tracer.py wraps it at
+# every module-level name, bootstrap's included, and bench/test_bench.py
+# checks that
+from .huber import FitConfig, irls_fit, irls_refit
 from .roc import (GroupFit, PopulationPair, _auc, _roc, _row_means, _youden,
                   robust_unconditional_auc, unconditional_auc)
 
 FAILURE_WARNING_FRACTION = 0.05
+# Replicates are refit a chunk at a time, and chunk size x the larger
+# group's size stays within this many outcome values (one replicate at the
+# least): that bounds the stacked systems of one refit and the refits held
+# until the chunk's statistics are taken.
+REFIT_CHUNK_VALUES = 4096
 
 
 @dataclass
@@ -90,9 +98,18 @@ def percentile_interval(values, alpha: float) -> tuple[float | np.ndarray, float
     return lo, hi
 
 
-def _resample_indices(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    p = weights / weights.sum()
-    return rng.choice(weights.size, size=weights.size, replace=True, p=p)
+def _resampling_cdf(weights: np.ndarray) -> np.ndarray:
+    """Cumulative probabilities proportional to weights, normalized as
+    Generator.choice(n, p=weights / weights.sum()) builds them."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _resample_indices(rng: np.random.Generator, cdf: np.ndarray) -> np.ndarray:
+    """cdf.size indices drawn with replacement from _resampling_cdf's
+    probabilities: Generator.choice's draw, without rebuilding the cdf."""
+    return cdf.searchsorted(rng.random(cdf.size), side="right")
 
 
 def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | None,
@@ -103,28 +120,39 @@ def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | Non
     design matrix.  Replicate b resamples each group's standardized
     residuals in that order from the stream (seed, b), rebuilds outcomes on
     the design rows, refits warm-started at the observed coefficients, and
-    records statistic(refits, outcomes).  Replicates that raise
-    NumericalError are skipped and counted; converged=False refits are kept
-    and counted.
+    records statistic(refits, outcomes).  The refits of a chunk of
+    replicates run as one irls_refit per group.  Replicates whose refit or
+    statistic raises NumericalError are skipped and counted; converged=False
+    refits are kept and counted.
     """
     means = [Z @ fit.beta for Z, fit in zip(designs, fits)]
+    cdfs = [_resampling_cdf(fit.truncated_weights) for fit in fits]
+    chunk = max(1, REFIT_CHUNK_VALUES // max(Z.shape[0] for Z in designs))
     values = []
     n_failed = 0
     n_nonconverged = 0
-    for b in range(cfg.n_replicates):
-        rng = np.random.default_rng((cfg.seed, b))
-        ys = [mu + fit.sigma * fit.std_residuals[_resample_indices(rng, fit.truncated_weights)]
-              for mu, fit in zip(means, fits)]
-        try:
-            refits = [irls_fit(Z, y, fit_config, beta_init=fit.beta)
-                      for Z, y, fit in zip(designs, ys, fits)]
-            value = statistic(refits, ys)
-        except NumericalError:
-            n_failed += 1
-            continue
-        if not all(f.converged for f in refits):
-            n_nonconverged += 1
-        values.append(value)
+    for start in range(0, cfg.n_replicates, chunk):
+        draws = [[] for _ in fits]
+        for b in range(start, min(start + chunk, cfg.n_replicates)):
+            rng = np.random.default_rng((cfg.seed, b))
+            for idx, cdf in zip(draws, cdfs):
+                idx.append(_resample_indices(rng, cdf))
+        Ys = [mu + fit.sigma * fit.std_residuals[np.array(idx)]
+              for mu, fit, idx in zip(means, fits, draws)]
+        refits = [irls_refit(Z, Y, fit_config, fit.beta)
+                  for Z, Y, fit in zip(designs, Ys, fits)]
+        for rep, ys in zip(zip(*refits), zip(*Ys)):
+            if any(isinstance(f, NumericalError) for f in rep):
+                n_failed += 1
+                continue
+            try:
+                value = statistic(rep, ys)
+            except NumericalError:
+                n_failed += 1
+                continue
+            if not all(f.converged for f in rep):
+                n_nonconverged += 1
+            values.append(value)
     if not values:
         raise NumericalError("every bootstrap replicate failed")
     return values, BootstrapResult(

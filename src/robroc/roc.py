@@ -115,9 +115,9 @@ def _auc(pair: PopulationPair, mu_nd: float, mu_d: float) -> float:
     _check_scales(pair)
     nd_vals = _adjusted(pair.nondiseased, mu_nd)
     d_vals = _adjusted(pair.diseased, mu_d)
-    nd_w, d_w = pair.nondiseased.ecdf.weights, pair.diseased.ecdf.weights
+    d_w = pair.diseased.ecdf.weights
     # nd support is sorted; cumulative nd weight at nd_vals <= d_val
-    cum = np.cumsum(nd_w)
+    cum = pair.nondiseased.ecdf.cum_weights
     pos = np.searchsorted(nd_vals, d_vals, side="right")
     covered = np.where(pos > 0, cum[pos - 1], 0.0)
     return float((d_w @ covered) / (cum[-1] * d_w.sum()))

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from robroc import bootstrap
-from robroc.bootstrap import (BootstrapConfig, BootstrapTarget,
-                              _resample_indices, percentile_interval,
-                              residual_bootstrap, unconditional_auc_bootstrap)
+from robroc.bootstrap import (BootstrapConfig, BootstrapResult, BootstrapTarget,
+                              _resample_indices, _resampling_cdf,
+                              percentile_interval, residual_bootstrap,
+                              unconditional_auc_bootstrap)
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
-from robroc.huber import FitConfig, RobustFit
+from robroc.huber import FitConfig, RobustFit, irls_fit
 from robroc.roc import (GroupFit, PopulationPair, auc_closed_form, fit_pair,
                         roc_values, youden_index)
 from robroc.simulate import generate, scenario, true_auc
@@ -97,18 +98,37 @@ class TestBootstrapConfig:
 class TestResampleIndices:
     def test_uniform_weights_reduce_to_plain_resampling(self):
         w = np.ones(20)
-        idx_unit = _resample_indices(np.random.default_rng((9, 0)), w)
-        idx_scaled = _resample_indices(np.random.default_rng((9, 0)), 5.0 * w)
+        idx_unit = _resample_indices(np.random.default_rng((9, 0)), _resampling_cdf(w))
+        idx_scaled = _resample_indices(np.random.default_rng((9, 0)), _resampling_cdf(5.0 * w))
         np.testing.assert_array_equal(idx_unit, idx_scaled)
         assert idx_unit.shape == (20,)
         assert idx_unit.min() >= 0 and idx_unit.max() < 20
+        assert np.unique(idx_unit).size > 1
 
     def test_heavy_weight_dominates(self):
-        w = np.array([1000.0, 1.0, 1.0, 1.0])
+        cdf = _resampling_cdf(np.array([1000.0, 1.0, 1.0, 1.0]))
         draws = np.concatenate([
-            _resample_indices(np.random.default_rng((17, b)), w)
+            _resample_indices(np.random.default_rng((17, b)), cdf)
             for b in range(500)])
         assert np.mean(draws == 0) > 0.95
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.parametrize("kind", ["spread", "tied", "near_zero"])
+    def test_equals_generator_choice(self, n, kind):
+        # the cdf built once per call and one searchsorted per draw give the
+        # indices Generator.choice(n, p=w / w.sum()) gives on the same stream
+        rng = np.random.default_rng(n)
+        w = rng.uniform(0.05, 1.0, n)
+        if kind == "tied":
+            w = np.round(w, 1) + 0.1
+        elif kind == "near_zero":
+            w[::2] = 1e-300
+        cdf = _resampling_cdf(w)
+        for b in range(2000):
+            expected = np.random.default_rng((7, b)).choice(n, size=n, replace=True, p=w / w.sum())
+            got = _resample_indices(np.random.default_rng((7, b)), cdf)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 class TestResidualBootstrap:
@@ -263,3 +283,100 @@ class TestUnconditionalAucBootstrap:
         assert summary.n_replicates == 60
         auc2, lo2, hi2, _ = unconditional_auc_bootstrap(y_nd, y_d, cfg)
         assert (auc, lo, hi) == (auc2, lo2, hi2)
+
+
+def parent_replicates(fits, designs, cfg, fit_config, statistic):
+    """The replicate loop before refits were batched: one Generator.choice
+    draw and one irls_fit per group and replicate."""
+    means = [Z @ fit.beta for Z, fit in zip(designs, fits)]
+    values = []
+    n_failed = 0
+    n_nonconverged = 0
+    for b in range(cfg.n_replicates):
+        rng = np.random.default_rng((cfg.seed, b))
+        ys = [mu + fit.sigma * fit.std_residuals[
+                  rng.choice(fit.truncated_weights.size, size=fit.truncated_weights.size,
+                             replace=True, p=fit.truncated_weights / fit.truncated_weights.sum())]
+              for mu, fit in zip(means, fits)]
+        try:
+            refits = [irls_fit(Z, y, fit_config, beta_init=fit.beta)
+                      for Z, y, fit in zip(designs, ys, fits)]
+            value = statistic(refits, ys)
+        except NumericalError:
+            n_failed += 1
+            continue
+        if not all(f.converged for f in refits):
+            n_nonconverged += 1
+        values.append(value)
+    if not values:
+        raise NumericalError("every bootstrap replicate failed")
+    return values, BootstrapResult(
+        targets=[], n_replicates=cfg.n_replicates, n_failed=n_failed,
+        n_nonconverged=n_nonconverged,
+        unreliable=n_failed > bootstrap.FAILURE_WARNING_FRACTION * cfg.n_replicates)
+
+
+def assert_same(a, b):
+    """Replicate values equal bit for bit: floats, arrays, and tuples or
+    lists of them."""
+    if isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+class TestEqualsParentLoop:
+    """Every replicate loop the bootstraps run equals the unbatched loop:
+    the same replicate values bit for bit and the same tallies."""
+
+    @pytest.fixture(params=["default_chunks", "chunks_of_three"])
+    def compared(self, request, monkeypatch):
+        runs = []
+        batched = bootstrap._replicates
+
+        def both(fits, designs, cfg, fit_config, statistic):
+            if request.param == "chunks_of_three":
+                monkeypatch.setattr(bootstrap, "REFIT_CHUNK_VALUES",
+                                    3 * max(Z.shape[0] for Z in designs))
+            values, result = batched(fits, designs, cfg, fit_config, statistic)
+            expected, parent = parent_replicates(fits, designs, cfg, fit_config, statistic)
+            assert_same(values, expected)
+            assert ((result.n_failed, result.n_nonconverged, result.unreliable)
+                    == (parent.n_failed, parent.n_nonconverged, parent.unreliable))
+            runs.append(result)
+            return values, result
+
+        monkeypatch.setattr(bootstrap, "_replicates", both)
+        return runs
+
+    def test_band_and_youden(self, compared):
+        nd, d = generate(scenario("I", contamination=0.05), 90, 70, seed=41)
+        pair = fit_pair(nd, d, 2)
+        targets = [BootstrapTarget(x=np.array([x]), t_grid=np.linspace(0.0, 1.0, 21), youden=True)
+                   for x in (0.2, 0.6)]
+        residual_bootstrap(pair, nd, d, targets, BootstrapConfig(n_replicates=13, seed=3))
+        assert len(compared) == 1
+
+    def test_unconditional_auc(self, compared):
+        rng = np.random.default_rng(43)
+        unconditional_auc_bootstrap(rng.standard_t(3, 50), rng.standard_t(3, 40) + 1.0,
+                                    BootstrapConfig(n_replicates=11, seed=2))
+        assert len(compared) == 1
+
+    def test_failed_replicates(self, compared):
+        x = np.linspace(0.0, 1.0, 6)
+        pair, nd, d = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
+                                np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
+        residual_bootstrap(pair, nd, d, [np.array([0.5])],
+                           BootstrapConfig(n_replicates=40, seed=5))
+        assert 0 < compared[0].n_failed < 40
+
+    def test_nonconverged_replicates(self, compared):
+        nd, d, pair = linear_pair(np.random.default_rng(61))
+        residual_bootstrap(pair, nd, d, [BootstrapTarget(x=X0, youden=True)],
+                           BootstrapConfig(n_replicates=10, seed=4), FitConfig(max_iterations=2))
+        assert compared[0].n_nonconverged > 0

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robroc import huber
+from robroc import bootstrap, huber
 from robroc.errors import NumericalError
-from robroc.huber import (FitConfig, huber_psi, huber_weight, irls_fit,
-                          mad_scale, ols_as_robust_fit, ols_fit)
+from robroc.huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
+                          irls_refit, mad_scale, ols_as_robust_fit, ols_fit)
 
 B = 1.345
 
@@ -443,3 +445,122 @@ class TestOlsAsRobustFit:
         Z = np.column_stack([np.ones(10), x])
         with pytest.raises(NumericalError, match="degenerate"):
             ols_as_robust_fit(Z, 1.0 + 2.0 * x)
+
+
+def assert_rows_equal_irls_fit(Z, Y, cfg, beta_init):
+    """Each row of irls_refit equals irls_fit on that row: the same fit bit
+    for bit, or a NumericalError with the same message."""
+    fits = irls_refit(Z, Y, cfg, beta_init)
+    assert len(fits) == len(Y)
+    for y, fit in zip(Y, fits):
+        try:
+            ref = irls_fit(Z, y, cfg, beta_init)
+        except NumericalError as err:
+            assert isinstance(fit, NumericalError)
+            assert str(fit) == str(err)
+            continue
+        assert isinstance(fit, RobustFit)
+        assert np.array_equal(fit.beta, ref.beta)
+        assert fit.sigma == ref.sigma
+        for field in ("std_residuals", "huber_weights", "truncated_weights"):
+            assert np.array_equal(getattr(fit, field), getattr(ref, field))
+        assert fit.iterations == ref.iterations
+        assert fit.converged == ref.converged
+        assert (fit.tuning, fit.truncation) == (ref.tuning, ref.truncation)
+    return fits
+
+
+@st.composite
+def refit_batches(draw):
+    """A design, a warm start near the truth, and a stack of outcome rows:
+    t(3) noise, some rows contaminated, and optionally one row on the warm
+    start's line, whose MAD is zero at the first step."""
+    n = draw(st.integers(8, 120))
+    q = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    chunk = max(1, bootstrap.REFIT_CHUNK_VALUES // n)
+    m = draw(st.sampled_from([1, 2, 7, chunk + 1]))
+    Z = np.column_stack([np.ones(n), rng.uniform(0.0, 1.0, (n, q - 1)) ** 2])
+    if draw(st.booleans()):
+        Z = np.asfortranarray(Z)
+    truth = rng.normal(size=q)
+    Y = Z @ truth + rng.standard_t(3, size=(m, n))
+    contaminated = rng.random(m) < 0.3
+    Y[contaminated, :max(1, n // 10)] += draw(st.sampled_from([8.0, 40.0]))
+    beta_init = truth + rng.normal(scale=0.2, size=q)
+    if m > 1 and draw(st.booleans()):
+        Y[rng.integers(m)] = Z @ beta_init
+    cfg = FitConfig(tuning=draw(st.sampled_from([B, 0.7])),
+                    max_iterations=draw(st.sampled_from([2, 50])))
+    return Z, Y, cfg, beta_init
+
+
+class TestIrlsRefit:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(refit_batches())
+    def test_rows_equal_irls_fit(self, batch):
+        assert_rows_equal_irls_fit(*batch)
+
+    def test_collapsed_row_fails_alone(self):
+        rng = np.random.default_rng(8)
+        n, q = 50, 3
+        Z = np.column_stack([np.ones(n), rng.uniform(0.0, 1.0, (n, q - 1))])
+        beta_init = np.array([1.0, -2.0, 0.5])
+        Y = Z @ beta_init + rng.standard_t(3, size=(6, n))
+        Y[2] = Z @ beta_init
+        fits = assert_rows_equal_irls_fit(Z, Y, FitConfig(), beta_init)
+        assert str(fits[2]) == "degenerate scale: MAD of residuals is zero"
+        rest = irls_refit(Z, np.delete(Y, 2, axis=0), FitConfig(), beta_init)
+        for fit, alone in zip(fits[:2] + fits[3:], rest):
+            assert np.array_equal(fit.beta, alone.beta)
+            assert fit.iterations == alone.iterations
+
+    def test_iteration_cap_leaves_rows_unconverged(self):
+        rng = np.random.default_rng(9)
+        n = 80
+        Z = np.column_stack([np.ones(n), rng.uniform(0.0, 1.0, n)])
+        Y = Z @ [1.0, 2.0] + rng.standard_t(2, size=(12, n))
+        Y[:, :8] += 30.0
+        fits = assert_rows_equal_irls_fit(Z, Y, FitConfig(max_iterations=2), np.zeros(2))
+        assert not any(f.converged for f in fits)
+        assert all(f.iterations == 2 for f in fits)
+
+    @pytest.mark.parametrize("column", ["duplicate", "zero", "none at all"])
+    def test_singular_design_fails_every_row(self, column):
+        rng = np.random.default_rng(10)
+        Z = np.column_stack([np.ones(40), rng.normal(size=40), np.zeros(40)])
+        if column == "duplicate":
+            Z[:, 2] = Z[:, 1]
+        elif column == "none at all":
+            Z = Z[:, :0]
+        fits = assert_rows_equal_irls_fit(Z, rng.normal(size=(3, 40)), None,
+                                          np.zeros(Z.shape[1]))
+        assert all(str(f) == "singular design matrix" for f in fits)
+
+    def test_underdetermined_fails_every_row(self):
+        fits = assert_rows_equal_irls_fit(np.ones((3, 3)), np.ones((2, 3)), None, np.zeros(3))
+        assert all(str(f).startswith("underdetermined fit") for f in fits)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf / inf scale
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_warm_start_is_value_error(self, bad):
+        rng = np.random.default_rng(5)
+        Z = np.column_stack([np.ones(30), rng.normal(size=30)])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            irls_refit(Z, rng.normal(size=(4, 30)), None, np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_outcome_is_value_error(self, bad):
+        rng = np.random.default_rng(6)
+        Z = np.column_stack([np.ones(30), rng.normal(size=30)])
+        Y = rng.normal(size=(4, 30))
+        Y[3, 7] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            irls_refit(Z, Y, None, np.zeros(2))
+
+    def test_shape_mismatches_rejected(self):
+        Z = np.ones((10, 2))
+        with pytest.raises(ValueError, match="10 design rows but 9 outcomes"):
+            irls_refit(Z, np.zeros((3, 9)), None, np.zeros(2))
+        with pytest.raises(ValueError, match="beta_init has 3 entries for 2 parameters"):
+            irls_refit(Z, np.zeros((3, 10)), None, np.zeros(3))
