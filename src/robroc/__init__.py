@@ -10,9 +10,8 @@ confidence statements.
 
 __version__ = "0.1.0"
 
-from .bootstrap import (BootstrapConfig, BootstrapResult, BootstrapTarget,
-                        percentile_interval, residual_bootstrap,
-                        unconditional_auc_bootstrap)
+from .bootstrap import (BootstrapConfig, BootstrapResult, percentile_interval,
+                        residual_bootstrap, unconditional_auc_bootstrap)
 from .data import GroupSample
 from .errors import DataError, NumericalError, UsageError
 from .huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
@@ -31,8 +30,8 @@ from .wecdf import WeightedEcdf
 
 __all__ = [
     "__version__",
-    "BootstrapConfig", "BootstrapResult", "BootstrapTarget",
-    "percentile_interval", "residual_bootstrap", "unconditional_auc_bootstrap",
+    "BootstrapConfig", "BootstrapResult", "percentile_interval",
+    "residual_bootstrap", "unconditional_auc_bootstrap",
     "GroupSample", "DataError", "NumericalError", "UsageError",
     "FitConfig", "RobustFit", "huber_psi", "huber_weight", "irls_fit",
     "ols_as_robust_fit",

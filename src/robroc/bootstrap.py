@@ -54,35 +54,26 @@ class BootstrapConfig:
 
 
 @dataclass
-class BootstrapTarget:
-    """One covariate point to evaluate, with optional ROC grid and Youden."""
-
-    x: np.ndarray
-    t_grid: np.ndarray | None = None
-    youden: bool = False
-
-
-@dataclass
-class TargetResult:
-    x: np.ndarray
-    auc: float
-    auc_lower: float
-    auc_upper: float
-    roc: np.ndarray | None = None
-    roc_lower: np.ndarray | None = None
-    roc_upper: np.ndarray | None = None
-    youden: tuple[float, float] | None = None
-    youden_lower: float | None = None
-    youden_upper: float | None = None
-
-
-@dataclass
 class BootstrapResult:
-    targets: list[TargetResult]
+    """Estimates and percentile intervals, one row per point of x (points x
+    covariates): the AUC always, the ROC band (points x t) given a t grid, and
+    the Youden index, its threshold and the index's interval when asked for."""
+
+    x: np.ndarray
+    auc: np.ndarray
+    auc_lower: np.ndarray
+    auc_upper: np.ndarray
     n_replicates: int
     n_failed: int
     n_nonconverged: int
     unreliable: bool
+    roc: np.ndarray | None = None
+    roc_lower: np.ndarray | None = None
+    roc_upper: np.ndarray | None = None
+    youden: np.ndarray | None = None
+    threshold: np.ndarray | None = None
+    youden_lower: np.ndarray | None = None
+    youden_upper: np.ndarray | None = None
 
 
 def percentile_interval(values, alpha: float) -> tuple[float | np.ndarray, float | np.ndarray]:
@@ -113,7 +104,7 @@ def _resample_indices(rng: np.random.Generator, cdf: np.ndarray) -> np.ndarray:
 
 
 def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | None,
-                statistic) -> tuple[list, BootstrapResult]:
+                statistic) -> tuple[list, dict]:
     """Run the replicate loop shared by every bootstrap in this module.
 
     fits and designs hold the nondiseased then the diseased group's fit and
@@ -123,7 +114,8 @@ def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | Non
     records statistic(refits, outcomes).  The refits of a chunk of
     replicates run as one irls_refit per group.  Replicates whose refit or
     statistic raises NumericalError are skipped and counted; converged=False
-    refits are kept and counted.
+    refits are kept and counted.  Returns the recorded values and
+    BootstrapResult's count fields.
     """
     means = [Z @ fit.beta for Z, fit in zip(designs, fits)]
     cdfs = [_resampling_cdf(fit.truncated_weights) for fit in fits]
@@ -155,19 +147,19 @@ def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | Non
             values.append(value)
     if not values:
         raise NumericalError("every bootstrap replicate failed")
-    return values, BootstrapResult(
-        targets=[], n_replicates=cfg.n_replicates, n_failed=n_failed,
-        n_nonconverged=n_nonconverged,
-        unreliable=n_failed > FAILURE_WARNING_FRACTION * cfg.n_replicates,
-    )
+    return values, {"n_replicates": cfg.n_replicates, "n_failed": n_failed,
+                    "n_nonconverged": n_nonconverged,
+                    "unreliable": n_failed > FAILURE_WARNING_FRACTION * cfg.n_replicates}
 
 
 def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
-                       diseased: GroupSample, targets,
+                       diseased: GroupSample, x,
                        config: BootstrapConfig | None = None,
-                       fit_config: FitConfig | None = None) -> BootstrapResult:
-    """Bootstrap confidence intervals for AUC(x), and optionally ROC(t | x)
-    bands and the Youden index, at each requested target.
+                       fit_config: FitConfig | None = None, *,
+                       t_grid=None, youden: bool = False) -> BootstrapResult:
+    """Bootstrap confidence intervals for AUC(x) at each row of x (a 1-d x
+    holds points of a single covariate), and optionally ROC(t | x) bands on
+    t_grid and the Youden index.
 
     Replicates that fail numerically are skipped and counted; if more than
     5% fail, the result is flagged unreliable.  Non-converged refits are
@@ -176,58 +168,52 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
     cfg = config or BootstrapConfig()
     fcfg = fit_config or FitConfig(tuning=pair.nondiseased.fit.tuning,
                                    truncation=pair.nondiseased.fit.truncation)
-    targets = [t if isinstance(t, BootstrapTarget) else BootstrapTarget(x=np.atleast_1d(np.asarray(t, dtype=float)))
-               for t in targets]
-    if not targets:
-        raise ValueError("no bootstrap targets")
+    X = np.asarray(x, dtype=float)
+    X = X[:, None] if X.ndim == 1 else X
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("no covariate points to bootstrap: x needs one or more rows")
     groups = (pair.nondiseased, pair.diseased)
     # the knots are frozen across replicates, so each group's design rows at
-    # the targets are built once and only the coefficients change
-    rows = [g.design.matrix(np.vstack([tgt.x for tgt in targets])) for g in groups]
+    # the points are built once and only the coefficients change
+    rows = [g.design.matrix(X) for g in groups]
 
     def evaluate(p: PopulationPair):
-        means = zip(*(_row_means(g.fit, r) for g, r in zip((p.nondiseased, p.diseased), rows)))
-        return [(_auc(p, *mu),
-                 _roc(p, *mu, tgt.t_grid) if tgt.t_grid is not None else None,
-                 _youden(p, *mu) if tgt.youden else None)
-                for tgt, mu in zip(targets, means)]
+        means = list(zip(*(_row_means(g.fit, r) for g, r in zip((p.nondiseased, p.diseased), rows))))
+        return (np.array([_auc(p, *mu) for mu in means]),
+                np.array([_roc(p, *mu, t_grid) for mu in means]) if t_grid is not None else None,
+                np.array([_youden(p, *mu) for mu in means]) if youden else None)
 
-    reps, result = _replicates(
+    reps, counts = _replicates(
         [g.fit for g in groups],
         [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
         cfg, fcfg,
         lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
                                                     for f, g in zip(refits, groups)))))
 
-    for k, (tgt, (auc, band_hat, youden)) in enumerate(zip(targets, evaluate(pair))):
-        a_lo, a_hi = percentile_interval([r[k][0] for r in reps], cfg.alpha)
-        res = TargetResult(x=tgt.x, auc=auc, auc_lower=a_lo, auc_upper=a_hi)
-        if tgt.t_grid is not None:
-            res.roc = band_hat
-            res.roc_lower, res.roc_upper = percentile_interval(
-                np.vstack([r[k][1] for r in reps]), cfg.alpha)
-        if tgt.youden:
-            res.youden = youden
-            res.youden_lower, res.youden_upper = percentile_interval(
-                [r[k][2][0] for r in reps], cfg.alpha)
-        result.targets.append(res)
+    auc, band, youden_rows = evaluate(pair)
+    result = BootstrapResult(X, auc, *percentile_interval([r[0] for r in reps], cfg.alpha),
+                             **counts)
+    if t_grid is not None:
+        result.roc = band
+        result.roc_lower, result.roc_upper = percentile_interval([r[1] for r in reps], cfg.alpha)
+    if youden:
+        result.youden, result.threshold = youden_rows.T
+        result.youden_lower, result.youden_upper = percentile_interval(
+            [r[2][:, 0] for r in reps], cfg.alpha)
     return result
 
 
 def unconditional_auc_bootstrap(y_nondiseased, y_diseased,
                                 config: BootstrapConfig | None = None,
-                                fit_config: FitConfig | None = None
-                                ) -> tuple[float, float, float, BootstrapResult]:
+                                fit_config: FitConfig | None = None) -> BootstrapResult:
     """Percentile interval for the unconditional AUC via the same residual
-    scheme applied to intercept-only fits of each group."""
+    scheme applied to intercept-only fits of each group: a result at one
+    point with no covariates."""
     cfg = config or BootstrapConfig()
-    y_nd = np.asarray(y_nondiseased, dtype=float).ravel()
-    y_d = np.asarray(y_diseased, dtype=float).ravel()
-    auc_hat, fit_nd, fit_d = robust_unconditional_auc(y_nd, y_d, fit_config)
-    reps, summary = _replicates(
-        [fit_nd, fit_d], [np.ones((y_nd.size, 1)), np.ones((y_d.size, 1))],
-        cfg, fit_config,
-        lambda refits, ys: unconditional_auc(ys[0], ys[1], refits[0].truncated_weights,
-                                             refits[1].truncated_weights))
-    lo, hi = percentile_interval(reps, cfg.alpha)
-    return auc_hat, lo, hi, summary
+    auc_hat, *fits = robust_unconditional_auc(y_nondiseased, y_diseased, fit_config)
+    reps, counts = _replicates(
+        fits, [np.ones((f.std_residuals.size, 1)) for f in fits], cfg, fit_config,
+        lambda refits, ys: [unconditional_auc(ys[0], ys[1], refits[0].truncated_weights,
+                                              refits[1].truncated_weights)])
+    return BootstrapResult(np.empty((1, 0)), np.array([auc_hat]),
+                           *percentile_interval(reps, cfg.alpha), **counts)

@@ -17,8 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bootstrap import (BootstrapConfig, BootstrapTarget, residual_bootstrap,
-                        unconditional_auc_bootstrap)
+from .bootstrap import BootstrapConfig, residual_bootstrap, unconditional_auc_bootstrap
 from .errors import DataError, NumericalError, UsageError
 from .huber import FitConfig
 from .io import (CONFIG_ENV_VAR, RunConfig, load_config, parse_grid,
@@ -179,32 +178,35 @@ def _fitted_pair(cfg: RunConfig, fit_config: FitConfig):
     return nd, d, fit_pair(nd, d, knots, config=fit_config)
 
 
-def _bootstrap(args, fit_config: FitConfig, method, *data):
+def _bootstrap(args, fit_config: FitConfig, method, *data, **options):
     """Call a bootstrap with the checked BootstrapConfig, and warn on stderr
     when too many replicates failed."""
-    result = method(*data, args.boot_config, fit_config)
-    boot = result[-1] if isinstance(result, tuple) else result
-    if boot.unreliable:
-        print(f"warning: {boot.n_failed}/{boot.n_replicates} bootstrap replicates "
+    result = method(*data, args.boot_config, fit_config, **options)
+    if result.unreliable:
+        print(f"warning: {result.n_failed}/{result.n_replicates} bootstrap replicates "
               "failed; intervals unreliable", file=sys.stderr)
     return result
 
 
 def _point(cfg: RunConfig) -> np.ndarray:
+    """--x, parsed before the data file is read like every other setting."""
     if not cfg.x:
         raise UsageError("this command needs --x")
     x = parse_values(cfg.x)
-    if x.size != len(cfg.covariates):
+    if x.size != _n_covariates(cfg):
         raise UsageError(f"--x has {x.size} values for {len(cfg.covariates)} covariates")
     return x
 
 
-def _x_grid(cfg: RunConfig, pair) -> np.ndarray:
-    if len(cfg.covariates) != 1:
+def _x_grid(cfg: RunConfig) -> np.ndarray | None:
+    """--x-grid as a column, checked before any file is read; None for the default."""
+    if _n_covariates(cfg) != 1:
         raise UsageError("grid commands support a single covariate; use the library API for more")
-    if cfg.x_grid:
-        return parse_grid(cfg.x_grid)
-    # by default 40 points inside both groups' boundary-knot ranges
+    return parse_grid(cfg.x_grid)[:, None] if cfg.x_grid else None
+
+
+def _default_grid(cfg: RunConfig, pair) -> np.ndarray:
+    # 40 points inside both groups' boundary-knot ranges, as a column
     knots = [g.design.knots[0] for g in (pair.nondiseased, pair.diseased)]
     if any(k is None for k in knots):
         raise UsageError(f"the default grid needs a splined covariate, but "
@@ -213,7 +215,7 @@ def _x_grid(cfg: RunConfig, pair) -> np.ndarray:
     lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
     if not lo < hi:
         raise DataError("group covariate ranges do not overlap")
-    return np.linspace(lo, hi, 40)
+    return np.linspace(lo, hi, 40)[:, None]
 
 
 def _term_names(design, names) -> list[str]:
@@ -269,8 +271,9 @@ def _cmd_select_knots(cfg, fit_config, args, write) -> None:
 
 
 def _cmd_roc(cfg, fit_config, args, write) -> None:
+    x = _point(cfg)
     _, _, pair = _fitted_pair(cfg, fit_config)
-    result = roc_curve(pair, _point(cfg), np.linspace(0.0, 1.0, cfg.t_points),
+    result = roc_curve(pair, x, np.linspace(0.0, 1.0, cfg.t_points),
                        n_panels=cfg.simpson_panels)
     write("roc_curve.csv", ["t", "roc"], [result.t_grid, result.roc_values])
     print(f"AUC at x={cfg.x}: {result.auc_closed_form:.6f} "
@@ -278,50 +281,49 @@ def _cmd_roc(cfg, fit_config, args, write) -> None:
 
 
 def _cmd_auc(cfg, fit_config, args, write) -> None:
+    grid = _x_grid(cfg)
     nd, d, pair = _fitted_pair(cfg, fit_config)
-    grid = _x_grid(cfg, pair)
+    grid = _default_grid(cfg, pair) if grid is None else grid
     name = cfg.covariates[0]
     if not args.ci:
-        path = write("auc.csv", [name, "auc"], [grid, auc_grid(pair, grid)])
+        path = write("auc.csv", [name, "auc"], [grid[:, 0], auc_grid(pair, grid)])
     else:
-        targets = [BootstrapTarget(x=np.atleast_1d(x)) for x in grid]
-        boot = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d, targets)
+        boot = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d, grid)
         path = write("auc.csv", [name, "auc", "lower", "upper"],
-                     list(zip(*[[t.x[0], t.auc, t.auc_lower, t.auc_upper]
-                                for t in boot.targets])))
+                     [grid[:, 0], boot.auc, boot.auc_lower, boot.auc_upper])
     print(f"wrote AUC over {len(grid)} grid points to {path}")
 
 
 def _cmd_youden(cfg, fit_config, args, write) -> None:
+    points = _point(cfg)[None, :] if cfg.x else _x_grid(cfg)
     _, _, pair = _fitted_pair(cfg, fit_config)
-    points = _point(cfg)[None, :] if cfg.x else _x_grid(cfg, pair)[:, None]
+    points = _default_grid(cfg, pair) if points is None else points
     rows = [[*xrow, *youden_index(pair, xrow)] for xrow in points]
     path = write("youden.csv", [*cfg.covariates, "youden", "threshold"], list(zip(*rows)))
     print(f"wrote Youden index at {len(points)} point(s) to {path}")
 
 
 def _cmd_bootstrap(cfg, fit_config, args, write) -> None:
+    x = _point(cfg)
     nd, d, pair = _fitted_pair(cfg, fit_config)
     t_grid = np.linspace(0.0, 1.0, cfg.t_points)
-    target = BootstrapTarget(x=_point(cfg), t_grid=t_grid, youden=args.youden)
-    res = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d,
-                     [target]).targets[0]
+    res = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d, x[None, :],
+                     t_grid=t_grid, youden=args.youden)
     write("auc_ci.csv", [*cfg.covariates, "auc", "lower", "upper"],
-          [[v] for v in (*res.x, res.auc, res.auc_lower, res.auc_upper)])
+          [*res.x.T, res.auc, res.auc_lower, res.auc_upper])
     write("roc_band.csv", ["t", "roc", "lower", "upper"],
-          [t_grid, res.roc, res.roc_lower, res.roc_upper])
+          [t_grid, res.roc[0], res.roc_lower[0], res.roc_upper[0]])
     if args.youden:
-        yi, threshold = res.youden
         write("youden_ci.csv", [*cfg.covariates, "youden", "threshold", "lower", "upper"],
-              [[v] for v in (*res.x, yi, threshold, res.youden_lower, res.youden_upper)])
-    print(f"AUC at x={cfg.x}: {res.auc:.6f} [{res.auc_lower:.6f}, {res.auc_upper:.6f}]")
+              [*res.x.T, res.youden, res.threshold, res.youden_lower, res.youden_upper])
+    print(f"AUC at x={cfg.x}: {res.auc[0]:.6f} [{res.auc_lower[0]:.6f}, {res.auc_upper[0]:.6f}]")
 
 
 def _cmd_uauc(cfg, fit_config, args, write) -> None:
     nd, d = _load_groups(cfg)
     if cfg.replicates > 0:
-        auc, lo, hi, _ = _bootstrap(args, fit_config, unconditional_auc_bootstrap,
-                                    nd.outcomes, d.outcomes)
+        res = _bootstrap(args, fit_config, unconditional_auc_bootstrap, nd.outcomes, d.outcomes)
+        auc, lo, hi = res.auc[0], res.auc_lower[0], res.auc_upper[0]
         write("uauc.csv", ["auc", "lower", "upper"], [[auc], [lo], [hi]])
         print(f"unconditional AUC: {auc:.6f} [{lo:.6f}, {hi:.6f}]")
     else:
@@ -346,6 +348,8 @@ def _cmd_simulate(cfg, fit_config, args, write) -> None:
     if any(k is None for k in knots):
         raise UsageError("simulate expects integer knot counts")
     estimators = tuple(s.strip() for s in cfg.estimators.split(",") if s.strip())
+    if not estimators:
+        raise UsageError(f"--estimators needs one or more of: {', '.join(ESTIMATORS)}")
     select = sorted(set(_ints("--select", cfg.select, 0))) if cfg.select else None
     report = run_study(scn, *sizes, cfg.reps,
                        seed=cfg.seed, estimators=estimators, n_interior=knots,

@@ -73,12 +73,12 @@ def fit_group(sample: GroupSample, n_interior, config: FitConfig | None = None) 
     return GroupFit.from_fit(irls_fit(Z, sample.outcomes, config), spec, sample.label)
 
 
-def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior_nd,
+def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior,
              config: FitConfig | None = None) -> PopulationPair:
     """Fit both populations with the same knot counts."""
     return PopulationPair(
-        nondiseased=fit_group(nondiseased, n_interior_nd, config),
-        diseased=fit_group(diseased, n_interior_nd, config),
+        nondiseased=fit_group(nondiseased, n_interior, config),
+        diseased=fit_group(diseased, n_interior, config),
     )
 
 

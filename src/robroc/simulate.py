@@ -65,6 +65,12 @@ class Scenario:
                 raise ValueError(f"contamination fraction {frac} outside [0, 1]")
         if self.outlier_kind not in ("location", "radial"):
             raise ValueError(f"unknown outlier kind {self.outlier_kind!r}")
+        for kappa in (self.kappa_nd, self.kappa_d):
+            if not math.isfinite(kappa):
+                raise ValueError(f"outlier multiplier kappa {kappa} is not finite")
+            # a location shift may be negative; a radial scale multiplier may not
+            if self.outlier_kind == "radial" and kappa < 0.0:
+                raise ValueError(f"radial outliers need kappa >= 0, got {kappa}")
 
     @property
     def n_covariates(self) -> int:

@@ -306,8 +306,8 @@ def test_a7_property_suite():
     cfg = BootstrapConfig(n_replicates=20, seed=5)
     first = residual_bootstrap(pair, nd, d, [x0], cfg)
     second = residual_bootstrap(pair, nd, d, [x0], cfg)
-    boot_ok = (first.targets[0].auc_lower == second.targets[0].auc_lower
-               and first.targets[0].auc_upper == second.targets[0].auc_upper)
+    boot_ok = (np.array_equal(first.auc_lower, second.auc_lower)
+               and np.array_equal(first.auc_upper, second.auc_upper))
 
     ok = all([basis_ok, equiv_ok, ee_ok, galois_ok, mw_ok, boot_ok])
     announce("A7", ok,

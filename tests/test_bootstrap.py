@@ -1,18 +1,20 @@
 """Tests for the weighted residual bootstrap and percentile intervals."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from robroc import bootstrap
-from robroc.bootstrap import (BootstrapConfig, BootstrapResult, BootstrapTarget,
-                              _resample_indices, _resampling_cdf,
+from robroc.bootstrap import (BootstrapConfig, _resample_indices, _resampling_cdf,
                               percentile_interval, residual_bootstrap,
                               unconditional_auc_bootstrap)
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
-from robroc.roc import (GroupFit, PopulationPair, auc_closed_form, fit_pair,
-                        roc_values, youden_index)
+from robroc.roc import (GroupFit, PopulationPair, _auc, _roc, _row_means, _youden,
+                        auc_closed_form, fit_pair, robust_unconditional_auc, roc_values,
+                        unconditional_auc, youden_index)
 from robroc.simulate import generate, scenario, true_auc
 from robroc.splines import SplineSpec
 
@@ -135,13 +137,12 @@ class TestResidualBootstrap:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(19)
         nd, d, pair = linear_pair(rng)
-        target = BootstrapTarget(x=X0, t_grid=np.linspace(0.0, 1.0, 11))
 
         def band(seed):
-            res = residual_bootstrap(pair, nd, d, [target],
-                                     BootstrapConfig(n_replicates=40, seed=seed))
-            t = res.targets[0]
-            return np.concatenate([[t.auc_lower, t.auc_upper], t.roc_lower, t.roc_upper])
+            res = residual_bootstrap(pair, nd, d, X0, BootstrapConfig(n_replicates=40, seed=seed),
+                                     t_grid=np.linspace(0.0, 1.0, 11))
+            return np.concatenate([res.auc_lower, res.auc_upper, res.roc_lower[0],
+                                   res.roc_upper[0]])
 
         np.testing.assert_array_equal(band(7), band(7))
         assert not np.array_equal(band(7), band(8))
@@ -149,38 +150,38 @@ class TestResidualBootstrap:
     def test_bare_x_targets_are_wrapped(self):
         rng = np.random.default_rng(23)
         nd, d, pair = linear_pair(rng)
+        # a 1-d x holds points of one covariate
         res = residual_bootstrap(pair, nd, d, [0.25, 0.75],
                                  BootstrapConfig(n_replicates=10, seed=1))
-        assert len(res.targets) == 2
-        np.testing.assert_array_equal(res.targets[0].x, [0.25])
-        np.testing.assert_array_equal(res.targets[1].x, [0.75])
+        np.testing.assert_array_equal(res.x, [[0.25], [0.75]])
+        assert res.auc.shape == res.auc_lower.shape == res.auc_upper.shape == (2,)
+        assert res.roc is None and res.youden is None
 
     def test_empty_targets_rejected(self):
         rng = np.random.default_rng(29)
         nd, d, pair = linear_pair(rng)
-        with pytest.raises(ValueError, match="no bootstrap targets"):
+        with pytest.raises(ValueError, match="no covariate points"):
             residual_bootstrap(pair, nd, d, [])
 
     def test_band_and_youden_outputs(self):
         rng = np.random.default_rng(31)
         nd, d, pair = linear_pair(rng)
         t_grid = np.linspace(0.0, 1.0, 21)
-        target = BootstrapTarget(x=X0, t_grid=t_grid, youden=True)
-        res = residual_bootstrap(pair, nd, d, [target],
-                                 BootstrapConfig(n_replicates=30, seed=2))
+        res = residual_bootstrap(pair, nd, d, X0, BootstrapConfig(n_replicates=30, seed=2),
+                                 t_grid=t_grid, youden=True)
         assert res.n_replicates == 30
         assert res.n_failed == 0
         assert res.unreliable is False
-        tgt = res.targets[0]
-        assert tgt.auc_lower <= tgt.auc_upper
-        for arr in (tgt.roc, tgt.roc_lower, tgt.roc_upper):
-            assert arr.shape == (21,)
+        assert res.auc_lower[0] <= res.auc_upper[0]
+        for arr in (res.roc, res.roc_lower, res.roc_upper):
+            assert arr.shape == (1, 21)
             assert arr.min() >= 0.0 and arr.max() <= 1.0
-        assert np.all(tgt.roc_lower <= tgt.roc_upper)
-        yi, threshold = tgt.youden
-        assert 0.0 <= yi <= 1.0
-        assert np.isfinite(threshold)
-        assert tgt.youden_lower <= tgt.youden_upper
+        assert np.all(res.roc_lower <= res.roc_upper)
+        for arr in (res.youden, res.threshold, res.youden_lower, res.youden_upper):
+            assert arr.shape == (1,)
+        assert 0.0 <= res.youden[0] <= 1.0
+        assert np.isfinite(res.threshold[0])
+        assert res.youden_lower[0] <= res.youden_upper[0]
 
     def test_frozen_rows_equal_per_point_functions(self, monkeypatch):
         # the replicate values, computed from target rows built once, equal
@@ -188,8 +189,7 @@ class TestResidualBootstrap:
         nd, d = generate(scenario("I", contamination=0.05), 90, 80, seed=37)
         pair = fit_pair(nd, d, 2)
         t_grid = np.linspace(0.0, 1.0, 41)
-        targets = [BootstrapTarget(x=np.array([x]), t_grid=t_grid, youden=True)
-                   for x in (0.12, 0.3, 0.5, 0.71, 0.88)]
+        points = np.array([[0.12], [0.3], [0.5], [0.71], [0.88]])
         seen = []
         replicates = bootstrap._replicates
 
@@ -200,20 +200,20 @@ class TestResidualBootstrap:
             return replicates(fits, designs, cfg, fit_config, record)
 
         monkeypatch.setattr(bootstrap, "_replicates", recording)
-        res = residual_bootstrap(pair, nd, d, targets,
-                                 BootstrapConfig(n_replicates=24, seed=5))
+        res = residual_bootstrap(pair, nd, d, points, BootstrapConfig(n_replicates=24, seed=5),
+                                 t_grid=t_grid, youden=True)
         assert len(seen) == 24
         groups = (pair.nondiseased, pair.diseased)
-        for refits, values in seen:
+        for refits, (auc, band, youden) in seen:
             rep = PopulationPair(*(GroupFit.from_fit(f, g.design) for f, g in zip(refits, groups)))
-            for tgt, (auc, band, youden) in zip(targets, values):
-                assert auc == auc_closed_form(rep, tgt.x)
-                assert np.array_equal(band, roc_values(rep, tgt.x, t_grid))
-                assert youden == youden_index(rep, tgt.x)
-        for tgt, out in zip(targets, res.targets):
-            assert out.auc == auc_closed_form(pair, tgt.x)
-            assert np.array_equal(out.roc, roc_values(pair, tgt.x, t_grid))
-            assert out.youden == youden_index(pair, tgt.x)
+            for k, x in enumerate(points):
+                assert auc[k] == auc_closed_form(rep, x)
+                assert np.array_equal(band[k], roc_values(rep, x, t_grid))
+                assert tuple(youden[k]) == youden_index(rep, x)
+        for k, x in enumerate(points):
+            assert res.auc[k] == auc_closed_form(pair, x)
+            assert np.array_equal(res.roc[k], roc_values(pair, x, t_grid))
+            assert (res.youden[k], res.threshold[k]) == youden_index(pair, x)
 
     def test_single_distinct_residual_fails_every_replicate(self):
         # constant residuals put every refit outcome exactly on the fitted
@@ -246,8 +246,7 @@ class TestResidualBootstrap:
             pair = fit_pair(nd, d, 0)
             res = residual_bootstrap(pair, nd, d, [X0],
                                      BootstrapConfig(n_replicates=100, seed=r))
-            tgt = res.targets[0]
-            covered += tgt.auc_lower <= truth <= tgt.auc_upper
+            covered += res.auc_lower[0] <= truth <= res.auc_upper[0]
         assert 0.85 <= covered / 60 <= 1.0
 
 
@@ -264,7 +263,7 @@ class TestReplicateTallies:
 
     def test_unconditional_bootstrap_counts_nonconverged(self):
         rng = np.random.default_rng(67)
-        *_, summary = unconditional_auc_bootstrap(
+        summary = unconditional_auc_bootstrap(
             rng.normal(0.0, 1.0, 60), rng.normal(1.0, 1.0, 60),
             BootstrapConfig(n_replicates=25, seed=4), FitConfig(max_iterations=1))
         assert summary.n_replicates == 25
@@ -277,12 +276,17 @@ class TestUnconditionalAucBootstrap:
         y_nd = rng.normal(0.0, 1.0, 80)
         y_d = rng.normal(1.0, 1.0, 80)
         cfg = BootstrapConfig(n_replicates=60, seed=6)
-        auc, lo, hi, summary = unconditional_auc_bootstrap(y_nd, y_d, cfg)
+        res = unconditional_auc_bootstrap(y_nd, y_d, cfg)
+        # one point with no covariates
+        assert res.x.shape == (1, 0)
+        assert res.auc.shape == res.auc_lower.shape == res.auc_upper.shape == (1,)
+        assert res.roc is None and res.youden is None
+        (auc,), (lo,), (hi,) = res.auc, res.auc_lower, res.auc_upper
         assert 0.6 < auc < 0.9
         assert 0.0 <= lo < hi <= 1.0
-        assert summary.n_replicates == 60
-        auc2, lo2, hi2, _ = unconditional_auc_bootstrap(y_nd, y_d, cfg)
-        assert (auc, lo, hi) == (auc2, lo2, hi2)
+        assert res.n_replicates == 60
+        again = unconditional_auc_bootstrap(y_nd, y_d, cfg)
+        assert (auc, lo, hi) == (again.auc[0], again.auc_lower[0], again.auc_upper[0])
 
 
 def parent_replicates(fits, designs, cfg, fit_config, statistic):
@@ -310,10 +314,9 @@ def parent_replicates(fits, designs, cfg, fit_config, statistic):
         values.append(value)
     if not values:
         raise NumericalError("every bootstrap replicate failed")
-    return values, BootstrapResult(
-        targets=[], n_replicates=cfg.n_replicates, n_failed=n_failed,
-        n_nonconverged=n_nonconverged,
-        unreliable=n_failed > bootstrap.FAILURE_WARNING_FRACTION * cfg.n_replicates)
+    return values, {"n_replicates": cfg.n_replicates, "n_failed": n_failed,
+                    "n_nonconverged": n_nonconverged,
+                    "unreliable": n_failed > bootstrap.FAILURE_WARNING_FRACTION * cfg.n_replicates}
 
 
 def assert_same(a, b):
@@ -342,13 +345,12 @@ class TestEqualsParentLoop:
             if request.param == "chunks_of_three":
                 monkeypatch.setattr(bootstrap, "REFIT_CHUNK_VALUES",
                                     3 * max(Z.shape[0] for Z in designs))
-            values, result = batched(fits, designs, cfg, fit_config, statistic)
+            values, counts = batched(fits, designs, cfg, fit_config, statistic)
             expected, parent = parent_replicates(fits, designs, cfg, fit_config, statistic)
             assert_same(values, expected)
-            assert ((result.n_failed, result.n_nonconverged, result.unreliable)
-                    == (parent.n_failed, parent.n_nonconverged, parent.unreliable))
-            runs.append(result)
-            return values, result
+            assert counts == parent
+            runs.append(counts)
+            return values, counts
 
         monkeypatch.setattr(bootstrap, "_replicates", both)
         return runs
@@ -356,9 +358,8 @@ class TestEqualsParentLoop:
     def test_band_and_youden(self, compared):
         nd, d = generate(scenario("I", contamination=0.05), 90, 70, seed=41)
         pair = fit_pair(nd, d, 2)
-        targets = [BootstrapTarget(x=np.array([x]), t_grid=np.linspace(0.0, 1.0, 21), youden=True)
-                   for x in (0.2, 0.6)]
-        residual_bootstrap(pair, nd, d, targets, BootstrapConfig(n_replicates=13, seed=3))
+        residual_bootstrap(pair, nd, d, [0.2, 0.6], BootstrapConfig(n_replicates=13, seed=3),
+                           t_grid=np.linspace(0.0, 1.0, 21), youden=True)
         assert len(compared) == 1
 
     def test_unconditional_auc(self, compared):
@@ -373,10 +374,171 @@ class TestEqualsParentLoop:
                                 np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
         residual_bootstrap(pair, nd, d, [np.array([0.5])],
                            BootstrapConfig(n_replicates=40, seed=5))
-        assert 0 < compared[0].n_failed < 40
+        assert 0 < compared[0]["n_failed"] < 40
 
     def test_nonconverged_replicates(self, compared):
         nd, d, pair = linear_pair(np.random.default_rng(61))
-        residual_bootstrap(pair, nd, d, [BootstrapTarget(x=X0, youden=True)],
-                           BootstrapConfig(n_replicates=10, seed=4), FitConfig(max_iterations=2))
-        assert compared[0].n_nonconverged > 0
+        residual_bootstrap(pair, nd, d, X0, BootstrapConfig(n_replicates=10, seed=4),
+                           FitConfig(max_iterations=2), youden=True)
+        assert compared[0]["n_nonconverged"] > 0
+
+
+@dataclass
+class ParentTarget:
+    x: np.ndarray
+    t_grid: np.ndarray | None = None
+    youden: bool = False
+
+
+@dataclass
+class ParentTargetResult:
+    x: np.ndarray
+    auc: float
+    auc_lower: float
+    auc_upper: float
+    roc: np.ndarray | None = None
+    roc_lower: np.ndarray | None = None
+    roc_upper: np.ndarray | None = None
+    youden: tuple[float, float] | None = None
+    youden_lower: float | None = None
+    youden_upper: float | None = None
+
+
+def parent_residual_bootstrap(pair, nondiseased, diseased, targets, config, fit_config=None):
+    """The bootstrap before it took a grid of points: one option record per
+    target, one packed result per target, over the unbatched replicate loop.
+    Returns the per-target results and the replicate counts."""
+    fcfg = fit_config or FitConfig(tuning=pair.nondiseased.fit.tuning,
+                                   truncation=pair.nondiseased.fit.truncation)
+    targets = [t if isinstance(t, ParentTarget) else ParentTarget(x=np.atleast_1d(np.asarray(t, dtype=float)))
+               for t in targets]
+    groups = (pair.nondiseased, pair.diseased)
+    rows = [g.design.matrix(np.vstack([tgt.x for tgt in targets])) for g in groups]
+
+    def evaluate(p):
+        means = zip(*(_row_means(g.fit, r) for g, r in zip((p.nondiseased, p.diseased), rows)))
+        return [(_auc(p, *mu),
+                 _roc(p, *mu, tgt.t_grid) if tgt.t_grid is not None else None,
+                 _youden(p, *mu) if tgt.youden else None)
+                for tgt, mu in zip(targets, means)]
+
+    reps, counts = parent_replicates(
+        [g.fit for g in groups],
+        [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
+        config, fcfg,
+        lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
+                                                    for f, g in zip(refits, groups)))))
+    results = []
+    for k, (tgt, (auc, band_hat, youden)) in enumerate(zip(targets, evaluate(pair))):
+        a_lo, a_hi = percentile_interval([r[k][0] for r in reps], config.alpha)
+        res = ParentTargetResult(x=tgt.x, auc=auc, auc_lower=a_lo, auc_upper=a_hi)
+        if tgt.t_grid is not None:
+            res.roc = band_hat
+            res.roc_lower, res.roc_upper = percentile_interval(
+                np.vstack([r[k][1] for r in reps]), config.alpha)
+        if tgt.youden:
+            res.youden = youden
+            res.youden_lower, res.youden_upper = percentile_interval(
+                [r[k][2][0] for r in reps], config.alpha)
+        results.append(res)
+    return results, counts
+
+
+def parent_unconditional_auc_bootstrap(y_nondiseased, y_diseased, config, fit_config=None):
+    """The unconditional bootstrap's (auc, lower, upper, counts) 4-tuple."""
+    y_nd = np.asarray(y_nondiseased, dtype=float).ravel()
+    y_d = np.asarray(y_diseased, dtype=float).ravel()
+    auc_hat, fit_nd, fit_d = robust_unconditional_auc(y_nd, y_d, fit_config)
+    reps, counts = parent_replicates(
+        [fit_nd, fit_d], [np.ones((y_nd.size, 1)), np.ones((y_d.size, 1))],
+        config, fit_config,
+        lambda refits, ys: unconditional_auc(ys[0], ys[1], refits[0].truncated_weights,
+                                             refits[1].truncated_weights))
+    lo, hi = percentile_interval(reps, config.alpha)
+    return auc_hat, lo, hi, counts
+
+
+class TestEqualsParentBootstrap:
+    """A grid of points in one call gives, row by row, the per-target
+    results of the bootstrap that took one option record per point, bit for
+    bit, with the same counts."""
+
+    @staticmethod
+    def assert_rows_equal(res, parent, counts, t_grid=None, youden=False):
+        assert np.array_equal(res.x, np.vstack([p.x for p in parent]))
+        for name in ("auc", "auc_lower", "auc_upper"):
+            assert np.array_equal(getattr(res, name), [getattr(p, name) for p in parent])
+        if t_grid is None:
+            assert res.roc is res.roc_lower is res.roc_upper is None
+        else:
+            for name in ("roc", "roc_lower", "roc_upper"):
+                assert np.array_equal(getattr(res, name), [getattr(p, name) for p in parent])
+        if youden:
+            assert np.array_equal(res.youden, [p.youden[0] for p in parent])
+            assert np.array_equal(res.threshold, [p.youden[1] for p in parent])
+            for name in ("youden_lower", "youden_upper"):
+                assert np.array_equal(getattr(res, name), [getattr(p, name) for p in parent])
+        else:
+            assert res.youden is res.threshold is res.youden_lower is res.youden_upper is None
+        assert {name: getattr(res, name) for name in counts} == counts
+
+    def compare(self, pair, nd, d, x, targets, cfg, fit_config=None, t_grid=None, youden=False):
+        res = residual_bootstrap(pair, nd, d, x, cfg, fit_config, t_grid=t_grid, youden=youden)
+        parent, counts = parent_residual_bootstrap(pair, nd, d, targets, cfg, fit_config)
+        self.assert_rows_equal(res, parent, counts, t_grid, youden)
+        return res
+
+    def test_points_of_one_covariate_with_band_and_youden(self):
+        nd, d = generate(scenario("I", contamination=0.05), 90, 70, seed=47)
+        pair = fit_pair(nd, d, 2)
+        t_grid = np.linspace(0.0, 1.0, 31)
+        points = [0.15, 0.4, 0.55, 0.8]
+        self.compare(pair, nd, d, np.array(points)[:, None],
+                     [ParentTarget(x=np.array([x]), t_grid=t_grid, youden=True) for x in points],
+                     BootstrapConfig(n_replicates=17, seed=8), t_grid=t_grid, youden=True)
+
+    def test_two_covariates(self):
+        nd, d = generate(scenario("IV", contamination=0.05), 80, 80, seed=53)
+        pair = fit_pair(nd, d, [1, 0])
+        t_grid = np.linspace(0.0, 1.0, 11)
+        points = np.array([[0.3, 1.0], [0.7, 0.5], [0.5, 1.5]])
+        self.compare(pair, nd, d, points,
+                     [ParentTarget(x=x, t_grid=t_grid, youden=True) for x in points],
+                     BootstrapConfig(n_replicates=12, seed=2, alpha=0.1),
+                     t_grid=t_grid, youden=True)
+
+    def test_one_dimensional_x(self):
+        nd, d, pair = linear_pair(np.random.default_rng(59))
+        res = self.compare(pair, nd, d, [0.2, 0.5, 0.9], [0.2, 0.5, 0.9],
+                           BootstrapConfig(n_replicates=15, seed=6))
+        assert res.x.shape == (3, 1)
+
+    def test_failed_replicates(self):
+        x = np.linspace(0.0, 1.0, 6)
+        pair, nd, d = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
+                                np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
+        t_grid = np.linspace(0.0, 1.0, 5)
+        res = self.compare(pair, nd, d, [[0.3], [0.5]],
+                           [ParentTarget(x=np.array([v]), t_grid=t_grid, youden=True)
+                            for v in (0.3, 0.5)],
+                           BootstrapConfig(n_replicates=40, seed=5), t_grid=t_grid, youden=True)
+        assert 0 < res.n_failed < 40 and res.unreliable is True
+
+    def test_nonconverged_replicates(self):
+        nd, d, pair = linear_pair(np.random.default_rng(61))
+        res = self.compare(pair, nd, d, X0, [ParentTarget(x=X0, youden=True)],
+                           BootstrapConfig(n_replicates=10, seed=4), FitConfig(max_iterations=2),
+                           youden=True)
+        assert res.n_nonconverged > 0
+
+    def test_unconditional_auc(self):
+        rng = np.random.default_rng(71)
+        y_nd, y_d = rng.standard_t(3, 50), rng.standard_t(3, 40) + 1.0
+        for fit_config in (None, FitConfig(max_iterations=1)):
+            cfg = BootstrapConfig(n_replicates=21, seed=9)
+            res = unconditional_auc_bootstrap(y_nd, y_d, cfg, fit_config)
+            auc, lo, hi, counts = parent_unconditional_auc_bootstrap(y_nd, y_d, cfg, fit_config)
+            assert res.x.shape == (1, 0)
+            assert np.array_equal(res.auc, [auc])
+            assert np.array_equal(res.auc_lower, [lo]) and np.array_equal(res.auc_upper, [hi])
+            assert {name: getattr(res, name) for name in counts} == counts

@@ -155,11 +155,21 @@ class TestExitCodes:
         (["roc", "--x", "0.5", "--simpson-panels", "3"], "--simpson-panels"),
         (["roc", "--x", "0.5", "--simpson-panels", "0"], "--simpson-panels"),
         (["roc", "--x", "0.5", "--simpson-panels", "-2"], "--simpson-panels"),
+        (["roc"], "needs --x"),
+        (["bootstrap"], "needs --x"),
+        (["roc", "--x", "0.1,0.2"], "--x has 2 values for 1 covariates"),
+        (["youden", "--x", "abc"], "bad numeric list 'abc'"),
+        (["auc", "--x-grid", "1:2"], "start:stop:count"),
+        (["youden", "--x-grid", "0:1:0"], "grid count"),
+        (["auc", "--covariates", "age,z"], "single covariate"),
+        (["youden", "--covariates", "age,z"], "single covariate"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
-        # settings are checked before the data file is read
+        # settings are checked before the data file is read; the case's own
+        # options follow the data options, so that they win
         for data in (data_csv, tmp_path / "missing.csv"):
-            code, _ = run(tmp_path, *argv, "--data", str(data), "--covariates", "age")
+            code, _ = run(tmp_path, argv[0], "--data", str(data), "--covariates", "age",
+                          *argv[1:])
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error") and message in err
@@ -193,6 +203,11 @@ class TestExitCodes:
         (["--reps", "0"], "--reps"),
         (["--grid-points", "0"], "--grid-points"),
         (["--max-iterations", "0"], "max_iterations"),
+        (["--contamination", "0.1", "--kappa", "nan,5"], "kappa nan is not finite"),
+        (["--contamination", "0.1", "--kappa", "5,inf"], "kappa inf is not finite"),
+        (["--contamination", "0.1", "--kappa=-5,5", "--outlier-kind", "radial"],
+         "radial outliers need kappa >= 0"),
+        (["--estimators", ","], "--estimators needs one or more"),
     ])
     def test_nonsense_study_settings_rejected(self, tmp_path, capsys, argv, message):
         code, _ = run(tmp_path, "simulate", "--scenario", "I", "--sizes", "30,30", *argv)
@@ -254,6 +269,15 @@ class TestCurveCommands:
         assert code == 0
         _, rows = read_table(out / "youden.csv")
         assert len(rows) == 40
+
+    def test_youden_at_a_two_covariate_point(self, tmp_path, capsys):
+        code, out = run(tmp_path, "youden", "--data", str(GOLDEN / "data.csv"),
+                        "--covariates", "x,z", "--knots", "1,cat", "--x", "0.4,1")
+        assert code == 0
+        header, rows = read_table(out / "youden.csv")
+        assert header == ["x", "z", "youden", "threshold"]
+        assert len(rows) == 1 and rows[0][:2] == ["0.4", "1.0"]
+        assert "at 1 point(s)" in capsys.readouterr().out
 
     def test_bootstrap_files(self, tmp_path, data_csv):
         code, out = run(tmp_path, "bootstrap", "--data", str(data_csv),

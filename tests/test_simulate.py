@@ -58,6 +58,21 @@ class TestScenarioRegistry:
         with pytest.raises(ValueError):
             scenario("I", outlier_kind="vertical")
 
+    @pytest.mark.parametrize("kappa", [(np.nan, 5.0), (5.0, np.inf), (-np.inf, 5.0)])
+    @pytest.mark.parametrize("kind", ["location", "radial"])
+    def test_nonfinite_kappa_rejected(self, kappa, kind):
+        with pytest.raises(ValueError, match="not finite"):
+            scenario("I", contamination=0.1, kappa=kappa, outlier_kind=kind)
+
+    def test_negative_kappa_only_for_location_outliers(self):
+        with pytest.raises(ValueError, match="radial outliers need kappa >= 0"):
+            scenario("I", contamination=0.1, kappa=(-5.0, 5.0), outlier_kind="radial")
+        # a negative location shift moves outliers below the mean
+        scn = scenario("I", contamination=0.2, kappa=(-15.0, 5.0))
+        nd, _ = generate(scn, 200, 10, seed=3)
+        shift = scn.mean_nd(nd.covariates) - nd.outcomes
+        assert np.all(shift[nd.contaminated] > 5.0 * 1.5)
+
     def test_default_grid(self):
         grid = scenario("I").default_grid()
         assert grid.shape == (21, 1)
