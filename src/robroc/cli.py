@@ -362,7 +362,9 @@ def _cmd_simulate(cfg, fit_config, args, write) -> None:
                                    summary.lower, summary.upper, summary.n_ok]).T
         write(f"sim_{kind}.csv",
               [*cov_names, "true_auc", "mean", "lower", "upper", "n_ok"], columns)
-        bias = np.nanmax(np.abs(summary.mean - report.true_auc))
+        # np.nanmax's own reduction, without its warning when every
+        # replicate failed and the bias is NaN
+        bias = np.fmax.reduce(np.abs(summary.mean - report.true_auc))
         print(f"{kind}: max |mean - true| = {bias:.4f} over {cfg.reps} replicates"
               + (f", {summary.n_failed_fits} failed fits" if summary.n_failed_fits else ""))
     if report.knot_counts is not None:

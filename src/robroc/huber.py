@@ -17,8 +17,10 @@ recomputed from scratch at every iteration.  Iteration starts from the
 ordinary least squares fit and solves a weighted least squares problem per
 step through an orthogonal decomposition of the row-scaled design; normal
 equations are never formed.  irls_refit runs the same iteration on a stack
-of outcome vectors that share one design and one start, as the bootstrap's
-refits do, and gives each vector the fit irls_fit would give it.
+of outcome vectors, and gives each vector the fit irls_fit would give it:
+the bootstrap's refits share one design and one warm start, and a Monte
+Carlo study's replicates each bring their own design of one shape and start
+cold.
 
 After convergence, weights for downstream distribution estimates are
 truncated: observations with standardized residual at most v (default 3)
@@ -329,44 +331,63 @@ def _final_fit(beta: np.ndarray, resid: np.ndarray, floor: float, iterations: in
 
 
 def irls_refit(Z, Y, config: FitConfig | None,
-               beta_init: np.ndarray) -> list[RobustFit | NumericalError]:
+               beta_init: np.ndarray | None = None) -> list[RobustFit | NumericalError]:
     """irls_fit(Z, Y[i], config, beta_init) for every outcome row Y[i] of a
     stack, as one batched IRLS.
 
-    Each row's RobustFit equals irls_fit's bit for bit: coefficients, scale,
-    residuals, both weight vectors, iteration count and converged flag.  A
-    row whose fit irls_fit would end with a NumericalError gets that error in
-    its place and leaves the batch; the other rows go on.  Every elementwise
-    step runs once across the rows still iterating, and only the LAPACK calls
-    of the least-squares step run row by row.  ValueError (mismatched shapes,
-    non-finite values, a non-finite warm start included) is raised for the
-    whole call, as irls_fit raises it for one row.
+    Z is one design that every row shares, or a stack of designs of one
+    shape, Z[i] for Y[i].  With beta_init None each row starts from its own
+    least-squares fit, as irls_fit does; otherwise every row starts from
+    beta_init.  Each row's RobustFit equals irls_fit's bit for bit:
+    coefficients, scale, residuals, both weight vectors, iteration count and
+    converged flag.  A row whose fit irls_fit would end with a NumericalError
+    gets that error in its place and leaves the batch; the other rows go on.
+    Every elementwise step runs once across the rows still iterating, and
+    only the LAPACK calls of the least-squares step run row by row.
+    ValueError (mismatched shapes, non-finite values, a non-finite warm start
+    included) is raised for the whole call, as irls_fit raises it for one
+    row.
     """
     cfg = config or FitConfig()
     Z = np.asarray(Z, dtype=float)
     Y = np.asarray(Y, dtype=float)
     m, n = Y.shape
-    q = Z.shape[1]
-    if Z.shape[0] != n:
-        raise ValueError(f"{Z.shape[0]} design rows but {n} outcomes")
+    q = Z.shape[-1]
+    if Z.shape[-2] != n:
+        raise ValueError(f"{Z.shape[-2]} design rows but {n} outcomes")
+    # a shared design stays 2-D: subsetting a broadcast stack would copy it
+    stacked = Z.ndim == 3
+    if stacked and Z.shape[0] != m:
+        raise ValueError(f"{Z.shape[0]} designs for {m} outcome rows")
     if n <= q:
         return [NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
                 for _ in range(m)]
     _require_finite(Z, Y)
-    beta = np.asarray(beta_init, dtype=float)
-    if beta.size != q:
-        raise ValueError(f"beta_init has {beta.size} entries for {q} parameters")
 
     fits: list[RobustFit | NumericalError | None] = [None] * m
     # the rows still iterating: their index in Y, outcomes, scale floors,
-    # coefficients and residuals
+    # coefficients, residuals and (stacked) designs
     rows = np.arange(m)
     floors = np.array([_scale_floor(y) for y in Y])
-    B = np.tile(beta, (m, 1))
-    R = Y - Z @ beta
     # the scaled systems of one step, each Fortran-ordered so that LAPACK
     # factors it in place
     systems = np.empty((m, q, n))
+    if beta_init is None:
+        systems[...] = Z.swapaxes(-1, -2)
+        B, singular = _stacked_lstsq(systems.transpose(0, 2, 1), Y)
+        for i in rows[singular].tolist():
+            fits[i] = NumericalError(_SINGULAR)
+        keep = ~singular
+        rows, Y, floors, B = (a[keep] for a in (rows, Y, floors, B))
+        if stacked:
+            Z = Z[keep]
+    else:
+        beta = np.asarray(beta_init, dtype=float)
+        if beta.size != q:
+            raise ValueError(f"beta_init has {beta.size} entries for {q} parameters")
+        B = np.tile(beta, (m, 1))
+    # stacked matrix-vector products: each row is irls_fit's Z @ beta
+    R = Y - np.matmul(Z, B[:, :, None])[:, :, 0]
 
     def settle(done, converged):
         for i, b, r, floor in zip(rows[done].tolist(), B[done], R[done], floors[done].tolist()):
@@ -384,16 +405,17 @@ def irls_refit(Z, Y, config: FitConfig | None,
                 fits[i] = NumericalError(_COLLAPSED_SCALE)
             keep = ~collapsed
             rows, Y, floors, B, R, sigma = (a[keep] for a in (rows, Y, floors, B, R, sigma))
+            if stacked:
+                Z = Z[keep]
         W = huber_weight(R / sigma[:, None], cfg.tuning)
         _require_finite(W)
         SW = np.sqrt(W)
         Zs = systems[:rows.size]
-        np.multiply(Z.T, SW[:, None, :], out=Zs)
+        np.multiply(Z.swapaxes(-1, -2), SW[:, None, :], out=Zs)
         B_new, singular = _stacked_lstsq(Zs.transpose(0, 2, 1), Y * SW)
         # a design without columns has no coefficient to move
         delta = np.abs(B_new - B).max(axis=1, initial=0.0)
         B = B_new
-        # stacked matrix-vector products: each row is irls_fit's Z @ beta
         R = Y - np.matmul(Z, B[:, :, None])[:, :, 0]
         iterations += 1
         done = (delta < cfg.tol) & ~singular
@@ -404,6 +426,8 @@ def irls_refit(Z, Y, config: FitConfig | None,
             settle(done, True)
             keep = ~ended
             rows, Y, floors, B, R = (a[keep] for a in (rows, Y, floors, B, R))
+            if stacked:
+                Z = Z[keep]
     settle(np.ones(rows.size, dtype=bool), False)
     return fits
 

@@ -114,6 +114,32 @@ def _normalize(candidates, p: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _scored(n_interior: tuple[int, ...], spec: SplineSpec, Z: np.ndarray,
+            fit: RobustFit | NumericalError) -> RaicCandidate:
+    """One candidate's entry: its rAIC from its fit on design Z, or the
+    message of the NumericalError that ended the fit or the scoring."""
+    if isinstance(fit, NumericalError):
+        return RaicCandidate(n_interior=n_interior, error=str(fit))
+    try:
+        value, penalty = raic(fit, Z)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return RaicCandidate(n_interior=n_interior, error=str(exc))
+    return RaicCandidate(n_interior=n_interior, raic=value, penalty=penalty,
+                         sigma=fit.sigma, fit=fit, spec=spec)
+
+
+def _ranked(candidates: list[RaicCandidate]) -> RaicReport:
+    """The report over scored candidates: the smallest rAIC wins and exact
+    ties go to the lexicographically smallest knot vector.  Raises
+    NumericalError if every candidate failed."""
+    scored = [i for i, c in enumerate(candidates) if c.error is None]
+    if not scored:
+        details = "; ".join(f"{c.n_interior}: {c.error}" for c in candidates)
+        raise NumericalError(f"every candidate fit failed ({details})")
+    selected = min(scored, key=lambda i: (candidates[i].raic, candidates[i].n_interior))
+    return RaicReport(candidates=candidates, selected=selected)
+
+
 def select_knots(sample: GroupSample, candidates,
                  config: FitConfig | None = None) -> RaicReport:
     """Fit every candidate knot layout for one group and rank by rAIC.
@@ -123,24 +149,13 @@ def select_knots(sample: GroupSample, candidates,
     kept in the report with the error message; if all fail the whole
     selection fails.
     """
-    vectors = _normalize(candidates, sample.n_covariates)
     report: list[RaicCandidate] = []
-    for vec in vectors:
-        cand = RaicCandidate(n_interior=vec)
+    for vec in _normalize(candidates, sample.n_covariates):
+        spec = SplineSpec.from_data(sample.covariates, vec)
+        Z = spec.matrix(sample.covariates)
         try:
-            spec = SplineSpec.from_data(sample.covariates, vec)
-            Z = spec.matrix(sample.covariates)
             fit = irls_fit(Z, sample.outcomes, config)
-            cand.raic, cand.penalty = raic(fit, Z)
-            cand.sigma = fit.sigma
-            cand.fit = fit
-            cand.spec = spec
-        except (NumericalError, np.linalg.LinAlgError) as exc:
-            cand.error = str(exc)
-        report.append(cand)
-    scored = [i for i, c in enumerate(report) if c.error is None]
-    if not scored:
-        details = "; ".join(f"{c.n_interior}: {c.error}" for c in report)
-        raise NumericalError(f"every candidate fit failed ({details})")
-    selected = min(scored, key=lambda i: (report[i].raic, report[i].n_interior))
-    return RaicReport(candidates=report, selected=selected)
+        except NumericalError as exc:
+            fit = exc
+        report.append(_scored(vec, spec, Z, fit))
+    return _ranked(report)

@@ -35,11 +35,12 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
+from .bootstrap import REFIT_CHUNK_VALUES
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, ols_as_robust_fit
-from .model_select import select_knots
-from .roc import GroupFit, PopulationPair, auc_grid, fit_pair
+from .huber import FitConfig, irls_refit, ols_as_robust_fit
+from .model_select import _normalize, _ranked, _scored
+from .roc import GroupFit, PopulationPair, auc_grid
 from .splines import SplineSpec
 
 ESTIMATORS = ("robust", "ols_linear", "ols_bspline")
@@ -225,14 +226,6 @@ def comparator_fit(kind: str, sample: GroupSample, n_interior=0) -> GroupFit:
     return GroupFit.from_fit(fit, design, sample.label)
 
 
-def _fit_estimator(kind: str, nd: GroupSample, d: GroupSample, n_interior,
-                   config: FitConfig | None) -> PopulationPair:
-    if kind == "robust":
-        return fit_pair(nd, d, n_interior, config=config)
-    return PopulationPair(nondiseased=comparator_fit(kind, nd, n_interior),
-                          diseased=comparator_fit(kind, d, n_interior))
-
-
 @dataclass
 class McEstimatorSummary:
     mean: np.ndarray
@@ -262,8 +255,14 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     a replicate's fitted boundary knots yield NaN for that replicate and are
     excluded from the aggregates; fit failures are counted per estimator.
     When select_candidates is given, each group's rAIC choice among those
-    candidates is tallied per replicate (the 'robust' estimator still fits
-    with n_interior).
+    candidates is tallied per replicate.
+
+    Replicates run in chunks of REFIT_CHUNK_VALUES // n, n the larger group
+    size.  Per chunk and group, each distinct knot layout among the
+    candidates and the 'robust' estimator's is fitted once, by one
+    irls_refit over the chunk's designs, so the robust estimator reuses the
+    candidate fit of its own layout.  Every number equals that of fitting
+    each replicate on its own.
     """
     for kind in estimators:
         if kind not in ESTIMATORS:
@@ -282,29 +281,60 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     aucs = {kind: np.full((n_replicates, g), np.nan) for kind in estimators}
     failed = {kind: 0 for kind in estimators}
     counts: dict[str, dict[tuple[int, ...], int]] = {"nondiseased": {}, "diseased": {}}
+    vectors = [] if select_candidates is None else _normalize(select_candidates,
+                                                              scn.n_covariates)
+    robust = None
+    if "robust" in estimators:
+        robust = ((n_interior,) * scn.n_covariates if isinstance(n_interior, (int, np.integer))
+                  else tuple(n_interior))
+    layouts = list(dict.fromkeys(vectors + ([robust] if robust is not None else [])))
+    chunk = max(1, REFIT_CHUNK_VALUES // max(n_nondiseased, n_diseased, 1))
 
-    for r in range(n_replicates):
-        nd, d = generate(scn, n_nondiseased, n_diseased, seed=(seed, r))
-        if select_candidates is not None:
-            for sample, key in ((nd, "nondiseased"), (d, "diseased")):
+    for start in range(0, n_replicates, chunk):
+        reps = range(start, min(start + chunk, n_replicates))
+        draws = [generate(scn, n_nondiseased, n_diseased, seed=(seed, r)) for r in reps]
+        # per group, each replicate's robust fit (or its error), spec and sample
+        robust_fits = []
+        for key, samples in zip(counts, zip(*draws)):
+            scored: list[list] = [[] for _ in reps]
+            for layout in layouts:
+                specs = [SplineSpec.from_data(s.covariates, layout) for s in samples]
+                Zs = np.array([spec.matrix(s.covariates) for spec, s in zip(specs, samples)])
+                fits = irls_refit(Zs, np.array([s.outcomes for s in samples]), config)
+                if layout in vectors:
+                    for cands, spec, Z, fit in zip(scored, specs, Zs, fits):
+                        cands.append(_scored(layout, spec, Z, fit))
+                if layout == robust:
+                    robust_fits.append(list(zip(fits, specs, samples)))
+            for cands in scored if vectors else ():
                 try:
-                    report = select_knots(sample, select_candidates, config)
+                    chosen = _ranked(cands).best.n_interior
                 except NumericalError:
                     continue
-                chosen = report.best.n_interior
                 counts[key][chosen] = counts[key].get(chosen, 0) + 1
-        for kind in estimators:
-            try:
-                pair = _fit_estimator(kind, nd, d, n_interior, config)
-            except NumericalError:
-                failed[kind] += 1
-                continue
-            # points outside this replicate's boundary knots stay NaN
-            inside = pair.nondiseased.design.covers(x_grid) & pair.diseased.design.covers(x_grid)
-            try:
-                aucs[kind][r, inside] = auc_grid(pair, x_grid[inside])
-            except NumericalError:
-                pass  # a degenerate scale leaves the whole row NaN
+        robust_pairs = [
+            None if any(isinstance(fit, NumericalError) for fit, _, _ in groups)
+            else PopulationPair(*(GroupFit.from_fit(fit, spec, s.label) for fit, spec, s in groups))
+            for groups in zip(*robust_fits)]
+        for i, (r, (nd, d)) in enumerate(zip(reps, draws)):
+            for kind in estimators:
+                if kind == "robust":
+                    pair = robust_pairs[i]
+                else:
+                    try:
+                        pair = PopulationPair(comparator_fit(kind, nd, n_interior),
+                                              comparator_fit(kind, d, n_interior))
+                    except NumericalError:
+                        pair = None
+                if pair is None:
+                    failed[kind] += 1
+                    continue
+                # points outside this replicate's boundary knots stay NaN
+                inside = pair.nondiseased.design.covers(x_grid) & pair.diseased.design.covers(x_grid)
+                try:
+                    aucs[kind][r, inside] = auc_grid(pair, x_grid[inside])
+                except NumericalError:
+                    pass  # a degenerate scale leaves the whole row NaN
 
     report = McReport(
         x_grid=x_grid,

@@ -385,6 +385,18 @@ class TestSimulateCommand:
         assert not (out / "knot_counts.csv").exists()
         assert "max |mean - true|" in capsys.readouterr().out
 
+    def test_every_fit_failing_prints_no_warning(self, tmp_path):
+        # n=5 is too few rows for scenario IV's seven robust coefficients
+        proc = subprocess.run(
+            [sys.executable, "-m", "robroc", "simulate", "--scenario", "IV",
+             "--sizes", "5,5", "--reps", "3", "--estimators", "robust,ols_linear",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(
+            "robust: max |mean - true| = nan over 3 replicates, 3 failed fits\n")
+
     def test_selection_tally(self, tmp_path):
         code, out = run(tmp_path, "simulate", "--scenario", "I",
                         "--sizes", "40,40", "--reps", "2", "--select", "0,3",

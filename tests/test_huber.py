@@ -448,13 +448,15 @@ class TestOlsAsRobustFit:
 
 
 def assert_rows_equal_irls_fit(Z, Y, cfg, beta_init):
-    """Each row of irls_refit equals irls_fit on that row: the same fit bit
-    for bit, or a NumericalError with the same message."""
+    """Each row of irls_refit equals irls_fit on that row and its design
+    (Z, or Z[i] of a stack): the same fit bit for bit, or a NumericalError
+    with the same message."""
     fits = irls_refit(Z, Y, cfg, beta_init)
     assert len(fits) == len(Y)
-    for y, fit in zip(Y, fits):
+    designs = Z if np.ndim(Z) == 3 else [Z] * len(Y)
+    for Zi, y, fit in zip(designs, Y, fits):
         try:
-            ref = irls_fit(Z, y, cfg, beta_init)
+            ref = irls_fit(Zi, y, cfg, beta_init)
         except NumericalError as err:
             assert isinstance(fit, NumericalError)
             assert str(fit) == str(err)
@@ -564,3 +566,83 @@ class TestIrlsRefit:
             irls_refit(Z, np.zeros((3, 9)), None, np.zeros(2))
         with pytest.raises(ValueError, match="beta_init has 3 entries for 2 parameters"):
             irls_refit(Z, np.zeros((3, 10)), None, np.zeros(3))
+
+
+@st.composite
+def design_stacks(draw):
+    """A stack of designs of one shape, each on its own covariates, and one
+    outcome row per design: t(3) noise, some rows contaminated, and
+    optionally one row on its design's line (MAD zero at the least-squares
+    start) and one design with a duplicated column (singular)."""
+    n = draw(st.integers(8, 120))
+    q = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.sampled_from([1, 2, 7, max(1, bootstrap.REFIT_CHUNK_VALUES // n) + 1]))
+    Z = np.concatenate([np.ones((m, n, 1)), rng.uniform(0.0, 1.0, (m, n, q - 1)) ** 2], axis=2)
+    truth = rng.normal(size=q)
+    Y = Z @ truth + rng.standard_t(3, size=(m, n))
+    contaminated = rng.random(m) < 0.3
+    Y[contaminated, :max(1, n // 10)] += draw(st.sampled_from([8.0, 40.0]))
+    if m > 1 and draw(st.booleans()):
+        i = rng.integers(m)
+        Y[i] = Z[i] @ truth
+    if m > 1 and q > 2 and draw(st.booleans()):
+        i = rng.integers(m)
+        Z[i, :, 2] = Z[i, :, 1]
+    cfg = FitConfig(tuning=draw(st.sampled_from([B, 0.7])),
+                    max_iterations=draw(st.sampled_from([2, 50])))
+    return Z, Y, cfg
+
+
+def design_stack(rng, m, n, q):
+    Z = np.concatenate([np.ones((m, n, 1)), rng.uniform(0.0, 1.0, (m, n, q - 1))], axis=2)
+    return Z, Z @ rng.normal(size=q) + rng.standard_t(3, size=(m, n))
+
+
+class TestIrlsRefitDesignStack:
+    """irls_refit on a stack of designs from least-squares starts: each row
+    is irls_fit on its own design, and a row that fails leaves the batch
+    without stopping the others."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(design_stacks())
+    def test_rows_equal_irls_fit(self, stack):
+        Z, Y, cfg = stack
+        assert_rows_equal_irls_fit(Z, Y, cfg, None)
+
+    def test_shared_design_cold_start(self):
+        Z, Y = design_stack(np.random.default_rng(11), 9, 60, 3)
+        assert_rows_equal_irls_fit(Z[0], Y, None, None)
+
+    def test_row_singular_at_start_fails_alone(self):
+        Z, Y = design_stack(np.random.default_rng(12), 5, 50, 3)
+        Z[3, :, 2] = 2.0 * Z[3, :, 1]
+        fits = assert_rows_equal_irls_fit(Z, Y, None, None)
+        assert str(fits[3]) == "singular design matrix"
+        assert all(isinstance(f, RobustFit) for i, f in enumerate(fits) if i != 3)
+
+    def test_collapsed_row_fails_alone(self):
+        Z, Y = design_stack(np.random.default_rng(13), 6, 50, 3)
+        Y[1] = Z[1] @ [1.0, -2.0, 0.5]
+        fits = assert_rows_equal_irls_fit(Z, Y, FitConfig(), None)
+        assert str(fits[1]) == "degenerate scale: MAD of residuals is zero"
+        assert all(isinstance(f, RobustFit) for i, f in enumerate(fits) if i != 1)
+
+    def test_underdetermined_fails_every_row(self):
+        Z, Y = design_stack(np.random.default_rng(14), 4, 5, 5)
+        fits = assert_rows_equal_irls_fit(Z, Y, None, None)
+        assert all(str(f).startswith("underdetermined fit") for f in fits)
+
+    def test_iteration_cap_row_leaves_others_converging(self):
+        # these rows need 9 to 17 iterations from their least-squares starts
+        Z, Y = design_stack(np.random.default_rng(15), 8, 80, 2)
+        fits = assert_rows_equal_irls_fit(Z, Y, FitConfig(max_iterations=12), None)
+        assert {f.converged for f in fits} == {True, False}
+        assert all(f.iterations == 12 for f in fits if not f.converged)
+
+    def test_design_count_must_match_rows(self):
+        Z, Y = design_stack(np.random.default_rng(16), 3, 20, 2)
+        with pytest.raises(ValueError, match="3 designs for 2 outcome rows"):
+            irls_refit(Z, Y[:2], None)
+        with pytest.raises(ValueError, match="20 design rows but 19 outcomes"):
+            irls_refit(Z, Y[:, :19], None)

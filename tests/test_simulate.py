@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from robroc.errors import DataError
-from robroc.roc import auc_closed_form, auc_simpson, fit_pair, predict_mean
+from robroc import simulate
+from robroc.errors import DataError, NumericalError
+from robroc.model_select import select_knots
+from robroc.roc import (PopulationPair, auc_closed_form, auc_grid, auc_simpson,
+                        fit_pair, predict_mean)
 from robroc.simulate import (ESTIMATORS, Scenario, _contaminated_count,
-                             _fit_estimator, comparator_fit, generate, run_study,
-                             scenario, true_auc)
+                             comparator_fit, generate, run_study, scenario,
+                             true_auc)
 
 
 def normal_cdf(z: float) -> float:
@@ -265,7 +268,7 @@ class TestRunStudy:
         for kind in kinds:
             cells = np.full((8, grid.shape[0]), np.nan)
             for r in range(8):
-                pair = _fit_estimator(kind, *generate(scn, 40, 40, seed=(61, r)), 1, None)
+                pair = parent_fit_estimator(kind, *generate(scn, 40, 40, seed=(61, r)), 1, None)
                 for i, x in enumerate(grid):
                     try:
                         cells[r, i] = auc_closed_form(pair, x)
@@ -300,3 +303,123 @@ class TestRunStudy:
         robust_bias = np.abs(report.estimators["robust"].mean - report.true_auc)
         ols_bias = np.abs(report.estimators["ols_linear"].mean - report.true_auc)
         assert robust_bias.max() < ols_bias.max()
+
+
+def parent_fit_estimator(kind, nd, d, n_interior, config):
+    """One estimator's fitted pair, as run_study fitted it replicate by
+    replicate before its fits were batched."""
+    if kind == "robust":
+        return fit_pair(nd, d, n_interior, config=config)
+    return PopulationPair(nondiseased=comparator_fit(kind, nd, n_interior),
+                          diseased=comparator_fit(kind, d, n_interior))
+
+
+def parent_study(scn, n_nd, n_d, n_replicates, seed, x_grid, estimators, n_interior,
+                 select_candidates, config=None):
+    """run_study's replicate loop before its fits were batched: per
+    replicate, select_knots on each group, then one fit per estimator and
+    group.  Returns the AUC cells (replicates x grid points) per estimator,
+    the failed-fit counts and the knot tallies."""
+    aucs = {kind: np.full((n_replicates, x_grid.shape[0]), np.nan) for kind in estimators}
+    failed = {kind: 0 for kind in estimators}
+    counts = {"nondiseased": {}, "diseased": {}}
+    for r in range(n_replicates):
+        nd, d = generate(scn, n_nd, n_d, seed=(seed, r))
+        if select_candidates is not None:
+            for sample, key in ((nd, "nondiseased"), (d, "diseased")):
+                try:
+                    report = select_knots(sample, select_candidates, config)
+                except NumericalError:
+                    continue
+                chosen = report.best.n_interior
+                counts[key][chosen] = counts[key].get(chosen, 0) + 1
+        for kind in estimators:
+            try:
+                pair = parent_fit_estimator(kind, nd, d, n_interior, config)
+            except NumericalError:
+                failed[kind] += 1
+                continue
+            inside = pair.nondiseased.design.covers(x_grid) & pair.diseased.design.covers(x_grid)
+            try:
+                aucs[kind][r, inside] = auc_grid(pair, x_grid[inside])
+            except NumericalError:
+                pass
+    return aucs, failed, counts
+
+
+class TestEqualsParentLoop:
+    """run_study equals the replicate-by-replicate loop bit for bit: every
+    summary array, failed-fit count and knot tally."""
+
+    def assert_equal_studies(self, scn, n_nd, n_d, n_replicates, seed, estimators,
+                             n_interior, select_candidates, config=None):
+        report = run_study(scn, n_nd, n_d, n_replicates, seed=seed, estimators=estimators,
+                           n_interior=n_interior, select_candidates=select_candidates,
+                           config=config)
+        aucs, failed, counts = parent_study(scn, n_nd, n_d, n_replicates, seed,
+                                            report.x_grid, estimators, n_interior,
+                                            select_candidates, config)
+        assert list(report.estimators) == list(estimators)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+            for kind, summary in report.estimators.items():
+                np.testing.assert_array_equal(summary.mean, np.nanmean(aucs[kind], axis=0))
+                np.testing.assert_array_equal(summary.lower,
+                                              np.nanquantile(aucs[kind], 0.025, axis=0))
+                np.testing.assert_array_equal(summary.upper,
+                                              np.nanquantile(aucs[kind], 0.975, axis=0))
+                np.testing.assert_array_equal(summary.n_ok, np.isfinite(aucs[kind]).sum(axis=0))
+                assert summary.n_failed_fits == failed[kind]
+        assert report.knot_counts == (counts if select_candidates is not None else None)
+        return report
+
+    def test_study_workload_case(self):
+        # 25 replicates of 200: one chunk of 20 and a remainder of 5
+        assert simulate.REFIT_CHUNK_VALUES // 200 == 20
+        self.assert_equal_studies(scenario("IV", contamination=0.05), 200, 100, 25, 0,
+                                  ("robust", "ols_linear"), 0, [0, 3])
+
+    def test_robust_layout_not_a_candidate(self, monkeypatch):
+        monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 4 * 80)
+        self.assert_equal_studies(scenario("IV", contamination=0.05), 80, 60, 6, 3,
+                                  ("robust", "ols_linear"), (0, 3), [0, 3])
+
+    def test_no_estimators(self, monkeypatch):
+        monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 5 * 100)
+        report = self.assert_equal_studies(scenario("I"), 100, 100, 12, 204, (), 0, [0, 3])
+        assert report.estimators == {}
+
+    def test_no_selection(self, monkeypatch):
+        monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 3 * 70)
+        self.assert_equal_studies(scenario("I", contamination=0.05), 70, 50, 7, 5,
+                                  ESTIMATORS, 1, None)
+
+    def test_failed_fits_and_tallies(self, monkeypatch):
+        # nine and eight rows for scenario IV's seven robust coefficients:
+        # some replicates' robust fits and candidate fits fail, some do not
+        monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 5 * 9)
+        report = self.assert_equal_studies(scenario("IV", contamination=0.2), 9, 8, 12, 11,
+                                           ("robust", "ols_bspline"), 0, [0, 1, 3])
+        assert 0 < report.estimators["robust"].n_failed_fits < 12
+        assert 0 < sum(report.knot_counts["diseased"].values()) < 12
+
+    def test_every_fit_failing(self):
+        report = self.assert_equal_studies(scenario("IV"), 5, 5, 3, 0,
+                                           ("robust", "ols_linear"), 0, [0, 3])
+        assert report.estimators["robust"].n_failed_fits == 3
+        assert report.knot_counts == {"nondiseased": {}, "diseased": {}}
+
+    def test_robust_reuses_the_candidate_fit(self, monkeypatch):
+        # one batched fit per layout, chunk and group: the candidates (0, 0)
+        # and (3, 3), with the robust estimator's (0, 0) among them
+        rows = []
+        refit = simulate.irls_refit
+
+        def counted(Z, Y, config, beta_init=None):
+            rows.append(len(Y))
+            return refit(Z, Y, config, beta_init)
+
+        monkeypatch.setattr(simulate, "irls_refit", counted)
+        monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 4 * 60)
+        run_study(scenario("IV"), 60, 50, 6, estimators=("robust",), select_candidates=[0, 3])
+        assert rows == [4, 4, 4, 4, 2, 2, 2, 2]
