@@ -193,6 +193,8 @@ def _point(cfg: RunConfig) -> np.ndarray:
     if not cfg.x:
         raise UsageError("this command needs --x")
     x = parse_values(cfg.x)
+    if not np.all(np.isfinite(x)):
+        raise UsageError(f"--x values must be finite, got {cfg.x!r}")
     if x.size != _n_covariates(cfg):
         raise UsageError(f"--x has {x.size} values for {len(cfg.covariates)} covariates")
     return x
@@ -202,7 +204,12 @@ def _x_grid(cfg: RunConfig) -> np.ndarray | None:
     """--x-grid as a column, checked before any file is read; None for the default."""
     if _n_covariates(cfg) != 1:
         raise UsageError("grid commands support a single covariate; use the library API for more")
-    return parse_grid(cfg.x_grid)[:, None] if cfg.x_grid else None
+    if not cfg.x_grid:
+        return None
+    grid = parse_grid(cfg.x_grid)
+    if not np.all(np.isfinite(grid)):
+        raise UsageError(f"--x-grid points must be finite, got {cfg.x_grid!r}")
+    return grid[:, None]
 
 
 def _default_grid(cfg: RunConfig, pair) -> np.ndarray:

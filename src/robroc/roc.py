@@ -158,8 +158,13 @@ def auc_closed_form(pair: PopulationPair, x) -> float:
 def auc_grid(pair: PopulationPair, X) -> np.ndarray:
     """auc_closed_form at each row of X (a 1-d X holds points of a single
     covariate), with one basis evaluation per group for the whole grid."""
-    means = [_row_means(g.fit, g.design.matrix(X))
-             for g in (pair.nondiseased, pair.diseased)]
+    return auc_rows(pair, *(g.design.matrix(X) for g in (pair.nondiseased, pair.diseased)))
+
+
+def auc_rows(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray) -> np.ndarray:
+    """auc_closed_form at points given by each group's design rows there,
+    one row per point, as auc_grid evaluates them."""
+    means = [_row_means(pair.nondiseased.fit, rows_nd), _row_means(pair.diseased.fit, rows_d)]
     return np.array([_auc(pair, mu_nd, mu_d) for mu_nd, mu_d in zip(*means)])
 
 

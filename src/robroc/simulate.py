@@ -40,8 +40,8 @@ from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, irls_refit, ols_as_robust_fit
 from .model_select import _normalize, _ranked, _scored
-from .roc import GroupFit, PopulationPair, auc_grid
-from .splines import SplineSpec
+from .roc import GroupFit, PopulationPair, auc_grid, auc_rows
+from .splines import SplineSpec, design_stack, grid_stack
 
 ESTIMATORS = ("robust", "ols_linear", "ols_bspline")
 
@@ -259,10 +259,13 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
 
     Replicates run in chunks of REFIT_CHUNK_VALUES // n, n the larger group
     size.  Per chunk and group, each distinct knot layout among the
-    candidates and the 'robust' estimator's is fitted once, by one
-    irls_refit over the chunk's designs, so the robust estimator reuses the
-    candidate fit of its own layout.  Every number equals that of fitting
-    each replicate on its own.
+    candidates and the 'robust' estimator's is fitted once: one
+    splines.design_stack call builds the chunk's knots and designs, and one
+    irls_refit fits them, so the robust estimator reuses the candidate fit
+    of its own layout.  The robust estimator's grid rows come from one
+    splines.grid_stack call per chunk and group, and its grid AUCs from
+    roc.auc_rows.  Every number equals that of fitting each replicate on its
+    own.
     """
     for kind in estimators:
         if kind not in ESTIMATORS:
@@ -293,19 +296,22 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     for start in range(0, n_replicates, chunk):
         reps = range(start, min(start + chunk, n_replicates))
         draws = [generate(scn, n_nondiseased, n_diseased, seed=(seed, r)) for r in reps]
-        # per group, each replicate's robust fit (or its error), spec and sample
-        robust_fits = []
+        # per group, the robust fits (or their errors), specs and samples,
+        # and the design rows of the grid under each replicate's knots
+        robust_fits, grid_rows = [], []
         for key, samples in zip(counts, zip(*draws)):
+            X = np.array([s.covariates for s in samples])
+            Y = np.array([s.outcomes for s in samples])
             scored: list[list] = [[] for _ in reps]
             for layout in layouts:
-                specs = [SplineSpec.from_data(s.covariates, layout) for s in samples]
-                Zs = np.array([spec.matrix(s.covariates) for spec, s in zip(specs, samples)])
-                fits = irls_refit(Zs, np.array([s.outcomes for s in samples]), config)
+                specs, Zs = design_stack(X, layout)
+                fits = irls_refit(Zs, Y, config)
                 if layout in vectors:
                     for cands, spec, Z, fit in zip(scored, specs, Zs, fits):
                         cands.append(_scored(layout, spec, Z, fit))
                 if layout == robust:
                     robust_fits.append(list(zip(fits, specs, samples)))
+                    grid_rows.append(grid_stack(specs, x_grid))
             for cands in scored if vectors else ():
                 try:
                     chosen = _ranked(cands).best.n_interior
@@ -316,6 +322,9 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
             None if any(isinstance(fit, NumericalError) for fit, _, _ in groups)
             else PopulationPair(*(GroupFit.from_fit(fit, spec, s.label) for fit, spec, s in groups))
             for groups in zip(*robust_fits)]
+        if robust_pairs:
+            (rows_nd, in_nd), (rows_d, in_d) = grid_rows
+            robust_inside = in_nd & in_d
         for i, (r, (nd, d)) in enumerate(zip(reps, draws)):
             for kind in estimators:
                 if kind == "robust":
@@ -330,9 +339,15 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
                     failed[kind] += 1
                     continue
                 # points outside this replicate's boundary knots stay NaN
-                inside = pair.nondiseased.design.covers(x_grid) & pair.diseased.design.covers(x_grid)
                 try:
-                    aucs[kind][r, inside] = auc_grid(pair, x_grid[inside])
+                    if kind == "robust":
+                        inside = robust_inside[i]
+                        aucs[kind][r, inside] = auc_rows(pair, rows_nd[i, inside],
+                                                         rows_d[i, inside])
+                    else:
+                        inside = (pair.nondiseased.design.covers(x_grid)
+                                  & pair.diseased.design.covers(x_grid))
+                        aucs[kind][r, inside] = auc_grid(pair, x_grid[inside])
                 except NumericalError:
                     pass  # a degenerate scale leaves the whole row NaN
 

@@ -23,7 +23,7 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
 
 def full_basis_row(x: float, knots) -> np.ndarray:
     """The complete K + 4 basis values at a single point (nothing dropped)."""
-    return _full_basis(np.asarray([x], dtype=float), knots)[0]
+    return _full_basis(np.asarray([[x]], dtype=float), [knots])[0, :, 0]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -163,6 +163,10 @@ class TestExitCodes:
         (["youden", "--x-grid", "0:1:0"], "grid count"),
         (["auc", "--covariates", "age,z"], "single covariate"),
         (["youden", "--covariates", "age,z"], "single covariate"),
+        (["roc", "--x", "nan"], "--x values must be finite"),
+        (["bootstrap", "--x", "inf"], "--x values must be finite"),
+        (["auc", "--x-grid", "0:nan:5"], "--x-grid points must be finite"),
+        (["youden", "--x-grid", "nan:0.5:3"], "--x-grid points must be finite"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
         # settings are checked before the data file is read; the case's own
