@@ -16,11 +16,14 @@ The residual scale is the (uncentered) median absolute deviation
 recomputed from scratch at every iteration.  Iteration starts from the
 ordinary least squares fit and solves a weighted least squares problem per
 step through an orthogonal decomposition of the row-scaled design; normal
-equations are never formed.  irls_refit runs the same iteration on a stack
-of outcome vectors, and gives each vector the fit irls_fit would give it:
-the bootstrap's refits share one design and one warm start, and a Monte
-Carlo study's replicates each bring their own design of one shape and start
-cold.
+equations are never formed.
+
+There is one IRLS loop, irls_refit, which runs on a stack of outcome
+vectors: the bootstrap's refits share one design and one warm start, and a
+Monte Carlo study's replicates each bring their own design of one shape and
+start cold.  Each row's fit depends on that row alone.  irls_fit is the
+one-row stack, ols_fit solves a one-system stack, and mad_scale is the
+row-wise MAD of one row.
 
 After convergence, weights for downstream distribution estimates are
 truncated: observations with standardized residual at most v (default 3)
@@ -67,25 +70,15 @@ def mad_scale(residuals) -> float:
     The factor makes the estimate Fisher-consistent for the standard
     deviation under normal errors.
     """
-    a = np.abs(np.asarray(residuals, dtype=float).ravel())
-    n = a.size
-    if n == 0:
+    r = np.asarray(residuals, dtype=float).reshape(1, -1)
+    if r.size == 0:
         raise ValueError("no residuals")
-    # np.median's selection, done in place on the copy np.abs made: the
-    # middle order statistics, and the last place, where any NaN sorts
-    k = n // 2
-    if n % 2:
-        a.partition((k, n - 1))
-        mid = float(a[k])
-    else:
-        a.partition((k - 1, k, n - 1))
-        mid = (float(a[k - 1]) + float(a[k])) / 2.0
-    return MAD_FACTOR * (float("nan") if np.isnan(a[-1]) else mid)
+    return float(_row_mad_scales(r)[0])
 
 
 def _row_mad_scales(R: np.ndarray) -> np.ndarray:
-    """mad_scale of each row of R, bit for bit, by one selection along the
-    rows."""
+    """The MAD scale of each row of R, by one selection along the rows: the
+    middle order statistics, and the last place, where any NaN sorts."""
     a = np.abs(R)
     n = a.shape[1]
     k = n // 2
@@ -162,47 +155,20 @@ def _scale_floor(y: np.ndarray) -> float:
     return 1e-12 * max(float(np.sqrt(y @ y / y.size)), 1.0)
 
 
-def _lstsq(Zs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Least squares on a finite system via pivoted QR.
+def _stacked_lstsq(Zs: np.ndarray, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares on each finite system (Zs[i], Ys[i]) of a stack via
+    pivoted QR.
 
     Calls the LAPACK routines behind scipy.linalg.qr(mode="economic",
     pivoting=True) and solve_triangular directly, in the same order and with
     the same arguments (dgeqp3, dorgqr, then dtrtrs on R.T as lower and
-    transposed), so the solution is bit for bit theirs without their
-    per-call wrapper cost.  Rank deficiency is detected from the triangular
-    factor's diagonal with a 1e-10 relative threshold.
-    """
-    n, q = Zs.shape
-    if Zs.size == 0 or n < q:
-        raise NumericalError(_SINGULAR)
-    geqp3_lwork, orgqr_lwork = _workspace(n, q)
-    qr, piv, tau, _, info = dgeqp3(Zs, lwork=geqp3_lwork)
-    _lapack_ok("dgeqp3", info)
-    # R's upper triangle, copied before dorgqr overwrites qr; dtrtrs never
-    # reads the reflectors stored below it
-    R = qr[:q].copy()
-    diag = np.abs(np.diag(R))
-    if diag.min() <= 1e-10 * diag.max():
-        raise NumericalError(_SINGULAR)
-    Q, _, info = dorgqr(qr, tau, lwork=orgqr_lwork, overwrite_a=1)
-    _lapack_ok("dorgqr", info)
-    rhs = Q.T @ ys
-    _require_finite(rhs)
-    x, info = dtrtrs(R.T, rhs, lower=1, trans=1)
-    _lapack_ok("dtrtrs", info)
-    beta = np.empty(q)
-    beta[piv - 1] = x
-    return beta
-
-
-def _stacked_lstsq(Zs: np.ndarray, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_lstsq on each finite system (Zs[i], Ys[i]) of a stack, bit for bit.
-
-    The LAPACK calls and Q^T y run system by system; the rank check and the
-    finite check run once across the stack between them.  Zs is
-    overwritten: a Fortran-ordered Zs[i] is factored in place.  Returns the
-    solutions, NaN for the systems _lstsq would reject as singular, and the
-    mask of those systems.
+    transposed), so each solution is bit for bit theirs without their
+    per-call wrapper cost.  The LAPACK calls and Q^T y run system by system;
+    the rank check (the triangular factor's diagonal, with a 1e-10 relative
+    threshold) and the finite check run once across the stack between them.
+    Zs is overwritten: a Fortran-ordered Zs[i] is factored in place.
+    Returns the solutions, NaN for the singular systems, and the mask of
+    those systems.
     """
     m, n, q = Zs.shape
     if Zs.size == 0 or n < q:
@@ -244,7 +210,10 @@ def ols_fit(Z, y) -> tuple[np.ndarray, float]:
     if n <= q:
         raise NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
     _require_finite(Z, y)
-    beta = _lstsq(Z, y)
+    # a copy, since the system is factored in place
+    (beta,), singular = _stacked_lstsq(np.array(Z, order="F")[None], y[None])
+    if singular[0]:
+        raise NumericalError(_SINGULAR)
     resid = y - Z @ beta
     sigma = float(np.sqrt(resid @ resid / (n - q)))
     return beta, sigma
@@ -252,7 +221,8 @@ def ols_fit(Z, y) -> tuple[np.ndarray, float]:
 
 def irls_fit(Z, y, config: FitConfig | None = None,
              beta_init: np.ndarray | None = None) -> RobustFit:
-    """Fit y = Z beta + sigma * eps by Huber IRLS with MAD scale updates.
+    """Fit y = Z beta + sigma * eps by Huber IRLS with MAD scale updates:
+    irls_refit on the one-row stack.
 
     Starts from the least squares solution unless beta_init is supplied
     (e.g. a warm start during bootstrap refits; the fixed point does not
@@ -266,87 +236,31 @@ def irls_fit(Z, y, config: FitConfig | None = None,
         If the design is singular, the fit is underdetermined, or the MAD
         scale collapses to zero (more than half the residuals exactly zero).
     """
-    cfg = config or FitConfig()
     Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    n, q = Z.shape
-    if y.size != n:
-        raise ValueError(f"{n} design rows but {y.size} outcomes")
-    if n <= q:
-        raise NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
-
-    # checked once: every step's weights lie in [0, 1], so each scaled
-    # system is finite exactly when that step's weights are
-    _require_finite(Z, y)
-    if beta_init is None:
-        beta = _lstsq(Z, y)
-    else:
-        beta = np.asarray(beta_init, dtype=float).copy()
-        if beta.size != q:
-            raise ValueError(f"beta_init has {beta.size} entries for {q} parameters")
-    resid = y - Z @ beta
-    floor = _scale_floor(y)
-
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        sigma = mad_scale(resid)
-        if sigma <= floor:
-            raise NumericalError(_COLLAPSED_SCALE)
-        w = huber_weight(resid / sigma, cfg.tuning)
-        _require_finite(w)
-        sw = np.sqrt(w)
-        beta_new = _lstsq(Z * sw[:, None], y * sw)
-        delta = float(np.max(np.abs(beta_new - beta)))
-        beta = beta_new
-        resid = y - Z @ beta
-        iterations += 1
-        if delta < cfg.tol:
-            converged = True
-            break
-    return _final_fit(beta, resid, floor, iterations, converged, cfg)
-
-
-def _final_fit(beta: np.ndarray, resid: np.ndarray, floor: float, iterations: int,
-               converged: bool, cfg: FitConfig) -> RobustFit:
-    """The RobustFit at IRLS's last coefficients: MAD scale of the last
-    residuals, standardized residuals, Huber and truncated weights."""
-    sigma = mad_scale(resid)
-    if sigma <= floor:
-        raise NumericalError(_COLLAPSED_SCALE)
-    eps = resid / sigma
-    omega = huber_weight(eps, cfg.tuning)
-    omega_star = np.where(np.abs(eps) <= cfg.truncation, 1.0, omega)
-    return RobustFit(
-        beta=beta,
-        sigma=sigma,
-        std_residuals=eps,
-        huber_weights=omega,
-        truncated_weights=omega_star,
-        iterations=iterations,
-        converged=converged,
-        tuning=cfg.tuning,
-        truncation=cfg.truncation,
-    )
+    if Z.ndim != 2:
+        raise ValueError(f"expected a 2-d design, got {Z.ndim} dims")
+    (fit,) = irls_refit(Z, np.asarray(y, dtype=float).reshape(1, -1), config, beta_init)
+    if isinstance(fit, NumericalError):
+        raise fit
+    return fit
 
 
 def irls_refit(Z, Y, config: FitConfig | None,
                beta_init: np.ndarray | None = None) -> list[RobustFit | NumericalError]:
-    """irls_fit(Z, Y[i], config, beta_init) for every outcome row Y[i] of a
-    stack, as one batched IRLS.
+    """Huber IRLS fit of every outcome row Y[i] of a stack, as one batched
+    IRLS; irls_fit is the one-row case.
 
     Z is one design that every row shares, or a stack of designs of one
     shape, Z[i] for Y[i].  With beta_init None each row starts from its own
-    least-squares fit, as irls_fit does; otherwise every row starts from
-    beta_init.  Each row's RobustFit equals irls_fit's bit for bit:
-    coefficients, scale, residuals, both weight vectors, iteration count and
-    converged flag.  A row whose fit irls_fit would end with a NumericalError
-    gets that error in its place and leaves the batch; the other rows go on.
-    Every elementwise step runs once across the rows still iterating, and
-    only the LAPACK calls of the least-squares step run row by row.
-    ValueError (mismatched shapes, non-finite values, a non-finite warm start
-    included) is raised for the whole call, as irls_fit raises it for one
-    row.
+    least-squares fit; otherwise every row starts from beta_init.  Each
+    row's RobustFit depends on that row alone, bit for bit: coefficients,
+    scale, residuals, both weight vectors, iteration count and converged
+    flag are those of the same row fitted alone.  A row whose fit ends with
+    a NumericalError gets that error in its place and leaves the batch; the
+    other rows go on.  Every elementwise step runs once across the rows
+    still iterating, and only the LAPACK calls of the least-squares step
+    run row by row.  ValueError (mismatched shapes, non-finite values, a
+    non-finite warm start included) is raised for the whole call.
     """
     cfg = config or FitConfig()
     Z = np.asarray(Z, dtype=float)
@@ -386,15 +300,25 @@ def irls_refit(Z, Y, config: FitConfig | None,
         if beta.size != q:
             raise ValueError(f"beta_init has {beta.size} entries for {q} parameters")
         B = np.tile(beta, (m, 1))
-    # stacked matrix-vector products: each row is irls_fit's Z @ beta
+    # stacked matrix-vector products, each row's Z @ beta
     R = Y - np.matmul(Z, B[:, :, None])[:, :, 0]
 
     def settle(done, converged):
-        for i, b, r, floor in zip(rows[done].tolist(), B[done], R[done], floors[done].tolist()):
-            try:
-                fits[i] = _final_fit(b, r, floor, iterations, converged, cfg)
-            except NumericalError as err:
-                fits[i] = err
+        # each row's fit at its last coefficients: the MAD scale of its last
+        # residuals, standardized residuals, Huber and truncated weights
+        sigma = _row_mad_scales(R[done])
+        collapsed = sigma <= floors[done]
+        # a collapsed row's scale may be zero; its fit is the error, not E
+        with np.errstate(divide="ignore", invalid="ignore"):
+            E = R[done] / sigma[:, None]
+            omega = huber_weight(E, cfg.tuning)
+        omega_star = np.where(np.abs(E) <= cfg.truncation, 1.0, omega)
+        for i, b, s, bad, e, w, w_star in zip(rows[done].tolist(), B[done], sigma.tolist(),
+                                              collapsed.tolist(), E, omega, omega_star):
+            fits[i] = NumericalError(_COLLAPSED_SCALE) if bad else RobustFit(
+                beta=b, sigma=s, std_residuals=e, huber_weights=w, truncated_weights=w_star,
+                iterations=iterations, converged=converged, tuning=cfg.tuning,
+                truncation=cfg.truncation)
 
     iterations = 0
     while rows.size and iterations < cfg.max_iterations:

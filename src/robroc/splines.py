@@ -95,15 +95,18 @@ def knot_sequence(column, n_interior: int):
 
 @dataclass(frozen=True)
 class KnotSpec:
-    """Knot layout for a single splined covariate."""
+    """Knot layout for a single splined covariate: finite boundary knots
+    lo < hi, and interior knots strictly increasing between them."""
 
     boundary: tuple[float, float]
     interior: tuple[float, ...] = ()
 
     def __post_init__(self):
         lo, hi = self.boundary
-        if not lo < hi:
-            raise DataError(f"boundary knots must satisfy min < max, got ({lo}, {hi})")
+        knots = (-np.inf, lo, *self.interior, hi, np.inf)
+        if not all(a < b for a, b in zip(knots, knots[1:])):
+            raise DataError("knots must be finite with lo < t_1 < ... < t_K < hi, "
+                            f"got boundary ({lo}, {hi}) and interior {self.interior}")
 
     @property
     def n_interior(self) -> int:

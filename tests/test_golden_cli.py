@@ -15,6 +15,8 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from robroc.cli import _build_parser, main
+from robroc.simulate import generate, scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-12
@@ -94,14 +97,18 @@ def write_study_data(path) -> None:
         writer.writerows(rows)
 
 
-def run_case(name: str, data: Path, out: Path) -> tuple[int, str]:
-    """Exit code and stdout, with the out directory shown as <out>."""
+def case_argv(name: str, data: Path, out: Path) -> list[str]:
     argv = list(CASES[name])
     if argv[0] != "simulate":
         argv += ["--data", str(data)]
+    return [*argv, "--out", str(out)]
+
+
+def run_case(name: str, data: Path, out: Path) -> tuple[int, str]:
+    """Exit code and stdout, with the out directory shown as <out>."""
     stdout = StringIO()
     with redirect_stdout(stdout):
-        code = main([*argv, "--out", str(out)])
+        code = main(case_argv(name, data, out))
     return code, stdout.getvalue().replace(str(out), "<out>")
 
 
@@ -130,24 +137,76 @@ def cells_match(got: str, want: str) -> bool:
     return abs(g - w) <= REL_TOL * max(abs(g), abs(w))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_case(name, tmp_path):
+def assert_tables_match(got_path: Path, want_path: Path) -> None:
+    table = want_path.name
+    got = read_csv_cells(got_path)
+    want = read_csv_cells(want_path)
+    assert got[0] == want[0], f"{table}: header"
+    assert len(got) == len(want), f"{table}: row count"
+    for i, (g_row, w_row) in enumerate(zip(got[1:], want[1:]), start=1):
+        assert len(g_row) == len(w_row), f"{table} row {i}: width"
+        for g, w, column in zip(g_row, w_row, want[0]):
+            assert cells_match(g, w), f"{table} row {i} {column}: {g} != {w}"
+
+
+def assert_matches_golden(name: str, out: Path, stdout: str) -> None:
+    """A run of case name wrote what was recorded: the same stdout, the same
+    normalized manifest, and tables whose cells match."""
     expected = GOLDEN / name
-    out = tmp_path / "out"
-    code, stdout = run_case(name, GOLDEN / "data.csv", out)
-    assert code == 0
     assert stdout == (expected / "stdout.txt").read_text()
     manifest = normalized_manifest(out)
     assert manifest == json.loads((expected / "manifest.json").read_text())
     for table in manifest["outputs"]:
-        got = read_csv_cells(out / table)
-        want = read_csv_cells(expected / table)
-        assert got[0] == want[0], f"{table}: header"
-        assert len(got) == len(want), f"{table}: row count"
-        for i, (g_row, w_row) in enumerate(zip(got[1:], want[1:]), start=1):
-            assert len(g_row) == len(w_row), f"{table} row {i}: width"
-            for g, w, column in zip(g_row, w_row, want[0]):
-                assert cells_match(g, w), f"{table} row {i} {column}: {g} != {w}"
+        assert_tables_match(out / table, expected / table)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_case(name, tmp_path):
+    out = tmp_path / "out"
+    code, stdout = run_case(name, GOLDEN / "data.csv", out)
+    assert code == 0
+    assert_matches_golden(name, out, stdout)
+
+
+def run_module(argv: list[str], out: Path, blas_threads: str | None) -> str:
+    """python -m robroc in a fresh interpreter, with OPENBLAS_NUM_THREADS set
+    to blas_threads (unset for None); returns stdout with <out> shown."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-m", "robroc", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.replace(str(out), "<out>")
+
+
+class TestSingleThreadedBlas:
+    """One BLAS thread gives the outputs of the default threading: on the
+    golden cases, and on a fit large enough for OpenBLAS to split its
+    products across threads."""
+
+    @pytest.mark.parametrize("name", ["bootstrap", "fit"])
+    def test_golden_case(self, name, tmp_path):
+        out = tmp_path / "out"
+        stdout = run_module(case_argv(name, GOLDEN / "data.csv", out), out, "1")
+        assert_matches_golden(name, out, stdout)
+
+    def test_large_fit_coefficients(self, tmp_path):
+        nd, d = generate(scenario("I", contamination=0.05), 15000, 15000, seed=17)
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["outcome", "disease", "x"])
+            for flag, sample in enumerate((nd, d)):
+                writer.writerows([repr(y), flag, repr(x)] for y, x in
+                                 zip(sample.outcomes.tolist(), sample.covariates[:, 0].tolist()))
+        outs = {}
+        for threads in (None, "1"):
+            outs[threads] = tmp_path / f"out_{threads}"
+            run_module(["fit", "--data", str(data), "--covariates", "x", "--knots", "3",
+                        "--out", str(outs[threads])], outs[threads], threads)
+        assert_tables_match(outs["1"] / "coefficients.csv", outs[None] / "coefficients.csv")
 
 
 def test_subcommand_options():

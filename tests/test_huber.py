@@ -226,22 +226,32 @@ def reference_irls(Z, y, cfg, beta_init=None):
     return beta, iterations, converged
 
 
+def scaled_stack(Z, W):
+    """The row-scaled systems sqrt(W[i]) Z as irls_refit lays them out: a
+    stack whose every system is Fortran-ordered."""
+    return (Z.T * np.sqrt(W)[:, None, :]).transpose(0, 2, 1)
+
+
 class TestScaledLstsq:
-    """The IRLS step: _lstsq on the row-scaled system sqrt(w) Z, sqrt(w) y."""
+    """The least-squares step: _stacked_lstsq on row-scaled systems
+    sqrt(w) Z, sqrt(w) y."""
 
     @pytest.mark.parametrize("n, q", [(n, q) for n in (5, 13, 300, 4000, 20000)
                                       for q in (1, 2, 4, 8, 12) if q < n])
     def test_bit_identical_to_scipy_wrappers(self, n, q):
         rng = np.random.default_rng(1000 * n + q)
-        for _ in range(3):
+        # one C-ordered system alone, then a stack of Fortran-ordered ones
+        for m, layout in ((1, np.ascontiguousarray), (3, lambda a: a)):
             Z = rng.normal(size=(n, q)) * rng.uniform(0.01, 100.0, size=q)
             Z[:, 0] = 1.0
-            y = rng.standard_t(3, size=n) * 10.0
-            w = huber_weight(rng.standard_t(2, size=n), B)
-            sw = np.sqrt(w)
-            assert np.array_equal(huber._lstsq(Z * sw[:, None], y * sw),
-                                  wrapper_lstsq(Z, y, w))
-            assert np.array_equal(ols_fit(Z, y)[0], wrapper_lstsq(Z, y, np.ones(n)))
+            Y = rng.standard_t(3, size=(m, n)) * 10.0
+            W = huber_weight(rng.standard_t(2, size=(m, n)), B)
+            beta, singular = huber._stacked_lstsq(layout(scaled_stack(Z, W)),
+                                                  Y * np.sqrt(W))
+            assert not singular.any()
+            for b, y, w in zip(beta, Y, W):
+                assert np.array_equal(b, wrapper_lstsq(Z, y, w))
+                assert np.array_equal(ols_fit(Z, y)[0], wrapper_lstsq(Z, y, np.ones(n)))
 
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
     def test_singular_design_rejected(self, column):
@@ -249,8 +259,16 @@ class TestScaledLstsq:
         Z = np.column_stack([np.ones(40), rng.normal(size=40), np.zeros(40)])
         if column == "duplicate":
             Z[:, 2] = Z[:, 1]
-        with pytest.raises(NumericalError, match="singular"):
-            huber._lstsq(Z, rng.normal(size=40))
+        full = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
+        Y = rng.normal(size=(3, 40))
+        beta, singular = huber._stacked_lstsq(np.array([full, Z, full]), Y)
+        assert singular.tolist() == [False, True, False]
+        assert np.isnan(beta[1]).all()
+        # the other systems solve as they would alone
+        assert np.array_equal(beta[2], huber._stacked_lstsq(full[None].copy(), Y[2:])[0][0])
+        for fit in (ols_fit, irls_fit):
+            with pytest.raises(NumericalError, match="^singular design matrix$"):
+                fit(Z, Y[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_is_value_error(self, bad):
@@ -269,11 +287,23 @@ class TestScaledLstsq:
     def test_workspace_queried_once_per_shape(self):
         rng = np.random.default_rng(4)
         huber._workspace.cache_clear()
-        for _ in range(3):
-            huber._lstsq(rng.normal(size=(50, 3)), rng.normal(size=50))
-        huber._lstsq(rng.normal(size=(60, 3)), rng.normal(size=60))
+        for m in (1, 2, 3):
+            huber._stacked_lstsq(rng.normal(size=(m, 50, 3)), rng.normal(size=(m, 50)))
+        huber._stacked_lstsq(rng.normal(size=(2, 60, 3)), rng.normal(size=(2, 60)))
         info = huber._workspace.cache_info()
         assert (info.misses, info.hits) == (2, 2)
+
+    def test_fortran_design_left_unchanged(self):
+        # _stacked_lstsq factors a Fortran-ordered system in place, so the
+        # one-system callers must hand it a copy of the caller's design
+        rng = np.random.default_rng(6)
+        Z = np.asfortranarray(np.column_stack([np.ones(50), rng.normal(size=(50, 2))]))
+        y = rng.normal(size=50)
+        kept = Z.copy()
+        ols_fit(Z, y)
+        irls_fit(Z, y)
+        irls_fit(Z, y, beta_init=np.zeros(3))
+        assert np.array_equal(Z, kept)
 
 
 class TestIrlsFit:
@@ -398,6 +428,11 @@ class TestIrlsFit:
         with pytest.raises(NumericalError):
             irls_fit(Z, np.ones(3))
 
+    @pytest.mark.parametrize("shape", [(30,), (1, 30, 2)])
+    def test_design_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match="2-d design"):
+            irls_fit(np.ones(shape), np.ones(30))
+
     @pytest.mark.parametrize("n, q, tuning, cap", [
         (200, 4, B, 50), (300, 7, B, 50), (150, 13, B, 50), (60, 2, 0.7, 50),
         (200, 4, B, 3), (40, 3, np.inf, 50)])
@@ -450,7 +485,10 @@ class TestOlsAsRobustFit:
 def assert_rows_equal_irls_fit(Z, Y, cfg, beta_init):
     """Each row of irls_refit equals irls_fit on that row and its design
     (Z, or Z[i] of a stack): the same fit bit for bit, or a NumericalError
-    with the same message."""
+    with the same message.  irls_fit is irls_refit on a one-row stack, so
+    this checks that a row's fit does not depend on the other rows in its
+    batch; test_bit_identical_to_reference_loop holds irls_fit itself to
+    an independent loop."""
     fits = irls_refit(Z, Y, cfg, beta_init)
     assert len(fits) == len(Y)
     designs = Z if np.ndim(Z) == 3 else [Z] * len(Y)

@@ -5,10 +5,11 @@ import pytest
 
 from robroc.data import GroupSample
 from robroc.huber import FitConfig, RobustFit, irls_fit
-from robroc.roc import (PopulationPair, auc_closed_form, auc_simpson,
+from robroc.roc import (PopulationPair, auc_closed_form, auc_grid, auc_simpson,
                         composite_simpson, fit_pair, GroupFit, predict_mean,
                         robust_unconditional_auc, roc_curve, roc_values,
                         unconditional_auc, youden_index)
+from robroc.simulate import generate, scenario
 from robroc.splines import SplineSpec
 
 X0 = np.array([0.0])
@@ -372,3 +373,32 @@ class TestRobustUnconditionalAucTies:
                 elif yi == yj:
                     total += 0.5 * wi * wj
         assert auc == pytest.approx(total / (w_nd.sum() * w_d.sum()), abs=1e-12)
+
+
+class TestRowPermutationInvariance:
+    """Permuting one group's rows, outcomes and covariates together, moves
+    neither group's fit nor the AUC beyond rounding."""
+
+    @pytest.mark.parametrize("name, knots", [("I", 2), ("III", 2), ("IV", [1, 1])])
+    @pytest.mark.parametrize("seed", [4, 29])
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_fit_and_auc_unchanged(self, name, knots, seed, group):
+        scn = scenario(name, contamination=0.05)
+        samples = list(generate(scn, 200, 100, seed=seed))
+        s = samples[group]
+        order = np.random.default_rng(seed).permutation(s.outcomes.size)
+        shuffled = list(samples)
+        shuffled[group] = GroupSample(outcomes=s.outcomes[order],
+                                      covariates=s.covariates[order], label=s.label)
+        pair, pair_shuffled = fit_pair(*samples, knots), fit_pair(*shuffled, knots)
+        for g, g_shuffled in ((pair.nondiseased, pair_shuffled.nondiseased),
+                              (pair.diseased, pair_shuffled.diseased)):
+            beta = g.fit.beta
+            assert (np.max(np.abs(g_shuffled.fit.beta - beta))
+                    <= 1e-10 * np.max(np.abs(beta)))
+            assert g_shuffled.fit.sigma == pytest.approx(g.fit.sigma, rel=1e-10, abs=0)
+        grid = scn.default_grid(21)
+        covered = pair.nondiseased.design.covers(grid) & pair.diseased.design.covers(grid)
+        assert covered.any()
+        np.testing.assert_allclose(auc_grid(pair_shuffled, grid[covered]),
+                                   auc_grid(pair, grid[covered]), rtol=0, atol=1e-10)

@@ -83,6 +83,30 @@ class TestKnotSequence:
             knot_sequence([1.0, 2.0, 3.0], -1)
 
 
+class TestKnotSpecValidation:
+    @pytest.mark.parametrize("boundary, interior", [
+        ((0.0, 1.0), (0.9, 0.5, 0.1)),  # unsorted: a negative basis
+        ((0.0, 1.0), (1.5,)),  # beyond the boundary: a zero row at x = 1
+        ((0.0, 1.0), (0.4, 0.4)),  # tied interior pair
+        ((0.0, 1.0), (0.3, np.nan)),  # NaN knot
+        ((0.0, 1.0), (0.0, 0.5)),  # on the boundary
+        ((0.0, np.inf), ()),
+        ((np.nan, 1.0), ()),
+        ((1.0, 1.0), ()),
+        ((1.0, 0.0), ()),
+    ])
+    def test_bad_knots_rejected(self, boundary, interior):
+        with pytest.raises(DataError, match="knots must be finite"):
+            KnotSpec(boundary=boundary, interior=interior)
+
+    def test_increasing_knots_accepted(self):
+        spec = KnotSpec(boundary=(-1.0, 2.0), interior=(-0.5, 0.0, 1.999))
+        assert spec.n_columns == 6
+        basis = _full_basis(np.linspace(-1.0, 2.0, 31)[None], [spec])[0]
+        assert basis.min() >= 0.0
+        np.testing.assert_allclose(basis.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
 class TestBasisRows:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_row_lengths(self, k):
