@@ -29,8 +29,8 @@ from .errors import NumericalError
 # every module-level name, bootstrap's included, and bench/test_bench.py
 # checks that
 from .huber import FitConfig, irls_fit, irls_refit
-from .roc import (GroupFit, PopulationPair, _auc, _roc, _row_means, _youden,
-                  robust_unconditional_auc, unconditional_auc)
+from .roc import (GroupFit, PopulationPair, evaluate, robust_unconditional_auc,
+                  unconditional_auc)
 
 FAILURE_WARNING_FRACTION = 0.05
 # Replicates are refit a chunk at a time, and chunk size x the larger
@@ -175,22 +175,16 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
     groups = (pair.nondiseased, pair.diseased)
     # the knots are frozen across replicates, so each group's design rows at
     # the points are built once and only the coefficients change
-    rows = [g.design.matrix(X) for g in groups]
-
-    def evaluate(p: PopulationPair):
-        means = list(zip(*(_row_means(g.fit, r) for g, r in zip((p.nondiseased, p.diseased), rows))))
-        return (np.array([_auc(p, *mu) for mu in means]),
-                np.array([_roc(p, *mu, t_grid) for mu in means]) if t_grid is not None else None,
-                np.array([_youden(p, *mu) for mu in means]) if youden else None)
-
+    rows = pair.design_rows(X)
     reps, counts = _replicates(
         [g.fit for g in groups],
         [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
         cfg, fcfg,
         lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
-                                                    for f, g in zip(refits, groups)))))
+                                                    for f, g in zip(refits, groups))),
+                                   *rows, t_grid, youden))
 
-    auc, band, youden_rows = evaluate(pair)
+    auc, band, youden_rows = evaluate(pair, *rows, t_grid, youden)
     result = BootstrapResult(X, auc, *percentile_interval([r[0] for r in reps], cfg.alpha),
                              **counts)
     if t_grid is not None:

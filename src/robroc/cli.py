@@ -24,8 +24,7 @@ from .io import (CONFIG_ENV_VAR, RunConfig, load_config, parse_grid,
                  parse_knots, parse_values, read_csv, write_manifest,
                  write_table)
 from .model_select import knot_grid, select_knots
-from .roc import (auc_grid, fit_pair, robust_unconditional_auc, roc_curve,
-                  youden_index)
+from .roc import auc_grid, evaluate, fit_pair, robust_unconditional_auc, roc_curve
 from .simulate import ESTIMATORS, run_study, scenario
 
 
@@ -305,8 +304,8 @@ def _cmd_youden(cfg, fit_config, args, write) -> None:
     points = _point(cfg)[None, :] if cfg.x else _x_grid(cfg)
     _, _, pair = _fitted_pair(cfg, fit_config)
     points = _default_grid(cfg, pair) if points is None else points
-    rows = [[*xrow, *youden_index(pair, xrow)] for xrow in points]
-    path = write("youden.csv", [*cfg.covariates, "youden", "threshold"], list(zip(*rows)))
+    best = evaluate(pair, *pair.design_rows(points), youden=True)[2]
+    path = write("youden.csv", [*cfg.covariates, "youden", "threshold"], [*points.T, *best.T])
     print(f"wrote Youden index at {len(points)} point(s) to {path}")
 
 

@@ -56,6 +56,11 @@ class PopulationPair:
     nondiseased: GroupFit
     diseased: GroupFit
 
+    def design_rows(self, X) -> list[np.ndarray]:
+        """Each group's design rows at the rows of X (a 1-d X holds points
+        of a single covariate), as evaluate takes them."""
+        return [g.design.matrix(X) for g in (self.nondiseased, self.diseased)]
+
 
 @dataclass
 class RocResult:
@@ -87,85 +92,74 @@ def predict_mean(fit: RobustFit, design: SplineSpec, x) -> float:
     return float(design.row(x) @ fit.beta)
 
 
-def _row_means(fit: RobustFit, rows: np.ndarray) -> list[float]:
-    """Fitted means at precomputed design rows, each the 1-D product that
-    predict_mean takes, so they equal its values bit for bit."""
-    return [float(row @ fit.beta) for row in rows]
+def _one_point(x) -> np.ndarray:
+    """A covariate point as a one-row grid."""
+    return np.atleast_1d(np.asarray(x, dtype=float))[None, :]
 
 
-def _point_means(pair: PopulationPair, x) -> tuple[float, float]:
-    return (predict_mean(pair.nondiseased.fit, pair.nondiseased.design, x),
-            predict_mean(pair.diseased.fit, pair.diseased.design, x))
+def evaluate(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray, t=None,
+             youden: bool = False):
+    """AUC(x), and on request ROC(t | x) and the Youden index, at k points
+    given by each group's design rows there (PopulationPair.design_rows).
 
-
-# The evaluators below take the groups' fitted means at one covariate point;
-# the public per-point functions compute those means and call them, and the
-# grid and bootstrap paths pass means from design rows built once.
-
-def _check_scales(pair: PopulationPair):
-    if pair.nondiseased.fit.sigma <= 0.0 or pair.diseased.fit.sigma <= 0.0:
+    Returns (auc, roc, youden) with a row per point: the k AUCs, ROC(t | x)
+    as a k x t.size array (None without t), and the k (Youden index,
+    smallest threshold attaining it) pairs as a k x 2 array (None unless
+    youden is set).
+    """
+    if t is not None:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0) or np.any(t > 1.0):
+            raise ValueError("t values must lie in [0, 1]")
+    nd, d = pair.nondiseased, pair.diseased
+    if nd.fit.sigma <= 0.0 or d.fit.sigma <= 0.0:
         raise NumericalError("degenerate scale in fitted pair")
-
-
-def _adjusted(group: GroupFit, mu: float) -> np.ndarray:
-    return mu + group.fit.sigma * group.ecdf.support
-
-
-def _auc(pair: PopulationPair, mu_nd: float, mu_d: float) -> float:
-    _check_scales(pair)
-    nd_vals = _adjusted(pair.nondiseased, mu_nd)
-    d_vals = _adjusted(pair.diseased, mu_d)
-    d_w = pair.diseased.ecdf.weights
-    # nd support is sorted; cumulative nd weight at nd_vals <= d_val
-    cum = pair.nondiseased.ecdf.cum_weights
-    pos = np.searchsorted(nd_vals, d_vals, side="right")
-    covered = np.where(pos > 0, cum[pos - 1], 0.0)
-    return float((d_w @ covered) / (cum[-1] * d_w.sum()))
-
-
-def _roc(pair: PopulationPair, mu_nd: float, mu_d: float, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("t values must lie in [0, 1]")
-    _check_scales(pair)
-    a = (mu_nd - mu_d) / pair.diseased.fit.sigma
-    c = pair.nondiseased.fit.sigma / pair.diseased.fit.sigma
-    q = pair.nondiseased.ecdf.quantile(1.0 - t)
-    return 1.0 - pair.diseased.ecdf.cdf(a + c * q)
-
-
-def _youden(pair: PopulationPair, mu_nd: float, mu_d: float) -> tuple[float, float]:
-    _check_scales(pair)
-    candidates = np.union1d(_adjusted(pair.nondiseased, mu_nd),
-                            _adjusted(pair.diseased, mu_d))
-    f_nd = pair.nondiseased.ecdf.cdf((candidates - mu_nd) / pair.nondiseased.fit.sigma)
-    f_d = pair.diseased.ecdf.cdf((candidates - mu_d) / pair.diseased.fit.sigma)
-    objective = f_nd - f_d
-    best = int(np.argmax(objective))  # first maximum = smallest candidate
-    return float(objective[best]), float(candidates[best])
+    # each mean is predict_mean's 1-D product: a 2-D rows @ beta can differ
+    # by an ulp, and that can move the Youden index by a point mass
+    mu_nd = np.array([row @ nd.fit.beta for row in rows_nd])
+    mu_d = np.array([row @ d.fit.beta for row in rows_d])
+    adj_nd = mu_nd[:, None] + nd.fit.sigma * nd.ecdf.support
+    adj_d = mu_d[:, None] + d.fit.sigma * d.ecdf.support
+    # the nondiseased weight at or below each diseased value, per point; the
+    # nondiseased support is sorted, so one searchsorted per row finds it
+    covered = np.concatenate([[0.0], nd.ecdf.cum_weights])
+    d_w = d.ecdf.weights
+    auc = np.array([d_w @ covered[np.searchsorted(a_nd, a_d, side="right")]
+                    for a_nd, a_d in zip(adj_nd, adj_d)])
+    auc /= nd.ecdf.cum_weights[-1] * d_w.sum()
+    roc = None
+    if t is not None:
+        a = (mu_nd - mu_d) / d.fit.sigma
+        c = nd.fit.sigma / d.fit.sigma
+        roc = 1.0 - d.ecdf.cdf(a[:, None] + c * nd.ecdf.quantile(1.0 - t))
+    best = None
+    if youden:
+        # the objective is a step function that can change only at the
+        # groups' adjusted values; a tied candidate repeats its objective,
+        # so the first maximum is at the smallest candidate attaining it
+        cand = np.sort(np.concatenate([adj_nd, adj_d], axis=1), axis=1)
+        objective = (nd.ecdf.cdf((cand - mu_nd[:, None]) / nd.fit.sigma)
+                     - d.ecdf.cdf((cand - mu_d[:, None]) / d.fit.sigma))
+        at = np.argmax(objective, axis=1)
+        points = np.arange(at.size)
+        best = np.column_stack([objective[points, at], cand[points, at]])
+    return auc, roc, best
 
 
 def roc_values(pair: PopulationPair, x, t) -> np.ndarray:
     """ROC(t | x) on an array of false positive fractions."""
-    return _roc(pair, *_point_means(pair, x), t)
+    return evaluate(pair, *pair.design_rows(_one_point(x)), t)[1][0]
 
 
 def auc_closed_form(pair: PopulationPair, x) -> float:
     """Exact area under ROC(. | x): the weighted Mann-Whitney form."""
-    return _auc(pair, *_point_means(pair, x))
+    return float(evaluate(pair, *pair.design_rows(_one_point(x)))[0][0])
 
 
 def auc_grid(pair: PopulationPair, X) -> np.ndarray:
     """auc_closed_form at each row of X (a 1-d X holds points of a single
     covariate), with one basis evaluation per group for the whole grid."""
-    return auc_rows(pair, *(g.design.matrix(X) for g in (pair.nondiseased, pair.diseased)))
-
-
-def auc_rows(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray) -> np.ndarray:
-    """auc_closed_form at points given by each group's design rows there,
-    one row per point, as auc_grid evaluates them."""
-    means = [_row_means(pair.nondiseased.fit, rows_nd), _row_means(pair.diseased.fit, rows_d)]
-    return np.array([_auc(pair, mu_nd, mu_d) for mu_nd, mu_d in zip(*means)])
+    return evaluate(pair, *pair.design_rows(X))[0]
 
 
 def composite_simpson(values, lower: float, upper: float) -> float:
@@ -196,12 +190,12 @@ def roc_curve(pair: PopulationPair, x, t_grid=None, n_panels: int = 200) -> RocR
         t_grid = np.linspace(0.0, 1.0, 201)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
-    vals = roc_values(pair, x, t_grid)
+    auc, roc, _ = evaluate(pair, *pair.design_rows(_one_point(x)), t_grid)
     return RocResult(
         x=np.atleast_1d(np.asarray(x, dtype=float)),
         t_grid=t_grid,
-        roc_values=vals,
-        auc_closed_form=auc_closed_form(pair, x),
+        roc_values=roc[0],
+        auc_closed_form=float(auc[0]),
         auc_simpson=auc_simpson(pair, x, n_panels),
     )
 
@@ -213,7 +207,8 @@ def youden_index(pair: PopulationPair, x) -> tuple[float, float]:
     both groups' adjusted values, which contains every point where the
     objective can change.
     """
-    return _youden(pair, *_point_means(pair, x))
+    index, threshold = evaluate(pair, *pair.design_rows(_one_point(x)), youden=True)[2][0]
+    return float(index), float(threshold)
 
 
 def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,

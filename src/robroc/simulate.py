@@ -40,7 +40,7 @@ from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, irls_refit, ols_as_robust_fit
 from .model_select import _normalize, _ranked, _scored
-from .roc import GroupFit, PopulationPair, auc_grid, auc_rows
+from .roc import GroupFit, PopulationPair, auc_grid, evaluate
 from .splines import SplineSpec, design_stack, grid_stack
 
 ESTIMATORS = ("robust", "ols_linear", "ols_bspline")
@@ -264,8 +264,8 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     irls_refit fits them, so the robust estimator reuses the candidate fit
     of its own layout.  The robust estimator's grid rows come from one
     splines.grid_stack call per chunk and group, and its grid AUCs from
-    roc.auc_rows.  Every number equals that of fitting each replicate on its
-    own.
+    one roc.evaluate call per replicate.  Every number equals that of
+    fitting each replicate on its own.
     """
     for kind in estimators:
         if kind not in ESTIMATORS:
@@ -342,8 +342,8 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
                 try:
                     if kind == "robust":
                         inside = robust_inside[i]
-                        aucs[kind][r, inside] = auc_rows(pair, rows_nd[i, inside],
-                                                         rows_d[i, inside])
+                        aucs[kind][r, inside] = evaluate(pair, rows_nd[i, inside],
+                                                         rows_d[i, inside])[0]
                     else:
                         inside = (pair.nondiseased.design.covers(x_grid)
                                   & pair.diseased.design.covers(x_grid))

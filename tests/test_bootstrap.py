@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import point_auc, point_roc, point_youden, row_means
 from robroc import bootstrap
 from robroc.bootstrap import (BootstrapConfig, _resample_indices, _resampling_cdf,
                               percentile_interval, residual_bootstrap,
@@ -12,9 +13,9 @@ from robroc.bootstrap import (BootstrapConfig, _resample_indices, _resampling_cd
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
-from robroc.roc import (GroupFit, PopulationPair, _auc, _roc, _row_means, _youden,
-                        auc_closed_form, fit_pair, robust_unconditional_auc, roc_values,
-                        unconditional_auc, youden_index)
+from robroc.roc import (GroupFit, PopulationPair, auc_closed_form, fit_pair,
+                        robust_unconditional_auc, roc_values, unconditional_auc,
+                        youden_index)
 from robroc.simulate import generate, scenario, true_auc
 from robroc.splines import SplineSpec
 
@@ -416,10 +417,10 @@ def parent_residual_bootstrap(pair, nondiseased, diseased, targets, config, fit_
     rows = [g.design.matrix(np.vstack([tgt.x for tgt in targets])) for g in groups]
 
     def evaluate(p):
-        means = zip(*(_row_means(g.fit, r) for g, r in zip((p.nondiseased, p.diseased), rows)))
-        return [(_auc(p, *mu),
-                 _roc(p, *mu, tgt.t_grid) if tgt.t_grid is not None else None,
-                 _youden(p, *mu) if tgt.youden else None)
+        means = zip(*(row_means(g.fit, r) for g, r in zip((p.nondiseased, p.diseased), rows)))
+        return [(point_auc(p, *mu),
+                 point_roc(p, *mu, tgt.t_grid) if tgt.t_grid is not None else None,
+                 point_youden(p, *mu) if tgt.youden else None)
                 for tgt, mu in zip(targets, means)]
 
     reps, counts = parent_replicates(

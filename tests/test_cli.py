@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, output schemas, config precedence."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,13 @@ from robroc.cli import main
 from robroc.simulate import generate, scenario
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """python -m robroc from src/ in a fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "robroc", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def write_study_csv(path, n=60, outlier=False, seed=3):
@@ -115,10 +123,8 @@ class TestExitCodes:
     def test_csv_faults_are_data_errors(self, tmp_path, data_csv, tail, message):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(data_csv.read_bytes() + tail)
-        proc = subprocess.run(
-            [sys.executable, "-m", "robroc", "fit", "--data", str(bad),
-             "--covariates", "age", "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+        proc = run_module("fit", "--data", str(bad), "--covariates", "age",
+                          "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("data error: ") and str(bad) in proc.stderr
@@ -184,11 +190,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["auc", "youden"])
     def test_default_grid_needs_splined_covariate(self, tmp_path, command):
-        proc = subprocess.run(
-            [sys.executable, "-m", "robroc", command, "--data", str(GOLDEN / "data.csv"),
-             "--outcome", "outcome", "--disease", "disease", "--covariates", "z",
-             "--knots", "cat", "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+        proc = run_module(command, "--data", str(GOLDEN / "data.csv"),
+                          "--outcome", "outcome", "--disease", "disease", "--covariates", "z",
+                          "--knots", "cat", "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("usage error") and "splined covariate" in proc.stderr
@@ -391,11 +395,8 @@ class TestSimulateCommand:
 
     def test_every_fit_failing_prints_no_warning(self, tmp_path):
         # n=5 is too few rows for scenario IV's seven robust coefficients
-        proc = subprocess.run(
-            [sys.executable, "-m", "robroc", "simulate", "--scenario", "IV",
-             "--sizes", "5,5", "--reps", "3", "--estimators", "robust,ols_linear",
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+        proc = run_module("simulate", "--scenario", "IV", "--sizes", "5,5", "--reps", "3",
+                          "--estimators", "robust,ols_linear", "--out", str(tmp_path / "out"))
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.startswith(
@@ -443,11 +444,8 @@ class TestEntryPoints:
 
     def test_module_execution(self, tmp_path, data_csv):
         out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "robroc", "auc", "--data", str(data_csv),
-             "--covariates", "age", "--x-grid", "0.3:0.7:5",
-             "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_module("auc", "--data", str(data_csv), "--covariates", "age",
+                          "--x-grid", "0.3:0.7:5", "--out", str(out))
         assert proc.returncode == 0
         assert (out / "auc.csv").exists()
         assert (out / "manifest.json").exists()

@@ -169,9 +169,10 @@ def test_golden_case(name, tmp_path):
 
 
 def run_module(argv: list[str], out: Path, blas_threads: str | None) -> str:
-    """python -m robroc in a fresh interpreter, with OPENBLAS_NUM_THREADS set
-    to blas_threads (unset for None); returns stdout with <out> shown."""
-    env = dict(os.environ)
+    """python -m robroc from src/ in a fresh interpreter, with
+    OPENBLAS_NUM_THREADS set to blas_threads (unset for None); returns stdout
+    with <out> shown."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import point_auc, point_roc, point_youden, row_means
 from robroc.data import GroupSample
+from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
 from robroc.roc import (PopulationPair, auc_closed_form, auc_grid, auc_simpson,
-                        composite_simpson, fit_pair, GroupFit, predict_mean,
+                        composite_simpson, evaluate, fit_pair, GroupFit, predict_mean,
                         robust_unconditional_auc, roc_curve, roc_values,
                         unconditional_auc, youden_index)
 from robroc.simulate import generate, scenario
@@ -15,12 +17,13 @@ from robroc.splines import SplineSpec
 X0 = np.array([0.0])
 
 
-def hand_group(values, weights=None, label="g") -> GroupFit:
-    """Group whose adjusted values at x=0 are exactly the given values."""
+def hand_group(values, weights=None, label="g", sigma=1.0) -> GroupFit:
+    """Group whose adjusted values at x=0 are exactly the given values (for
+    the default sigma)."""
     v = np.asarray(values, dtype=float)
     n = v.size
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    fit = RobustFit(beta=np.zeros(2), sigma=1.0, std_residuals=v,
+    fit = RobustFit(beta=np.zeros(2), sigma=sigma, std_residuals=v,
                     huber_weights=np.ones(n), truncated_weights=w,
                     iterations=1, converged=True)
     return GroupFit.from_fit(fit, SplineSpec((None,)), label)
@@ -190,6 +193,96 @@ class TestRocAndClosedFormAuc:
         x = np.array([0.5])
         assert auc_closed_form(moved, (x - shift) / scale) == pytest.approx(
             auc_closed_form(base, x), abs=1e-10)
+
+
+def tied_samples(scn, n_nd, n_d, seed):
+    """A scenario draw with outcomes rounded to integers, so adjusted values
+    tie within and across groups at many points."""
+    return [GroupSample(outcomes=np.round(s.outcomes), covariates=s.covariates, label=s.label)
+            for s in generate(scn, n_nd, n_d, seed=seed)]
+
+
+class TestEvaluate:
+    T = np.linspace(0.0, 1.0, 51)
+
+    @pytest.mark.parametrize("contamination", [0.0, 0.05, 0.1])
+    @pytest.mark.parametrize("name", ["I", "III", "IV"])
+    def test_equals_per_point_reference(self, name, contamination):
+        # every point of a grid with repeated points, on fits with 0-2 knots
+        # and with integer-tied outcomes, gives the per-point evaluators'
+        # AUC, ROC and Youden bit for bit
+        scn = scenario(name, contamination=contamination)
+        for knots in (0, 1, 2):
+            for tied in (False, True):
+                seed = 10 * knots + tied
+                samples = (tied_samples(scn, 200, 100, seed) if tied
+                           else generate(scn, 200, 100, seed=seed))
+                pair = fit_pair(*samples, knots)
+                grid = scn.default_grid(21)
+                grid = grid[pair.nondiseased.design.covers(grid) & pair.diseased.design.covers(grid)]
+                grid = np.concatenate([grid, grid[::3], grid[:1]])
+                rows = pair.design_rows(grid)
+                auc, roc, youden = evaluate(pair, *rows, self.T, youden=True)
+                assert auc.shape == (len(grid),)
+                assert roc.shape == (len(grid), self.T.size)
+                assert youden.shape == (len(grid), 2)
+                for k, mu in enumerate(zip(*(row_means(g.fit, r) for g, r in
+                                             zip((pair.nondiseased, pair.diseased), rows)))):
+                    assert auc[k] == point_auc(pair, *mu)
+                    assert np.array_equal(roc[k], point_roc(pair, *mu, self.T))
+                    assert tuple(youden[k]) == point_youden(pair, *mu)
+
+    @pytest.mark.parametrize("name, knots", [("I", 0), ("III", 2), ("IV", [1, 0])])
+    def test_auc_against_double_loop_over_observations(self, name, knots):
+        scn = scenario(name, contamination=0.05)
+        pair = fit_pair(*tied_samples(scn, 60, 40, 3), knots)
+        grid = scn.default_grid(5)
+        grid = grid[pair.nondiseased.design.covers(grid) & pair.diseased.design.covers(grid)]
+        auc = evaluate(pair, *pair.design_rows(grid))[0]
+        groups = (pair.nondiseased, pair.diseased)
+        for k, x in enumerate(grid):
+            nd_vals, d_vals = (predict_mean(g.fit, g.design, x) + g.fit.sigma * g.fit.std_residuals
+                               for g in groups)
+            expected = brute_force_auc(nd_vals, pair.nondiseased.fit.truncated_weights,
+                                       d_vals, pair.diseased.fit.truncated_weights)
+            assert auc[k] == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_points(self):
+        for pair in (hand_pair([0.0, 2.0, 2.0], [1.0, 3.0]),
+                     fit_pair(*generate(scenario("I"), 40, 30, seed=2), 1)):
+            auc, roc, youden = evaluate(pair, *pair.design_rows(np.empty((0, 1))), self.T,
+                                        youden=True)
+            assert auc.shape == (0,) and roc.shape == (0, self.T.size) and youden.shape == (0, 2)
+            assert auc.dtype == roc.dtype == youden.dtype == np.float64
+
+    def test_requested_parts_only(self):
+        pair = hand_pair([0.0, 2.0], [1.0, 3.0])
+        auc, roc, youden = evaluate(pair, *pair.design_rows(np.zeros((3, 1))))
+        assert np.array_equal(auc, [0.75, 0.75, 0.75])
+        assert roc is None and youden is None
+
+    def test_error_order(self):
+        rows = np.zeros((2, 2))
+        for sigma in (0.0, -1.0):
+            pair = PopulationPair(hand_group([0.0, 1.0], label="nondiseased"),
+                                  hand_group([1.0, 2.0], label="diseased", sigma=sigma))
+            # a bad t is a usage error before the scale is looked at
+            with pytest.raises(ValueError, match=r"t values must lie in \[0, 1\]"):
+                evaluate(pair, rows, rows, [0.5, 1.5], youden=True)
+            for t, youden in ((None, False), (self.T, False), (None, True)):
+                with pytest.raises(NumericalError, match="degenerate scale in fitted pair"):
+                    evaluate(pair, rows, rows, t, youden=youden)
+            with pytest.raises(NumericalError, match="degenerate scale in fitted pair"):
+                auc_closed_form(pair, X0)
+
+    def test_roc_curve_equals_its_parts(self):
+        nd, d = generate(scenario("III", contamination=0.05), 80, 60, seed=5)
+        pair = fit_pair(nd, d, 1)
+        x = np.array([0.3])
+        result = roc_curve(pair, x, self.T, n_panels=40)
+        assert np.array_equal(result.roc_values, roc_values(pair, x, self.T))
+        assert result.auc_closed_form == auc_closed_form(pair, x)
+        assert result.auc_simpson == auc_simpson(pair, x, 40)
 
 
 class TestExactIntegralIdentity:
