@@ -102,7 +102,8 @@ def read_csv(path, outcome: str, disease: str, covariates,
     covariates = list(covariates)
     used = [outcome, disease, *covariates]
     try:
-        handle = open(path, newline="")
+        # utf-8-sig also drops the byte-order mark that Excel writes
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open data file {path}: {exc}") from None
     values, rows = [], []

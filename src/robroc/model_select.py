@@ -25,8 +25,8 @@ from scipy.linalg.lapack import dpotrs
 
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, RobustFit, huber_psi, irls_fit
-from .splines import SplineSpec
+from .huber import FitConfig, RobustFit, huber_psi, irls_refit
+from .splines import SplineSpec, _counts, design_stack
 
 
 def raic_penalty(fit: RobustFit, Z) -> float:
@@ -97,21 +97,11 @@ def default_candidates(n_covariates: int, max_interior: int = 4) -> list[tuple[i
     return knot_grid([range(max_interior + 1)] * n_covariates)
 
 
-def _normalize(candidates, p: int) -> list[tuple[int, ...]]:
-    out = []
-    for cand in candidates:
-        if isinstance(cand, (int, np.integer)):
-            out.append((int(cand),) * p)
-        else:
-            vec = tuple(int(k) for k in cand)
-            if len(vec) != p:
-                raise ValueError(
-                    f"candidate {vec} has {len(vec)} entries for {p} covariates"
-                )
-            out.append(vec)
-    if not out:
+def _layouts(candidates, p: int) -> list[tuple[int | None, ...]]:
+    layouts = [_counts(cand, p) for cand in candidates]
+    if not layouts:
         raise ValueError("empty candidate list")
-    return out
+    return layouts
 
 
 def _scored(n_interior: tuple[int, ...], spec: SplineSpec, Z: np.ndarray,
@@ -145,17 +135,14 @@ def select_knots(sample: GroupSample, candidates,
     """Fit every candidate knot layout for one group and rank by rAIC.
 
     candidates entries are either a knot vector (one count per covariate) or
-    a single int applied to all covariates.  Candidates whose fit fails are
-    kept in the report with the error message; if all fail the whole
-    selection fails.
+    a single int applied to all covariates.  Each candidate is fitted as
+    the one-row stack of run_study's route: design_stack, then irls_refit.
+    Candidates whose fit fails are kept in the report with the error
+    message; if all fail the whole selection fails.
     """
-    report: list[RaicCandidate] = []
-    for vec in _normalize(candidates, sample.n_covariates):
-        spec = SplineSpec.from_data(sample.covariates, vec)
-        Z = spec.matrix(sample.covariates)
-        try:
-            fit = irls_fit(Z, sample.outcomes, config)
-        except NumericalError as exc:
-            fit = exc
-        report.append(_scored(vec, spec, Z, fit))
+    report = []
+    for layout in _layouts(candidates, sample.n_covariates):
+        (spec,), (Z,) = design_stack(sample.covariates[None], layout)
+        (fit,) = irls_refit(Z, sample.outcomes[None], config)
+        report.append(_scored(layout, spec, Z, fit))
     return _ranked(report)

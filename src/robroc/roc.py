@@ -31,7 +31,7 @@ import numpy as np
 from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, RobustFit, irls_fit
-from .splines import SplineSpec
+from .splines import SplineSpec, _outside
 from .wecdf import WeightedEcdf
 
 
@@ -109,7 +109,7 @@ def evaluate(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray, t=No
     """
     if t is not None:
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if _outside(t, 0.0, 1.0).any():
             raise ValueError("t values must lie in [0, 1]")
     nd, d = pair.nondiseased, pair.diseased
     if nd.fit.sigma <= 0.0 or d.fit.sigma <= 0.0:

@@ -38,12 +38,16 @@ from scipy.special import ndtr
 from .bootstrap import REFIT_CHUNK_VALUES
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, irls_refit, ols_as_robust_fit
-from .model_select import _normalize, _ranked, _scored
-from .roc import GroupFit, PopulationPair, auc_grid, evaluate
-from .splines import SplineSpec, design_stack, grid_stack
+from .huber import FitConfig, RobustFit, irls_refit, ols_as_robust_fit
+from .model_select import _layouts, _ranked, _scored
+from .roc import GroupFit, PopulationPair, evaluate
+from .splines import SplineSpec, _counts, _two_dim, design_stack, grid_stack
 
-ESTIMATORS = ("robust", "ols_linear", "ols_bspline")
+# each estimator's plan: its knot layout of (n_interior, p), and a robust fit or not
+_PLANS = {"robust": (_counts, True),
+          "ols_linear": (lambda n_interior, p: (None,) * p, False),
+          "ols_bspline": (_counts, False)}
+ESTIMATORS = tuple(_PLANS)
 
 
 @dataclass(frozen=True)
@@ -207,6 +211,23 @@ def true_auc(scn: Scenario, x) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
+def _fit_plan(X, Y, layout, robust: bool, config: FitConfig | None
+              ) -> tuple[list[SplineSpec], np.ndarray, list[RobustFit | NumericalError]]:
+    """design_stack's specs and designs of m data sets under one layout, and
+    their fits: one irls_refit if robust, else ols_as_robust_fit per row.
+    A failed fit is its NumericalError, as irls_refit returns it."""
+    specs, Zs = design_stack(X, layout)
+    if robust:
+        return specs, Zs, irls_refit(Zs, Y, config)
+    fits = []
+    for Z, y in zip(Zs, Y):
+        try:
+            fits.append(ols_as_robust_fit(Z, y))
+        except NumericalError as exc:
+            fits.append(exc)
+    return specs, Zs, fits
+
+
 def comparator_fit(kind: str, sample: GroupSample, n_interior=0) -> GroupFit:
     """Least squares comparators sharing the downstream ROC machinery.
 
@@ -214,16 +235,17 @@ def comparator_fit(kind: str, sample: GroupSample, n_interior=0) -> GroupFit:
     passthrough column); ols_bspline uses the same spline design as the
     robust fit.  Both keep unit weights and the classical residual scale.
     The downstream AUC of these comparators does not depend on sigma-hat,
-    so they show outliers only through mu-hat.
+    so they show outliers only through mu-hat.  Each is the one-row stack
+    of run_study's fit of the estimator of that name.
     """
-    if kind == "ols_linear":
-        design = SplineSpec((None,) * sample.n_covariates)
-    elif kind == "ols_bspline":
-        design = SplineSpec.from_data(sample.covariates, n_interior)
-    else:
+    layout, robust = _PLANS.get(kind, (None, True))
+    if robust:  # an unknown name, or 'robust', which is no comparator
         raise ValueError(f"unknown comparator {kind!r}")
-    fit = ols_as_robust_fit(design.matrix(sample.covariates), sample.outcomes)
-    return GroupFit.from_fit(fit, design, sample.label)
+    (spec,), _, (fit,) = _fit_plan(sample.covariates[None], sample.outcomes[None],
+                                   layout(n_interior, sample.n_covariates), False, None)
+    if isinstance(fit, NumericalError):
+        raise fit
+    return GroupFit.from_fit(fit, spec, sample.label)
 
 
 @dataclass
@@ -253,101 +275,73 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     Per replicate: draw data, fit each estimator, evaluate AUC over the
     grid.  Replicate r uses the RNG stream (seed, r).  Grid points outside
     a replicate's fitted boundary knots yield NaN for that replicate and are
-    excluded from the aggregates; fit failures are counted per estimator.
-    When select_candidates is given, each group's rAIC choice among those
-    candidates is tallied per replicate.
+    excluded from the aggregates; fit failures are counted per estimator,
+    a repeated name once.  When select_candidates is given, each group's
+    rAIC choice among those (robustly fitted) candidates is tallied.
 
-    Replicates run in chunks of REFIT_CHUNK_VALUES // n, n the larger group
-    size.  Per chunk and group, each distinct knot layout among the
-    candidates and the 'robust' estimator's is fitted once: one
-    splines.design_stack call builds the chunk's knots and designs, and one
-    irls_refit fits them, so the robust estimator reuses the candidate fit
-    of its own layout.  The robust estimator's grid rows come from one
-    splines.grid_stack call per chunk and group, and its grid AUCs from
-    one roc.evaluate call per replicate.  Every number equals that of
-    fitting each replicate on its own.
+    Each estimator is a plan, a knot layout and a robust fit or not (see
+    _PLANS).  Replicates run in chunks of REFIT_CHUNK_VALUES // n, n the
+    larger group size.  Per chunk and group, each distinct plan of the
+    estimators and candidates is fitted once by _fit_plan; each estimator's
+    grid rows come from one splines.grid_stack call and its AUCs from one
+    roc.evaluate call per replicate.  Every number equals that of fitting
+    each replicate on its own.
     """
+    p = scn.n_covariates
+    plans = {}
     for kind in estimators:
-        if kind not in ESTIMATORS:
+        if kind not in _PLANS:
             raise ValueError(f"unknown estimator {kind!r}; choose from {ESTIMATORS}")
-    if x_grid is None:
-        x_grid = scn.default_grid()
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim == 1:
-        x_grid = x_grid[:, None]
-    if x_grid.shape[1] != scn.n_covariates:
-        raise ValueError(
-            f"grid has {x_grid.shape[1]} columns for {scn.n_covariates} covariates"
-        )
-    g = x_grid.shape[0]
+        layout, robust = _PLANS[kind]
+        plans[kind] = (layout(n_interior, p), robust)
+    x_grid = _two_dim(scn.default_grid() if x_grid is None else x_grid)
+    if x_grid.shape[1] != p:
+        raise ValueError(f"grid has {x_grid.shape[1]} columns for {p} covariates")
 
-    aucs = {kind: np.full((n_replicates, g), np.nan) for kind in estimators}
-    failed = {kind: 0 for kind in estimators}
+    aucs = {kind: np.full((n_replicates, len(x_grid)), np.nan) for kind in plans}
+    failed = {kind: 0 for kind in plans}
     counts: dict[str, dict[tuple[int, ...], int]] = {"nondiseased": {}, "diseased": {}}
-    vectors = [] if select_candidates is None else _normalize(select_candidates,
-                                                              scn.n_covariates)
-    robust = None
-    if "robust" in estimators:
-        robust = ((n_interior,) * scn.n_covariates if isinstance(n_interior, (int, np.integer))
-                  else tuple(n_interior))
-    layouts = list(dict.fromkeys(vectors + ([robust] if robust is not None else [])))
+    candidates = ([] if select_candidates is None
+                  else [(layout, True) for layout in _layouts(select_candidates, p)])
+    fitted_plans = list(dict.fromkeys(candidates + list(plans.values())))
     chunk = max(1, REFIT_CHUNK_VALUES // max(n_nondiseased, n_diseased, 1))
 
     for start in range(0, n_replicates, chunk):
         reps = range(start, min(start + chunk, n_replicates))
         draws = [generate(scn, n_nondiseased, n_diseased, seed=(seed, r)) for r in reps]
-        # per group, the robust fits (or their errors), specs and samples,
-        # and the design rows of the grid under each replicate's knots
-        robust_fits, grid_rows = [], []
+        # per group and estimator plan: GroupFits (None if failed), grid rows
+        by_group = []
         for key, samples in zip(counts, zip(*draws)):
             X = np.array([s.covariates for s in samples])
             Y = np.array([s.outcomes for s in samples])
-            scored: list[list] = [[] for _ in reps]
-            for layout in layouts:
-                specs, Zs = design_stack(X, layout)
-                fits = irls_refit(Zs, Y, config)
-                if layout in vectors:
-                    for cands, spec, Z, fit in zip(scored, specs, Zs, fits):
-                        cands.append(_scored(layout, spec, Z, fit))
-                if layout == robust:
-                    robust_fits.append(list(zip(fits, specs, samples)))
-                    grid_rows.append(grid_stack(specs, x_grid))
-            for cands in scored if vectors else ():
+            scored, fitted = [], {}
+            for plan in fitted_plans:
+                specs, Zs, fits = _fit_plan(X, Y, *plan, config)
+                if plan in candidates:
+                    scored.append([_scored(plan[0], *row) for row in zip(specs, Zs, fits)])
+                if plan in plans.values():
+                    fitted[plan] = ([None if isinstance(fit, NumericalError)
+                                     else GroupFit.from_fit(fit, spec, sample.label)
+                                     for fit, spec, sample in zip(fits, specs, samples)],
+                                    *grid_stack(specs, x_grid))
+            for cands in zip(*scored):
                 try:
-                    chosen = _ranked(cands).best.n_interior
+                    chosen = _ranked(list(cands)).best.n_interior
                 except NumericalError:
                     continue
                 counts[key][chosen] = counts[key].get(chosen, 0) + 1
-        robust_pairs = [
-            None if any(isinstance(fit, NumericalError) for fit, _, _ in groups)
-            else PopulationPair(*(GroupFit.from_fit(fit, spec, s.label) for fit, spec, s in groups))
-            for groups in zip(*robust_fits)]
-        if robust_pairs:
-            (rows_nd, in_nd), (rows_d, in_d) = grid_rows
-            robust_inside = in_nd & in_d
-        for i, (r, (nd, d)) in enumerate(zip(reps, draws)):
-            for kind in estimators:
-                if kind == "robust":
-                    pair = robust_pairs[i]
-                else:
-                    try:
-                        pair = PopulationPair(comparator_fit(kind, nd, n_interior),
-                                              comparator_fit(kind, d, n_interior))
-                    except NumericalError:
-                        pair = None
-                if pair is None:
+            by_group.append(fitted)
+        for kind, plan in plans.items():
+            (nd, rows_nd, in_nd), (d, rows_d, in_d) = (group[plan] for group in by_group)
+            for i, r in enumerate(reps):
+                if nd[i] is None or d[i] is None:
                     failed[kind] += 1
                     continue
                 # points outside this replicate's boundary knots stay NaN
+                inside = in_nd[i] & in_d[i]
                 try:
-                    if kind == "robust":
-                        inside = robust_inside[i]
-                        aucs[kind][r, inside] = evaluate(pair, rows_nd[i, inside],
-                                                         rows_d[i, inside])[0]
-                    else:
-                        inside = (pair.nondiseased.design.covers(x_grid)
-                                  & pair.diseased.design.covers(x_grid))
-                        aucs[kind][r, inside] = auc_grid(pair, x_grid[inside])
+                    aucs[kind][r, inside] = evaluate(PopulationPair(nd[i], d[i]),
+                                                     rows_nd[i, inside], rows_d[i, inside])[0]
                 except NumericalError:
                     pass  # a degenerate scale leaves the whole row NaN
 
@@ -357,8 +351,7 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
         n_replicates=n_replicates,
         knot_counts=counts if select_candidates is not None else None,
     )
-    for kind in estimators:
-        mat = aucs[kind]
+    for kind, mat in aucs.items():
         # a grid point no replicate covers has an all-NaN column; nanmean and
         # nanquantile warn through the warnings module, not np.errstate
         with warnings.catch_warnings():

@@ -199,10 +199,10 @@ def _designs(X: np.ndarray, knots: Sequence[Sequence[KnotSpec] | None]) -> np.nd
     return Z
 
 
-def _counts(n_interior: int | Sequence[int | None], p: int) -> list[int | None]:
+def _counts(n_interior: int | Sequence[int | None], p: int) -> tuple[int | None, ...]:
     if isinstance(n_interior, (int, np.integer)):
-        return [int(n_interior)] * p
-    counts = list(n_interior)
+        return (int(n_interior),) * p
+    counts = tuple(None if k is None else int(k) for k in n_interior)
     if len(counts) != p:
         raise ValueError(f"{len(counts)} knot counts for {p} covariate columns")
     return counts
@@ -223,7 +223,7 @@ class SplineSpec:
         per-covariate sequence in which None marks a passthrough column.
         """
         X = _two_dim(X)
-        return cls(knots=tuple(None if k is None else knot_sequence(X[:, h], int(k))
+        return cls(knots=tuple(None if k is None else knot_sequence(X[:, h], k)
                                for h, k in enumerate(_counts(n_interior, X.shape[1]))))
 
     @property
@@ -289,7 +289,7 @@ def design_stack(X, n_interior: int | Sequence[int | None]
     X = np.asarray(X, dtype=float)
     if X.ndim == 2:
         X = X[:, :, None]
-    knots = [None if k is None else knot_sequence(X[:, :, h], int(k))
+    knots = [None if k is None else knot_sequence(X[:, :, h], k)
              for h, k in enumerate(_counts(n_interior, X.shape[2]))]
     specs = [SplineSpec(knots=tuple(None if ks is None else ks[r] for ks in knots))
              for r in range(X.shape[0])]

@@ -66,7 +66,8 @@ class WeightedEcdf:
     def quantile(self, t):
         """Generalized inverse at probabilities t in [0, 1]."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        # written so that NaN, which fails every comparison, is refused
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError("quantile probabilities must lie in [0, 1]")
         idx = np.searchsorted(self.cum_weights, t * self.total, side="left")
         idx = np.minimum(idx, self.support.size - 1)

@@ -27,6 +27,14 @@ def full_basis_row(x: float, knots) -> np.ndarray:
     return _full_basis(np.asarray([[x]], dtype=float), [knots])[0, :, 0]
 
 
+def assert_same_fit(got, want):
+    """Two RobustFits are equal bit for bit, field by field."""
+    for name in vars(want):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 # The per-point evaluators that roc.evaluate replaced, kept as its reference:
 # each takes the groups' fitted means at one covariate point.
 

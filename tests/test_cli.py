@@ -402,6 +402,14 @@ class TestSimulateCommand:
         assert proc.stdout.startswith(
             "robust: max |mean - true| = nan over 3 replicates, 3 failed fits\n")
 
+    def test_repeated_estimator_counted_once(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate", "--scenario", "IV", "--sizes", "5,5",
+                        "--reps", "3", "--estimators", "robust,robust")
+        assert code == 0
+        assert capsys.readouterr().out.startswith(
+            "robust: max |mean - true| = nan over 3 replicates, 3 failed fits\n")
+        assert sorted(p.name for p in out.glob("sim_*.csv")) == ["sim_robust.csv"]
+
     def test_selection_tally(self, tmp_path):
         code, out = run(tmp_path, "simulate", "--scenario", "I",
                         "--sizes", "40,40", "--reps", "2", "--select", "0,3",

@@ -184,6 +184,15 @@ class TestReadCsv:
         with pytest.raises(DataError, match=f"{path}.*data row 4.*field larger"):
             read_csv(path, "outcome", "disease", ["age"])
 
+    def test_utf8_byte_order_mark_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + BASIC.encode())
+        ds = read_csv(path, "outcome", "disease", ["age"])
+        plain = read_csv(write_data(tmp_path, BASIC), "outcome", "disease", ["age"])
+        for name in ("outcomes", "disease", "covariates", "rows"):
+            np.testing.assert_array_equal(getattr(ds, name), getattr(plain, name))
+
     def test_non_utf8_byte_names_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(BASIC.encode() + b"4.5,0,\xe9\n")

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_fit
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
-from robroc.model_select import (default_candidates, knot_grid, raic,
+from robroc.model_select import (RaicCandidate, default_candidates, knot_grid, raic,
                                  raic_penalty, select_knots)
+from robroc.simulate import generate, scenario
 from robroc.splines import SplineSpec
 
 
@@ -189,3 +191,75 @@ class TestSelectKnots:
         sample = noise_sample(rng, 60)
         report = select_knots(sample, [0], config=FitConfig(max_iterations=1))
         assert report.best.fit.iterations == 1
+
+
+def reference_select(sample, candidates, config=None):
+    """select_knots as the per-candidate loop it replaced: SplineSpec.from_data,
+    matrix, irls_fit and raic for each candidate, then the smallest rAIC,
+    exact ties to the smallest knot vector.  Returns the candidates and the
+    selected index, None if every candidate failed."""
+    p = sample.n_covariates
+    out = []
+    for cand in candidates:
+        vec = (cand,) * p if isinstance(cand, int) else tuple(cand)
+        spec = SplineSpec.from_data(sample.covariates, vec)
+        Z = spec.matrix(sample.covariates)
+        try:
+            fit = irls_fit(Z, sample.outcomes, config)
+            value, penalty = raic(fit, Z)
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            out.append(RaicCandidate(n_interior=vec, error=str(exc)))
+            continue
+        out.append(RaicCandidate(n_interior=vec, raic=value, penalty=penalty,
+                                 sigma=fit.sigma, fit=fit, spec=spec))
+    ok = [i for i, c in enumerate(out) if c.error is None]
+    selected = min(ok, key=lambda i: (out[i].raic, out[i].n_interior)) if ok else None
+    return out, selected
+
+
+def kinked_sample(n=60):
+    """Outcomes a cubic spline with one interior knot at the covariate median
+    fits exactly, so that candidate's MAD scale collapses; no cubic does."""
+    x = np.random.default_rng(167).uniform(0.0, 1.0, size=n)
+    y = np.maximum(x - np.quantile(x, 0.5), 0.0) ** 3
+    return GroupSample(outcomes=y, covariates=x, label="nondiseased")
+
+
+class TestSelectKnotsEqualsReferenceLoop:
+    """select_knots equals the per-candidate loop bit for bit: every
+    candidate field and the selection, failing candidates included."""
+
+    @pytest.mark.parametrize("sample, candidates, config", [
+        (noise_sample(np.random.default_rng(171), 80), [0, 1, 2, 3], None),
+        (noise_sample(np.random.default_rng(173), 80), [3, 0, 2], FitConfig(max_iterations=2)),
+        (generate(scenario("IV", contamination=0.05), 200, 100, seed=3)[1],
+         default_candidates(2, 3), None),
+        (generate(scenario("IV"), 150, 1, seed=5)[0], [(0, 2), 1, (3, 0)], None),
+        (noise_sample(np.random.default_rng(139), 25), [0, 30], None),
+        (kinked_sample(), [0, 1, 2], None),
+    ], ids=["noise", "two-steps", "scenario-iv", "mixed-vectors", "underdetermined",
+            "collapsed-scale"])
+    def test_equals_reference_loop(self, sample, candidates, config):
+        want, selected = reference_select(sample, candidates, config)
+        report = select_knots(sample, candidates, config)
+        assert report.selected == selected
+        assert len(report.candidates) == len(want)
+        for got, ref in zip(report.candidates, want):
+            assert (got.n_interior, got.error, got.spec) == (ref.n_interior, ref.error, ref.spec)
+            assert (np.array([got.raic, got.penalty, got.sigma]).tobytes()
+                    == np.array([ref.raic, ref.penalty, ref.sigma]).tobytes())
+            if ref.fit is None:
+                assert got.fit is None
+            else:
+                assert_same_fit(got.fit, ref.fit)
+        # only the underdetermined and collapsed-scale cases have failing candidates
+        assert any(c.error is not None for c in want) == (candidates in ([0, 30], [0, 1, 2]))
+
+    def test_every_candidate_failing_equals_reference(self):
+        sample = noise_sample(np.random.default_rng(149), 5)
+        want, selected = reference_select(sample, [10, 20])
+        assert selected is None
+        with pytest.raises(NumericalError) as info:
+            select_knots(sample, [10, 20])
+        details = "; ".join(f"{c.n_interior}: {c.error}" for c in want)
+        assert str(info.value) == f"every candidate fit failed ({details})"

@@ -157,10 +157,9 @@ class TestRocAndClosedFormAuc:
 
     def test_bad_t_rejected(self):
         pair = hand_pair([0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            roc_values(pair, X0, [-0.2])
-        with pytest.raises(ValueError):
-            roc_values(pair, X0, [1.2])
+        for t in ([-0.2], [1.2], [np.nan], [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"t values must lie in \[0, 1\]"):
+                roc_values(pair, X0, t)
 
     def test_location_scale_invariance_of_auc(self):
         rng = np.random.default_rng(63)

@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import assert_same_fit
 from robroc import simulate
+from robroc.data import GroupSample
 from robroc.errors import DataError, NumericalError
+from robroc.huber import ols_as_robust_fit
 from robroc.model_select import select_knots
-from robroc.roc import (PopulationPair, auc_closed_form, auc_grid, auc_simpson,
+from robroc.roc import (GroupFit, PopulationPair, auc_closed_form, auc_grid, auc_simpson,
                         fit_pair, predict_mean)
 from robroc.simulate import (ESTIMATORS, Scenario, _contaminated_count,
                              comparator_fit, generate, run_study, scenario,
                              true_auc)
+from robroc.splines import SplineSpec
 
 
 def normal_cdf(z: float) -> float:
@@ -205,8 +209,59 @@ class TestComparatorFit:
 
     def test_unknown_kind_rejected(self):
         nd, _ = generate(scenario("I"), 50, 1, seed=37)
-        with pytest.raises(ValueError, match="unknown comparator"):
-            comparator_fit("ridge", nd)
+        for kind in ("ridge", "robust"):
+            with pytest.raises(ValueError, match="unknown comparator"):
+                comparator_fit(kind, nd)
+
+
+def reference_comparator(kind, sample, n_interior=0):
+    """comparator_fit as the per-sample route it replaced: SplineSpec.from_data
+    (or the all-passthrough spec), matrix, ols_as_robust_fit."""
+    spec = (SplineSpec((None,) * sample.n_covariates) if kind == "ols_linear"
+            else SplineSpec.from_data(sample.covariates, n_interior))
+    fit = ols_as_robust_fit(spec.matrix(sample.covariates), sample.outcomes)
+    return GroupFit.from_fit(fit, spec, sample.label)
+
+
+def fitted_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+class TestComparatorEqualsReference:
+    """comparator_fit equals the per-sample route bit for bit: fit, design,
+    residual distribution and label, or the same NumericalError."""
+
+    X_LINE = np.linspace(0.0, 1.0, 30)
+
+    @pytest.mark.parametrize("sample, n_interior", [
+        (generate(scenario("IV", contamination=0.05), 200, 100, seed=3)[1], 0),
+        (generate(scenario("IV", contamination=0.05), 200, 100, seed=3)[0], (1, 3)),
+        (generate(scenario("I"), 60, 1, seed=9)[0], 3),
+        (generate(scenario("IV"), 5, 1, seed=11)[0], 0),
+        (GroupSample(outcomes=1.0 + 2.0 * X_LINE, covariates=X_LINE, label="diseased"), 1),
+    ], ids=["scenario-iv", "knot-vector", "scenario-i", "underdetermined", "exact-line"])
+    @pytest.mark.parametrize("kind", ["ols_linear", "ols_bspline"])
+    def test_equals_reference(self, kind, sample, n_interior):
+        got = fitted_or_error(comparator_fit, kind, sample, n_interior)
+        want = fitted_or_error(reference_comparator, kind, sample, n_interior)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert_same_fit(got.fit, want.fit)
+        assert (got.design, got.label) == (want.design, want.label)
+        for name in ("support", "weights", "cum_weights", "total"):
+            assert np.asarray(getattr(got.ecdf, name)).tobytes() == \
+                np.asarray(getattr(want.ecdf, name)).tobytes()
+
+    def test_failures_are_covered(self):
+        # the underdetermined and exact-line cases above fail for some kinds
+        n5 = generate(scenario("IV"), 5, 1, seed=11)[0]
+        line = GroupSample(outcomes=1.0 + 2.0 * self.X_LINE, covariates=self.X_LINE)
+        assert "underdetermined" in fitted_or_error(comparator_fit, "ols_bspline", n5, 0)
+        assert "degenerate scale" in fitted_or_error(comparator_fit, "ols_linear", line)
 
 
 class TestRunStudy:
@@ -228,6 +283,20 @@ class TestRunStudy:
                           estimators=("robust", "ols_linear"))
         np.testing.assert_array_equal(report.estimators["robust"].mean,
                                       again.estimators["robust"].mean)
+
+    def test_repeated_estimator_counted_once(self):
+        report = run_study(scenario("IV"), 5, 5, 3, estimators=("robust", "robust"))
+        assert list(report.estimators) == ["robust"]
+        assert report.estimators["robust"].n_failed_fits == 3
+        once = run_study(scenario("I", contamination=0.05), 40, 40, 3, seed=7,
+                         estimators=("ols_linear", "robust"))
+        twice = run_study(scenario("I", contamination=0.05), 40, 40, 3, seed=7,
+                          estimators=("ols_linear", "robust", "ols_linear", "robust"))
+        assert list(twice.estimators) == ["ols_linear", "robust"]
+        for kind, summary in once.estimators.items():
+            for name in ("mean", "lower", "upper", "n_ok", "n_failed_fits"):
+                np.testing.assert_array_equal(getattr(twice.estimators[kind], name),
+                                              getattr(summary, name))
 
     def test_estimator_names_validated(self):
         with pytest.raises(ValueError, match="unknown estimator"):

@@ -93,8 +93,8 @@ class TestQuantile:
 
     def test_out_of_range_rejected(self):
         d = WeightedEcdf.from_residuals([1.0])
-        for t in (-0.1, 1.1):
-            with pytest.raises(ValueError):
+        for t in (-0.1, 1.1, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="must lie in"):
                 d.quantile(t)
 
     def test_quantiles_live_on_support(self):
