@@ -20,9 +20,8 @@ from .io import RunConfig, load_config, read_csv
 from .model_select import (RaicCandidate, RaicReport, default_candidates, raic,
                            raic_penalty, select_knots)
 from .roc import (GroupFit, PopulationPair, auc_closed_form, auc_simpson,
-                  evaluate, fit_group, fit_pair, predict_mean,
-                  robust_unconditional_auc, roc_curve, roc_values,
-                  unconditional_auc, youden_index)
+                  evaluate, fit_pair, predict_mean, robust_unconditional_auc,
+                  roc_curve, roc_values, unconditional_auc, youden_index)
 from .simulate import (ESTIMATORS, McEstimatorSummary, McReport, Scenario,
                        comparator_fit, generate, run_study, scenario,
                        true_auc)
@@ -40,7 +39,7 @@ __all__ = [
     "RaicCandidate", "RaicReport", "default_candidates", "raic",
     "raic_penalty", "select_knots",
     "GroupFit", "PopulationPair", "auc_closed_form", "auc_simpson", "evaluate",
-    "fit_group", "fit_pair", "predict_mean", "robust_unconditional_auc",
+    "fit_pair", "predict_mean", "robust_unconditional_auc",
     "roc_curve", "roc_values", "unconditional_auc", "youden_index",
     "ESTIMATORS", "McEstimatorSummary", "McReport", "Scenario",
     "comparator_fit", "generate", "run_study", "scenario", "true_auc",

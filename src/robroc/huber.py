@@ -18,12 +18,14 @@ ordinary least squares fit and solves a weighted least squares problem per
 step through an orthogonal decomposition of the row-scaled design; normal
 equations are never formed.
 
-There is one IRLS loop, irls_refit, which runs on a stack of outcome
-vectors: the bootstrap's refits share one design and one warm start, and a
-Monte Carlo study's replicates each bring their own design of one shape and
-start cold.  Each row's fit depends on that row alone.  irls_fit is the
-one-row stack, ols_fit solves a one-system stack, and mad_scale is the
-row-wise MAD of one row.
+There are two stacked fits, each of a stack of outcome rows against one
+shared design or a stack of designs of one shape: irls_refit, the one IRLS
+loop, and ols_refit, the least-squares fit in the same RobustFit shape,
+which is IRLS's cold start with the classical scale.  The bootstrap's
+refits share one design and one warm start; a Monte Carlo study's
+replicates, and any one data set, bring their own designs and start cold.
+Each row's fit depends on that row alone.  irls_fit and ols_as_robust_fit
+are their one-row calls, and mad_scale is the row-wise MAD of one row.
 
 After convergence, weights for downstream distribution estimates are
 truncated: observations with standardized residual at most v (default 3)
@@ -199,50 +201,54 @@ def _stacked_lstsq(Zs: np.ndarray, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return beta, singular
 
 
-def ols_fit(Z, y) -> tuple[np.ndarray, float]:
-    """Ordinary least squares coefficients and the usual residual scale
-    sqrt(SSR / (n - Q))."""
+def _one_row(refit, Z, y, *args) -> RobustFit:
+    """refit on the one-row stack of Z and y; a failed fit raises its error."""
     Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    n, q = Z.shape
-    if y.size != n:
-        raise ValueError(f"{n} design rows but {y.size} outcomes")
-    if n <= q:
-        raise NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
-    _require_finite(Z, y)
-    # a copy, since the system is factored in place
-    (beta,), singular = _stacked_lstsq(np.array(Z, order="F")[None], y[None])
-    if singular[0]:
-        raise NumericalError(_SINGULAR)
-    resid = y - Z @ beta
-    sigma = float(np.sqrt(resid @ resid / (n - q)))
-    return beta, sigma
+    if Z.ndim != 2:
+        raise ValueError(f"expected a 2-d design, got {Z.ndim} dims")
+    (fit,) = refit(Z, np.asarray(y, dtype=float).reshape(1, -1), *args)
+    if isinstance(fit, NumericalError):
+        raise fit
+    return fit
 
 
 def irls_fit(Z, y, config: FitConfig | None = None,
              beta_init: np.ndarray | None = None) -> RobustFit:
     """Fit y = Z beta + sigma * eps by Huber IRLS with MAD scale updates:
-    irls_refit on the one-row stack.
+    irls_refit on the one-row stack, raising the row's NumericalError (a
+    singular design, an underdetermined fit, or a MAD scale collapsed to
+    zero, more than half the residuals exactly zero).
 
     Starts from the least squares solution unless beta_init is supplied
     (e.g. a warm start during bootstrap refits; the fixed point does not
-    depend on the start).  Convergence is max|beta_new - beta| < tol.
-    Hitting max_iterations is not an error: the result is returned with
-    converged=False.
-
-    Raises
-    ------
-    NumericalError
-        If the design is singular, the fit is underdetermined, or the MAD
-        scale collapses to zero (more than half the residuals exactly zero).
+    depend on the start).  Convergence is max|beta_new - beta| < tol;
+    hitting max_iterations is not an error but returns converged=False.
     """
+    return _one_row(irls_refit, Z, y, config, beta_init)
+
+
+def _checked(Z, Y) -> tuple[np.ndarray, np.ndarray, list[NumericalError] | None]:
+    """Z and Y as float arrays after the checks both stacked fits share, and
+    None, or every row's error if the fit is underdetermined."""
     Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError(f"expected a 2-d design, got {Z.ndim} dims")
-    (fit,) = irls_refit(Z, np.asarray(y, dtype=float).reshape(1, -1), config, beta_init)
-    if isinstance(fit, NumericalError):
-        raise fit
-    return fit
+    Y = np.asarray(Y, dtype=float)
+    m, n = Y.shape
+    q = Z.shape[-1]
+    if Z.shape[-2] != n:
+        raise ValueError(f"{Z.shape[-2]} design rows but {n} outcomes")
+    if Z.ndim == 3 and Z.shape[0] != m:
+        raise ValueError(f"{Z.shape[0]} designs for {m} outcome rows")
+    if n <= q:
+        return Z, Y, [NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
+                      for _ in range(m)]
+    _require_finite(Z, Y)
+    return Z, Y, None
+
+
+def _lstsq_start(Z, Y, systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_stacked_lstsq of each row's unscaled system, in the (m, q, n) buffer."""
+    systems[...] = Z.swapaxes(-1, -2)
+    return _stacked_lstsq(systems.transpose(0, 2, 1), Y)
 
 
 def irls_refit(Z, Y, config: FitConfig | None,
@@ -263,20 +269,11 @@ def irls_refit(Z, Y, config: FitConfig | None,
     non-finite warm start included) is raised for the whole call.
     """
     cfg = config or FitConfig()
-    Z = np.asarray(Z, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    Z, Y, failed = _checked(Z, Y)
+    if failed is not None:
+        return failed
     m, n = Y.shape
     q = Z.shape[-1]
-    if Z.shape[-2] != n:
-        raise ValueError(f"{Z.shape[-2]} design rows but {n} outcomes")
-    # a shared design stays 2-D: subsetting a broadcast stack would copy it
-    stacked = Z.ndim == 3
-    if stacked and Z.shape[0] != m:
-        raise ValueError(f"{Z.shape[0]} designs for {m} outcome rows")
-    if n <= q:
-        return [NumericalError(f"underdetermined fit: n={n} rows for {q} parameters")
-                for _ in range(m)]
-    _require_finite(Z, Y)
 
     fits: list[RobustFit | NumericalError | None] = [None] * m
     # the rows still iterating: their index in Y, outcomes, scale floors,
@@ -286,15 +283,21 @@ def irls_refit(Z, Y, config: FitConfig | None,
     # the scaled systems of one step, each Fortran-ordered so that LAPACK
     # factors it in place
     systems = np.empty((m, q, n))
+
+    def drop(out, *arrays):
+        # the batch without the rows in out: indices, outcomes, floors, the
+        # designs if stacked (a shared design stays 2-D), and arrays; called
+        # only when a row leaves, since each copy of a stack costs its size
+        keep = ~out
+        return (rows[keep], Y[keep], floors[keep], Z[keep] if Z.ndim == 3 else Z,
+                *(a[keep] for a in arrays))
+
     if beta_init is None:
-        systems[...] = Z.swapaxes(-1, -2)
-        B, singular = _stacked_lstsq(systems.transpose(0, 2, 1), Y)
-        for i in rows[singular].tolist():
-            fits[i] = NumericalError(_SINGULAR)
-        keep = ~singular
-        rows, Y, floors, B = (a[keep] for a in (rows, Y, floors, B))
-        if stacked:
-            Z = Z[keep]
+        B, singular = _lstsq_start(Z, Y, systems)
+        if singular.any():
+            for i in rows[singular].tolist():
+                fits[i] = NumericalError(_SINGULAR)
+            rows, Y, floors, Z, B = drop(singular, B)
     else:
         beta = np.asarray(beta_init, dtype=float)
         if beta.size != q:
@@ -327,10 +330,7 @@ def irls_refit(Z, Y, config: FitConfig | None,
         if collapsed.any():
             for i in rows[collapsed].tolist():
                 fits[i] = NumericalError(_COLLAPSED_SCALE)
-            keep = ~collapsed
-            rows, Y, floors, B, R, sigma = (a[keep] for a in (rows, Y, floors, B, R, sigma))
-            if stacked:
-                Z = Z[keep]
+            rows, Y, floors, Z, B, R, sigma = drop(collapsed, B, R, sigma)
         W = huber_weight(R / sigma[:, None], cfg.tuning)
         _require_finite(W)
         SW = np.sqrt(W)
@@ -348,35 +348,43 @@ def irls_refit(Z, Y, config: FitConfig | None,
             for i in rows[singular].tolist():
                 fits[i] = NumericalError(_SINGULAR)
             settle(done, True)
-            keep = ~ended
-            rows, Y, floors, B, R = (a[keep] for a in (rows, Y, floors, B, R))
-            if stacked:
-                Z = Z[keep]
+            rows, Y, floors, Z, B, R = drop(ended, B, R)
     settle(np.ones(rows.size, dtype=bool), False)
     return fits
 
 
-def ols_as_robust_fit(Z, y) -> RobustFit:
-    """Package an OLS fit in the RobustFit shape with unit weights.
-
-    Used by the non-robust comparators: sigma is sqrt(SSR / (n - Q)) and
-    every observation keeps weight one.
+def ols_refit(Z, Y) -> list[RobustFit | NumericalError]:
+    """Least-squares fit of every outcome row Y[i] of a stack, in the
+    RobustFit shape, for the non-robust comparators; ols_as_robust_fit is
+    the one-row case.  Z, the checks and the solve are irls_refit's cold
+    start.  Each fit has the classical scale sqrt(SSR / (n - Q)), unit
+    weights, no iterations and infinite tuning, and depends on its row
+    alone.  A row whose design is singular, or whose residual variance is
+    zero to rounding, gets its NumericalError in place.
     """
-    Z = np.asarray(Z, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    beta, sigma = ols_fit(Z, y)
-    if sigma <= _scale_floor(y):
-        raise NumericalError("degenerate scale: zero residual variance")
-    eps = (y - Z @ beta) / sigma
-    ones = np.ones(y.size)
-    return RobustFit(
-        beta=beta,
-        sigma=sigma,
-        std_residuals=eps,
-        huber_weights=ones,
-        truncated_weights=ones.copy(),
-        iterations=0,
-        converged=True,
-        tuning=float("inf"),
-        truncation=float("inf"),
-    )
+    Z, Y, failed = _checked(Z, Y)
+    if failed is not None:
+        return failed
+    m, n = Y.shape
+    q = Z.shape[-1]
+    B, singular = _lstsq_start(Z, Y, np.empty((m, q, n)))
+    R = Y - np.matmul(Z, B[:, :, None])[:, :, 0]
+    fits: list[RobustFit | NumericalError] = []
+    for y, b, r, bad in zip(Y, B, R, singular.tolist()):
+        sigma = float(np.sqrt(r @ r / (n - q)))
+        if bad or sigma <= _scale_floor(y):
+            fits.append(NumericalError(_SINGULAR if bad else
+                                       "degenerate scale: zero residual variance"))
+        else:
+            fits.append(RobustFit(beta=b, sigma=sigma, std_residuals=r / sigma,
+                                  huber_weights=np.ones(n), truncated_weights=np.ones(n),
+                                  iterations=0, converged=True, tuning=np.inf,
+                                  truncation=np.inf))
+    return fits
+
+
+def ols_as_robust_fit(Z, y) -> RobustFit:
+    """Ordinary least squares in the RobustFit shape: ols_refit on the
+    one-row stack, raising the row's NumericalError (a singular design, an
+    underdetermined fit, or zero residual variance)."""
+    return _one_row(ols_refit, Z, y)

@@ -142,7 +142,7 @@ def select_knots(sample: GroupSample, candidates,
     """
     report = []
     for layout in _layouts(candidates, sample.n_covariates):
-        (spec,), (Z,) = design_stack(sample.covariates[None], layout)
+        (spec,), Z = design_stack(sample.covariates[None], layout)
         (fit,) = irls_refit(Z, sample.outcomes[None], config)
-        report.append(_scored(layout, spec, Z, fit))
+        report.append(_scored(layout, spec, Z[0], fit))
     return _ranked(report)

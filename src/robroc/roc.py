@@ -30,8 +30,8 @@ import numpy as np
 
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, RobustFit, irls_fit
-from .splines import SplineSpec, _outside
+from .huber import FitConfig, RobustFit, irls_fit, irls_refit
+from .splines import SplineSpec, _outside, design_stack
 from .wecdf import WeightedEcdf
 
 
@@ -71,20 +71,21 @@ class RocResult:
     auc_simpson: float
 
 
-def fit_group(sample: GroupSample, n_interior, config: FitConfig | None = None) -> GroupFit:
-    """Fit one population: spline design, IRLS, residual distribution."""
-    spec = SplineSpec.from_data(sample.covariates, n_interior)
-    Z = spec.matrix(sample.covariates)
-    return GroupFit.from_fit(irls_fit(Z, sample.outcomes, config), spec, sample.label)
+def _sample_fit(sample: GroupSample, n_interior, refit, *args) -> GroupFit:
+    """One sample's fit as the one-row stack of run_study's route,
+    design_stack then refit (irls_refit or ols_refit); a failure raises."""
+    (spec,), Z = design_stack(sample.covariates[None], n_interior)
+    (fit,) = refit(Z, sample.outcomes[None], *args)
+    if isinstance(fit, NumericalError):
+        raise fit
+    return GroupFit.from_fit(fit, spec, sample.label)
 
 
 def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior,
              config: FitConfig | None = None) -> PopulationPair:
-    """Fit both populations with the same knot counts."""
-    return PopulationPair(
-        nondiseased=fit_group(nondiseased, n_interior, config),
-        diseased=fit_group(diseased, n_interior, config),
-    )
+    """Fit both populations by Huber IRLS with the same knot counts."""
+    return PopulationPair(*(_sample_fit(s, n_interior, irls_refit, config)
+                            for s in (nondiseased, diseased)))
 
 
 def predict_mean(fit: RobustFit, design: SplineSpec, x) -> float:
@@ -107,6 +108,8 @@ def evaluate(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray, t=No
     smallest threshold attaining it) pairs as a k x 2 array (None unless
     youden is set).
     """
+    if len(rows_nd) != len(rows_d):
+        raise ValueError(f"{len(rows_nd)} nondiseased design rows but {len(rows_d)} diseased")
     if t is not None:
         t = np.asarray(t, dtype=float)
         if _outside(t, 0.0, 1.0).any():

@@ -38,10 +38,10 @@ from scipy.special import ndtr
 from .bootstrap import REFIT_CHUNK_VALUES
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, RobustFit, irls_refit, ols_as_robust_fit
+from .huber import FitConfig, irls_refit, ols_refit
 from .model_select import _layouts, _ranked, _scored
-from .roc import GroupFit, PopulationPair, evaluate
-from .splines import SplineSpec, _counts, _two_dim, design_stack, grid_stack
+from .roc import GroupFit, PopulationPair, _sample_fit, evaluate
+from .splines import _counts, _two_dim, design_stack, grid_stack
 
 # each estimator's plan: its knot layout of (n_interior, p), and a robust fit or not
 _PLANS = {"robust": (_counts, True),
@@ -211,23 +211,6 @@ def true_auc(scn: Scenario, x) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def _fit_plan(X, Y, layout, robust: bool, config: FitConfig | None
-              ) -> tuple[list[SplineSpec], np.ndarray, list[RobustFit | NumericalError]]:
-    """design_stack's specs and designs of m data sets under one layout, and
-    their fits: one irls_refit if robust, else ols_as_robust_fit per row.
-    A failed fit is its NumericalError, as irls_refit returns it."""
-    specs, Zs = design_stack(X, layout)
-    if robust:
-        return specs, Zs, irls_refit(Zs, Y, config)
-    fits = []
-    for Z, y in zip(Zs, Y):
-        try:
-            fits.append(ols_as_robust_fit(Z, y))
-        except NumericalError as exc:
-            fits.append(exc)
-    return specs, Zs, fits
-
-
 def comparator_fit(kind: str, sample: GroupSample, n_interior=0) -> GroupFit:
     """Least squares comparators sharing the downstream ROC machinery.
 
@@ -241,11 +224,7 @@ def comparator_fit(kind: str, sample: GroupSample, n_interior=0) -> GroupFit:
     layout, robust = _PLANS.get(kind, (None, True))
     if robust:  # an unknown name, or 'robust', which is no comparator
         raise ValueError(f"unknown comparator {kind!r}")
-    (spec,), _, (fit,) = _fit_plan(sample.covariates[None], sample.outcomes[None],
-                                   layout(n_interior, sample.n_covariates), False, None)
-    if isinstance(fit, NumericalError):
-        raise fit
-    return GroupFit.from_fit(fit, spec, sample.label)
+    return _sample_fit(sample, layout(n_interior, sample.n_covariates), ols_refit)
 
 
 @dataclass
@@ -281,11 +260,12 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
 
     Each estimator is a plan, a knot layout and a robust fit or not (see
     _PLANS).  Replicates run in chunks of REFIT_CHUNK_VALUES // n, n the
-    larger group size.  Per chunk and group, each distinct plan of the
-    estimators and candidates is fitted once by _fit_plan; each estimator's
-    grid rows come from one splines.grid_stack call and its AUCs from one
-    roc.evaluate call per replicate.  Every number equals that of fitting
-    each replicate on its own.
+    larger group size.  Per chunk and group, each distinct layout of the
+    estimators and candidates gets one splines.design_stack, fitted once by
+    huber.irls_refit and once by huber.ols_refit as its plans need, and one
+    splines.grid_stack if an estimator evaluates on it; each estimator's
+    AUCs come from one roc.evaluate call per replicate.  Every number
+    equals that of fitting each replicate on its own.
     """
     p = scn.n_covariates
     plans = {}
@@ -303,7 +283,11 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     counts: dict[str, dict[tuple[int, ...], int]] = {"nondiseased": {}, "diseased": {}}
     candidates = ([] if select_candidates is None
                   else [(layout, True) for layout in _layouts(select_candidates, p)])
-    fitted_plans = list(dict.fromkeys(candidates + list(plans.values())))
+    # each layout's fits, robust or not, in the order of first use
+    layout_fits: dict[tuple, list[bool]] = {}
+    for layout, robust in dict.fromkeys(candidates + list(plans.values())):
+        layout_fits.setdefault(layout, []).append(robust)
+    evaluated = {layout for layout, _ in plans.values()}
     chunk = max(1, REFIT_CHUNK_VALUES // max(n_nondiseased, n_diseased, 1))
 
     for start in range(0, n_replicates, chunk):
@@ -315,15 +299,18 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
             X = np.array([s.covariates for s in samples])
             Y = np.array([s.outcomes for s in samples])
             scored, fitted = [], {}
-            for plan in fitted_plans:
-                specs, Zs, fits = _fit_plan(X, Y, *plan, config)
-                if plan in candidates:
-                    scored.append([_scored(plan[0], *row) for row in zip(specs, Zs, fits)])
-                if plan in plans.values():
-                    fitted[plan] = ([None if isinstance(fit, NumericalError)
-                                     else GroupFit.from_fit(fit, spec, sample.label)
-                                     for fit, spec, sample in zip(fits, specs, samples)],
-                                    *grid_stack(specs, x_grid))
+            for layout, robust_flags in layout_fits.items():
+                specs, Zs = design_stack(X, layout)
+                grid = grid_stack(specs, x_grid) if layout in evaluated else None
+                for robust in robust_flags:
+                    fits = irls_refit(Zs, Y, config) if robust else ols_refit(Zs, Y)
+                    if (layout, robust) in candidates:
+                        scored.append([_scored(layout, *row) for row in zip(specs, Zs, fits)])
+                    if (layout, robust) in plans.values():
+                        fitted[layout, robust] = (
+                            [None if isinstance(fit, NumericalError)
+                             else GroupFit.from_fit(fit, spec, sample.label)
+                             for fit, spec, sample in zip(fits, specs, samples)], *grid)
             for cands in zip(*scored):
                 try:
                     chosen = _ranked(list(cands)).best.n_interior

@@ -9,7 +9,9 @@ import csv
 import numpy as np
 
 from robroc.errors import NumericalError
-from robroc.splines import _full_basis
+from robroc.huber import irls_fit
+from robroc.roc import GroupFit, PopulationPair
+from robroc.splines import SplineSpec, _full_basis
 
 VERDICTS = []
 
@@ -33,6 +35,27 @@ def assert_same_fit(got, want):
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def assert_same_group(got, want):
+    """Two GroupFits are equal bit for bit: fit, design, residual
+    distribution and label."""
+    assert_same_fit(got.fit, want.fit)
+    assert (got.design, got.label) == (want.design, want.label)
+    for name in ("support", "weights", "cum_weights", "total"):
+        assert np.asarray(getattr(got.ecdf, name)).tobytes() == \
+            np.asarray(getattr(want.ecdf, name)).tobytes(), name
+
+
+def reference_fit_pair(nondiseased, diseased, n_interior, config=None):
+    """fit_pair as the per-sample route it replaced, kept as its reference:
+    per group SplineSpec.from_data, its matrix and irls_fit."""
+    groups = []
+    for sample in (nondiseased, diseased):
+        spec = SplineSpec.from_data(sample.covariates, n_interior)
+        fit = irls_fit(spec.matrix(sample.covariates), sample.outcomes, config)
+        groups.append(GroupFit.from_fit(fit, spec, sample.label))
+    return PopulationPair(*groups)
 
 
 # The per-point evaluators that roc.evaluate replaced, kept as its reference:

@@ -1,15 +1,18 @@
 """Tests for Huber loss pieces, MAD scale, OLS, and the IRLS fitter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_fit
 from robroc import bootstrap, huber
 from robroc.errors import NumericalError
 from robroc.huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
-                          irls_refit, mad_scale, ols_as_robust_fit, ols_fit)
+                          irls_refit, mad_scale, ols_as_robust_fit, ols_refit)
 
 B = 1.345
 
@@ -149,21 +152,15 @@ class TestMadScale:
 
 
 class TestOlsFit:
-    def test_exact_linear_data(self):
-        rng = np.random.default_rng(7)
-        x = rng.uniform(0, 1, 25)
-        Z = np.column_stack([np.ones(25), x])
-        y = 2.0 - 3.0 * x
-        beta, sigma = ols_fit(Z, y)
-        np.testing.assert_allclose(beta, [2.0, -3.0], atol=1e-10)
-        assert sigma < 1e-10
+    """Ordinary least squares through ols_as_robust_fit; an interpolating
+    fit, whose scale is zero, is TestOlsAsRobustFit's."""
 
     def test_intercept_only_mean(self):
         Z = np.ones((5, 1))
         y = np.array([0.0, 0.0, 0.0, 0.0, 100.0])
-        beta, sigma = ols_fit(Z, y)
-        assert beta[0] == pytest.approx(20.0, abs=1e-10)
-        assert sigma == pytest.approx(np.sqrt(2000.0), rel=1e-12)
+        fit = ols_as_robust_fit(Z, y)
+        assert fit.beta[0] == pytest.approx(20.0, abs=1e-10)
+        assert fit.sigma == pytest.approx(np.sqrt(2000.0), rel=1e-12)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(11)
@@ -171,7 +168,7 @@ class TestOlsFit:
             n = int(rng.integers(20, 60))
             Z = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
             y = rng.normal(size=n)
-            beta, _ = ols_fit(Z, y)
+            beta = ols_as_robust_fit(Z, y).beta
             resid = y - Z @ beta
             assert np.max(np.abs(Z.T @ resid)) <= 1e-8 * np.linalg.norm(y)
 
@@ -180,7 +177,7 @@ class TestOlsFit:
         n = 40
         Z = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
         y = rng.normal(size=n)
-        beta, _ = ols_fit(Z, y)
+        beta = ols_as_robust_fit(Z, y).beta
         expected = np.linalg.lstsq(Z, y, rcond=None)[0]
         np.testing.assert_allclose(beta, expected, atol=1e-10)
 
@@ -188,12 +185,12 @@ class TestOlsFit:
         x = np.linspace(0, 1, 20)
         Z = np.column_stack([np.ones(20), x, x])
         with pytest.raises(NumericalError, match="singular"):
-            ols_fit(Z, np.ones(20))
+            ols_as_robust_fit(Z, np.ones(20))
 
     def test_underdetermined_rejected(self):
         Z = np.eye(3)
         with pytest.raises(NumericalError, match="underdetermined"):
-            ols_fit(Z, np.ones(3))
+            ols_as_robust_fit(Z, np.ones(3))
 
 
 def wrapper_lstsq(Z, y, w):
@@ -251,7 +248,8 @@ class TestScaledLstsq:
             assert not singular.any()
             for b, y, w in zip(beta, Y, W):
                 assert np.array_equal(b, wrapper_lstsq(Z, y, w))
-                assert np.array_equal(ols_fit(Z, y)[0], wrapper_lstsq(Z, y, np.ones(n)))
+                assert np.array_equal(ols_as_robust_fit(Z, y).beta,
+                                      wrapper_lstsq(Z, y, np.ones(n)))
 
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
     def test_singular_design_rejected(self, column):
@@ -266,7 +264,7 @@ class TestScaledLstsq:
         assert np.isnan(beta[1]).all()
         # the other systems solve as they would alone
         assert np.array_equal(beta[2], huber._stacked_lstsq(full[None].copy(), Y[2:])[0][0])
-        for fit in (ols_fit, irls_fit):
+        for fit in (ols_as_robust_fit, irls_fit):
             with pytest.raises(NumericalError, match="^singular design matrix$"):
                 fit(Z, Y[0])
 
@@ -276,11 +274,11 @@ class TestScaledLstsq:
         Z = np.column_stack([np.ones(30), rng.normal(size=30)])
         y = rng.normal(size=30)
         y[4] = bad
-        for fit in (ols_fit, irls_fit):
+        for fit in (ols_as_robust_fit, irls_fit):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 fit(Z, y)
         Z[7, 1] = bad
-        for fit in (ols_fit, irls_fit):
+        for fit in (ols_as_robust_fit, irls_fit):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 fit(Z, np.zeros(30))
 
@@ -300,7 +298,7 @@ class TestScaledLstsq:
         Z = np.asfortranarray(np.column_stack([np.ones(50), rng.normal(size=(50, 2))]))
         y = rng.normal(size=50)
         kept = Z.copy()
-        ols_fit(Z, y)
+        ols_as_robust_fit(Z, y)
         irls_fit(Z, y)
         irls_fit(Z, y, beta_init=np.zeros(3))
         assert np.array_equal(Z, kept)
@@ -330,13 +328,13 @@ class TestIrlsFit:
         x = rng.uniform(0, 1, n)
         Z = np.column_stack([np.ones(n), x])
         y = 1.0 + 2.0 * x + rng.normal(size=n)
-        beta_clean, _ = ols_fit(Z, y)
+        beta_clean = ols_as_robust_fit(Z, y).beta
         y_bad = y.copy()
         y_bad[137] += 50.0
         robust = irls_fit(Z, y_bad)
         assert np.max(np.abs(robust.beta - beta_clean)) < 0.05
         assert robust.truncated_weights[137] < 0.1
-        beta_ols, _ = ols_fit(Z, y_bad)
+        beta_ols = ols_as_robust_fit(Z, y_bad).beta
         assert np.max(np.abs(beta_ols - beta_clean)) > 0.1
 
     def test_constant_outcomes_degenerate(self):
@@ -466,12 +464,13 @@ class TestOlsAsRobustFit:
         Z = np.column_stack([np.ones(n), rng.uniform(0, 1, n)])
         y = Z[:, 1] + rng.normal(size=n)
         fit = ols_as_robust_fit(Z, y)
-        beta, sigma = ols_fit(Z, y)
+        beta = np.linalg.lstsq(Z, y, rcond=None)[0]
+        resid = y - Z @ fit.beta
         np.testing.assert_allclose(fit.beta, beta, atol=1e-12)
-        assert fit.sigma == sigma
+        assert fit.sigma == pytest.approx(np.sqrt(resid @ resid / (n - 2)), rel=1e-14)
         np.testing.assert_array_equal(fit.huber_weights, np.ones(n))
         np.testing.assert_array_equal(fit.truncated_weights, np.ones(n))
-        np.testing.assert_allclose(Z @ beta + sigma * fit.std_residuals, y,
+        np.testing.assert_allclose(Z @ fit.beta + fit.sigma * fit.std_residuals, y,
                                    atol=1e-10)
         assert fit.converged
 
@@ -678,9 +677,102 @@ class TestIrlsRefitDesignStack:
         assert {f.converged for f in fits} == {True, False}
         assert all(f.iterations == 12 for f in fits if not f.converged)
 
+    def test_one_row_stack_is_not_copied(self):
+        # the systems buffer is one stack-sized allocation; a copy of the
+        # stack after the least-squares start would be a second
+        Z, Y = design_stack(np.random.default_rng(17), 1, 20000, 12)
+        irls_refit(Z, Y, None)
+        tracemalloc.start()
+        try:
+            (fit,) = irls_refit(Z, Y, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged and peak < 2 * Z.nbytes
+
     def test_design_count_must_match_rows(self):
         Z, Y = design_stack(np.random.default_rng(16), 3, 20, 2)
         with pytest.raises(ValueError, match="3 designs for 2 outcome rows"):
             irls_refit(Z, Y[:2], None)
         with pytest.raises(ValueError, match="20 design rows but 19 outcomes"):
             irls_refit(Z, Y[:, :19], None)
+
+
+def reference_ols(Z, y):
+    """The least-squares fit as ols_fit and ols_as_robust_fit computed it
+    before ols_refit: scipy's QR solve, residuals y - Z @ beta and the scale
+    sqrt(SSR / (n - Q))."""
+    beta = wrapper_lstsq(Z, y, np.ones(y.size))
+    resid = y - Z @ beta
+    sigma = float(np.sqrt(resid @ resid / (y.size - Z.shape[1])))
+    return beta, sigma, resid / sigma
+
+
+def assert_rows_equal_ols_fit(Z, Y):
+    """Each row of ols_refit equals ols_as_robust_fit on that row and its
+    design alone, bit for bit, or the same NumericalError; each fit also
+    equals the reference computation."""
+    fits = ols_refit(Z, Y)
+    assert len(fits) == len(Y)
+    designs = Z if np.ndim(Z) == 3 else [Z] * len(Y)
+    for Zi, y, fit in zip(designs, Y, fits):
+        try:
+            ref = ols_as_robust_fit(Zi, y)
+        except NumericalError as err:
+            assert isinstance(fit, NumericalError)
+            assert str(fit) == str(err)
+            continue
+        assert_same_fit(fit, ref)
+        beta, sigma, eps = reference_ols(Zi, y)
+        assert np.array_equal(fit.beta, beta) and fit.sigma == sigma
+        assert np.array_equal(fit.std_residuals, eps)
+        assert (fit.iterations, fit.converged) == (0, True)
+        assert (fit.tuning, fit.truncation) == (np.inf, np.inf)
+        assert np.array_equal(fit.huber_weights, np.ones(y.size))
+        assert np.array_equal(fit.truncated_weights, np.ones(y.size))
+    return fits
+
+
+class TestOlsRefit:
+    """ols_refit on a shared design or a stack: each row is
+    ols_as_robust_fit on its own, and a failed row leaves the others."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(design_stacks())
+    def test_rows_equal_ols_fit(self, stack):
+        Z, Y, _ = stack
+        assert_rows_equal_ols_fit(Z, Y)
+        assert_rows_equal_ols_fit(Z[0], Y)
+
+    def test_singular_and_interpolating_rows_fail_alone(self):
+        Z, Y = design_stack(np.random.default_rng(18), 6, 40, 3)
+        Z[1, :, 2] = Z[1, :, 1]
+        Y[4] = Z[4] @ [1.0, -2.0, 0.5]
+        fits = assert_rows_equal_ols_fit(Z, Y)
+        assert str(fits[1]) == "singular design matrix"
+        assert str(fits[4]) == "degenerate scale: zero residual variance"
+        assert all(isinstance(f, RobustFit) for i, f in enumerate(fits) if i not in (1, 4))
+        # on the shared design the same rows fail, and only the line
+        fits = assert_rows_equal_ols_fit(Z[4], Y)
+        assert [i for i, f in enumerate(fits) if isinstance(f, NumericalError)] == [4]
+
+    def test_underdetermined_fails_every_row(self):
+        Z, Y = design_stack(np.random.default_rng(19), 3, 4, 4)
+        for design in (Z, Z[0]):
+            fits = assert_rows_equal_ols_fit(design, Y)
+            assert all(str(f) == "underdetermined fit: n=4 rows for 4 parameters" for f in fits)
+
+    def test_no_rows(self):
+        assert ols_refit(np.ones((5, 2)), np.empty((0, 5))) == []
+
+    def test_checks_are_irls_refits(self):
+        Z, Y = design_stack(np.random.default_rng(20), 3, 20, 2)
+        for refit in (ols_refit, lambda Z, Y: irls_refit(Z, Y, None)):
+            with pytest.raises(ValueError, match="3 designs for 2 outcome rows"):
+                refit(Z, Y[:2])
+            with pytest.raises(ValueError, match="20 design rows but 19 outcomes"):
+                refit(Z, Y[:, :19])
+            Y[1, 3] = np.nan
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                refit(Z, Y)
+            Y[1, 3] = 0.0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import point_auc, point_roc, point_youden, row_means
+from conftest import (assert_same_group, point_auc, point_roc, point_youden,
+                      reference_fit_pair, row_means)
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
@@ -104,6 +105,57 @@ class TestPredictMean:
             curves.append([predict_mean(gf.fit, gf.design, [x]) for x in grid])
         mean_curve = np.mean(curves, axis=0)
         assert np.max(np.abs(mean_curve - (0.5 + grid))) < 0.05
+
+
+def with_binary_column(sample, seed):
+    rng = np.random.default_rng(seed)
+    cat = (rng.random(sample.n) < 0.4).astype(float)
+    return GroupSample(outcomes=sample.outcomes, label=sample.label,
+                       covariates=np.column_stack([sample.covariates, cat]))
+
+
+X_LINE = np.linspace(0.0, 1.0, 30)
+
+
+class TestFitPairEqualsReference:
+    """fit_pair, the one-row stack of design_stack and irls_refit, equals the
+    per-sample route it replaced bit for bit: each group's fit, spec,
+    residual distribution and label, or the same error."""
+
+    @pytest.mark.parametrize("knots", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["I", "III", "IV"])
+    def test_scenarios(self, name, knots):
+        samples = generate(scenario(name, contamination=0.05), 150, 90, seed=knots)
+        got = fit_pair(*samples, knots)
+        want = reference_fit_pair(*samples, knots)
+        for g, w in zip((got.nondiseased, got.diseased), (want.nondiseased, want.diseased)):
+            assert_same_group(g, w)
+
+    @pytest.mark.parametrize("knots, config", [
+        ((2, None), None), ((None, None), None), ((0, None), FitConfig(tuning=0.7)),
+        ((1, None), FitConfig(max_iterations=2)),
+    ], ids=["cat-2-knots", "all-passthrough", "cat-tuning", "cat-iteration-cap"])
+    def test_passthrough_column_and_config(self, knots, config):
+        nd, d = (with_binary_column(s, seed) for seed, s in
+                 enumerate(generate(scenario("III", contamination=0.1), 120, 80, seed=4)))
+        got = fit_pair(nd, d, knots, config)
+        want = reference_fit_pair(nd, d, knots, config)
+        for g, w in zip((got.nondiseased, got.diseased), (want.nondiseased, want.diseased)):
+            assert_same_group(g, w)
+
+    @pytest.mark.parametrize("samples, knots, message", [
+        (generate(scenario("IV"), 60, 8, seed=1), 2, "underdetermined"),
+        ((GroupSample(outcomes=1.0 + 2.0 * X_LINE, covariates=X_LINE),) * 2, 0,
+         "degenerate scale"),
+        ((GroupSample(outcomes=X_LINE, covariates=np.ones(30)),) * 2, 1, "constant covariate"),
+        (generate(scenario("IV"), 40, 30, seed=2), [1, 2, 3], "3 knot counts"),
+    ], ids=["underdetermined", "collapsed-scale", "constant-column", "knot-count-mismatch"])
+    def test_errors(self, samples, knots, message):
+        with pytest.raises(Exception, match=message) as want:
+            reference_fit_pair(*samples, knots)
+        with pytest.raises(want.type) as got:
+            fit_pair(*samples, knots)
+        assert got.type is want.type and str(got.value) == str(want.value)
 
 
 class TestRocAndClosedFormAuc:
@@ -262,9 +314,17 @@ class TestEvaluate:
 
     def test_error_order(self):
         rows = np.zeros((2, 2))
-        for sigma in (0.0, -1.0):
+        for sigma in (1.0, 0.0, -1.0):
             pair = PopulationPair(hand_group([0.0, 1.0], label="nondiseased"),
                                   hand_group([1.0, 2.0], label="diseased", sigma=sigma))
+            # point counts that differ are a usage error before anything else
+            for t, youden in ((None, False), (self.T, False), (None, True), ([1.5], True)):
+                for k_nd, k_d in ((5, 3), (0, 2)):
+                    with pytest.raises(ValueError, match=f"^{k_nd} nondiseased design rows "
+                                       f"but {k_d} diseased$"):
+                        evaluate(pair, np.zeros((k_nd, 2)), np.zeros((k_d, 2)), t, youden=youden)
+            if sigma > 0.0:
+                continue
             # a bad t is a usage error before the scale is looked at
             with pytest.raises(ValueError, match=r"t values must lie in \[0, 1\]"):
                 evaluate(pair, rows, rows, [0.5, 1.5], youden=True)

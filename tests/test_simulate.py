@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import assert_same_fit
+from conftest import assert_same_group
 from robroc import simulate
 from robroc.data import GroupSample
 from robroc.errors import DataError, NumericalError
@@ -250,11 +250,7 @@ class TestComparatorEqualsReference:
         if isinstance(want, str):
             assert got == want
             return
-        assert_same_fit(got.fit, want.fit)
-        assert (got.design, got.label) == (want.design, want.label)
-        for name in ("support", "weights", "cum_weights", "total"):
-            assert np.asarray(getattr(got.ecdf, name)).tobytes() == \
-                np.asarray(getattr(want.ecdf, name)).tobytes()
+        assert_same_group(got, want)
 
     def test_failures_are_covered(self):
         # the underdetermined and exact-line cases above fail for some kinds
@@ -492,3 +488,26 @@ class TestEqualsParentLoop:
         monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 4 * 60)
         run_study(scenario("IV"), 60, 50, 6, estimators=("robust",), select_candidates=[0, 3])
         assert rows == [4, 4, 4, 4, 2, 2, 2, 2]
+
+    def test_shared_layout_built_once(self, monkeypatch):
+        # robust and ols_bspline share the (2,) layout: one design stack and
+        # one grid stack per layout, chunk and group, fitted once each way
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[1] if name == "design_stack" else len(args[0])))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(simulate, name, wrapper)
+
+        for name in ("design_stack", "grid_stack", "irls_refit", "ols_refit"):
+            counted(name, getattr(simulate, name))
+        monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 4 * 60)
+        # test_no_selection holds these estimators to the parent loop
+        report = run_study(scenario("I", contamination=0.05), 60, 50, 4, seed=9,
+                           estimators=("robust", "ols_bspline", "ols_linear"), n_interior=2)
+        per_group = [("design_stack", (2,)), ("grid_stack", 4), ("irls_refit", 4),
+                     ("ols_refit", 4), ("design_stack", (None,)), ("grid_stack", 4),
+                     ("ols_refit", 4)]
+        assert calls == per_group * 2
+        assert list(report.estimators) == ["robust", "ols_bspline", "ols_linear"]
