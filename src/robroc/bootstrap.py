@@ -29,8 +29,8 @@ from .errors import NumericalError
 # every module-level name, bootstrap's included, and bench/test_bench.py
 # checks that
 from .huber import FitConfig, irls_fit, irls_refit
-from .roc import (GroupFit, PopulationPair, evaluate, robust_unconditional_auc,
-                  unconditional_auc)
+from .roc import (GroupStack, PopulationPair, evaluate, evaluate_stack,
+                  robust_unconditional_auc, unconditional_auc)
 
 FAILURE_WARNING_FRACTION = 0.05
 # Replicates are refit a chunk at a time, and chunk size x the larger
@@ -104,23 +104,27 @@ def _resample_indices(rng: np.random.Generator, cdf: np.ndarray) -> np.ndarray:
 
 
 def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | None,
-                statistic) -> tuple[list, dict]:
+                statistic) -> tuple[tuple, dict]:
     """Run the replicate loop shared by every bootstrap in this module.
 
     fits and designs hold the nondiseased then the diseased group's fit and
     design matrix.  Replicate b resamples each group's standardized
     residuals in that order from the stream (seed, b), rebuilds outcomes on
-    the design rows, refits warm-started at the observed coefficients, and
-    records statistic(refits, outcomes).  The refits of a chunk of
-    replicates run as one irls_refit per group.  Replicates whose refit or
-    statistic raises NumericalError are skipped and counted; converged=False
-    refits are kept and counted.  Returns the recorded values and
+    the design rows, and refits warm-started at the observed coefficients.
+    The replicates are refit a chunk at a time, one irls_refit per group,
+    and each chunk's statistic is taken in one call,
+    statistic(refits, outcomes): refits holds each group's refits of the
+    chunk's replicates whose refits all succeeded, outcomes each group's
+    stack of their outcome rows, and it returns a tuple of arrays (or None)
+    with a row per replicate.  Replicates whose refit raises NumericalError
+    are skipped and counted; converged=False refits are kept and counted.
+    Returns the statistic's arrays over every kept replicate in order, and
     BootstrapResult's count fields.
     """
     means = [Z @ fit.beta for Z, fit in zip(designs, fits)]
     cdfs = [_resampling_cdf(fit.truncated_weights) for fit in fits]
     chunk = max(1, REFIT_CHUNK_VALUES // max(Z.shape[0] for Z in designs))
-    values = []
+    parts = []
     n_failed = 0
     n_nonconverged = 0
     for start in range(0, cfg.n_replicates, chunk):
@@ -133,20 +137,17 @@ def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | Non
               for mu, fit, idx in zip(means, fits, draws)]
         refits = [irls_refit(Z, Y, fit_config, fit.beta)
                   for Z, Y, fit in zip(designs, Ys, fits)]
-        for rep, ys in zip(zip(*refits), zip(*Ys)):
-            if any(isinstance(f, NumericalError) for f in rep):
-                n_failed += 1
-                continue
-            try:
-                value = statistic(rep, ys)
-            except NumericalError:
-                n_failed += 1
-                continue
-            if not all(f.converged for f in rep):
-                n_nonconverged += 1
-            values.append(value)
-    if not values:
+        kept = np.array([not any(isinstance(f, NumericalError) for f in rep)
+                         for rep in zip(*refits)])
+        n_failed += int((~kept).sum())
+        if not kept.any():
+            continue
+        refits = [[f for f, k in zip(group, kept) if k] for group in refits]
+        n_nonconverged += sum(not all(f.converged for f in rep) for rep in zip(*refits))
+        parts.append(statistic(refits, [Y[kept] for Y in Ys]))
+    if not parts:
         raise NumericalError("every bootstrap replicate failed")
+    values = tuple(None if part[0] is None else np.concatenate(part) for part in zip(*parts))
     return values, {"n_replicates": cfg.n_replicates, "n_failed": n_failed,
                     "n_nonconverged": n_nonconverged,
                     "unreliable": n_failed > FAILURE_WARNING_FRACTION * cfg.n_replicates}
@@ -176,24 +177,22 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
     # the knots are frozen across replicates, so each group's design rows at
     # the points are built once and only the coefficients change
     rows = pair.design_rows(X)
-    reps, counts = _replicates(
+    (aucs, bands, youdens), counts = _replicates(
         [g.fit for g in groups],
         [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
         cfg, fcfg,
-        lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
-                                                    for f, g in zip(refits, groups))),
-                                   *rows, t_grid, youden))
+        lambda refits, _: evaluate_stack(*map(GroupStack.from_fits, refits), *rows,
+                                         t_grid, youden))
 
     auc, band, youden_rows = evaluate(pair, *rows, t_grid, youden)
-    result = BootstrapResult(X, auc, *percentile_interval([r[0] for r in reps], cfg.alpha),
-                             **counts)
+    result = BootstrapResult(X, auc, *percentile_interval(aucs, cfg.alpha), **counts)
     if t_grid is not None:
         result.roc = band
-        result.roc_lower, result.roc_upper = percentile_interval([r[1] for r in reps], cfg.alpha)
+        result.roc_lower, result.roc_upper = percentile_interval(bands, cfg.alpha)
     if youden:
         result.youden, result.threshold = youden_rows.T
-        result.youden_lower, result.youden_upper = percentile_interval(
-            [r[2][:, 0] for r in reps], cfg.alpha)
+        result.youden_lower, result.youden_upper = percentile_interval(youdens[:, :, 0],
+                                                                       cfg.alpha)
     return result
 
 
@@ -205,9 +204,10 @@ def unconditional_auc_bootstrap(y_nondiseased, y_diseased,
     point with no covariates."""
     cfg = config or BootstrapConfig()
     auc_hat, *fits = robust_unconditional_auc(y_nondiseased, y_diseased, fit_config)
-    reps, counts = _replicates(
+    (aucs,), counts = _replicates(
         fits, [np.ones((f.std_residuals.size, 1)) for f in fits], cfg, fit_config,
-        lambda refits, ys: [unconditional_auc(ys[0], ys[1], refits[0].truncated_weights,
-                                              refits[1].truncated_weights)])
+        lambda refits, ys: (np.array([[unconditional_auc(y_nd, y_d, f_nd.truncated_weights,
+                                                         f_d.truncated_weights)]
+                                      for y_nd, y_d, f_nd, f_d in zip(*ys, *refits)]),))
     return BootstrapResult(np.empty((1, 0)), np.array([auc_hat]),
-                           *percentile_interval(reps, cfg.alpha), **counts)
+                           *percentile_interval(aucs, cfg.alpha), **counts)

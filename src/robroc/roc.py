@@ -25,6 +25,7 @@ numerical check of the same integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, RobustFit, irls_fit, irls_refit
 from .splines import SplineSpec, _outside, design_stack
-from .wecdf import WeightedEcdf
+from .wecdf import EcdfStack, WeightedEcdf
 
 
 @dataclass
@@ -49,6 +50,24 @@ class GroupFit:
         """Attach the truncated-weight residual distribution to a fit."""
         ecdf = WeightedEcdf.from_residuals(fit.std_residuals, fit.truncated_weights)
         return cls(fit=fit, design=design, ecdf=ecdf, label=label)
+
+
+@dataclass
+class GroupStack:
+    """m fitted models of one population on one design layout, a row each:
+    coefficients (m, q), scales (m,) and residual distributions."""
+
+    beta: np.ndarray
+    sigma: np.ndarray
+    ecdf: EcdfStack
+
+    @classmethod
+    def from_fits(cls, fits: Sequence[RobustFit]) -> "GroupStack":
+        """Each fit with GroupFit.from_fit's residual distribution, all
+        built in one pass."""
+        return cls(beta=np.array([f.beta for f in fits]), sigma=np.array([f.sigma for f in fits]),
+                   ecdf=EcdfStack.from_residuals(np.array([f.std_residuals for f in fits]),
+                                                 np.array([f.truncated_weights for f in fits])))
 
 
 @dataclass
@@ -106,46 +125,86 @@ def evaluate(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray, t=No
     Returns (auc, roc, youden) with a row per point: the k AUCs, ROC(t | x)
     as a k x t.size array (None without t), and the k (Youden index,
     smallest threshold attaining it) pairs as a k x 2 array (None unless
-    youden is set).
+    youden is set).  It is the one-pair case of evaluate_stack.
     """
-    if len(rows_nd) != len(rows_d):
-        raise ValueError(f"{len(rows_nd)} nondiseased design rows but {len(rows_d)} diseased")
+    groups = [GroupStack(g.fit.beta[None], np.array([g.fit.sigma]), g.ecdf.stacked())
+              for g in (pair.nondiseased, pair.diseased)]
+    return tuple(None if v is None else v[0]
+                 for v in evaluate_stack(*groups, rows_nd, rows_d, t, youden))
+
+
+def evaluate_stack(nd: GroupStack, d: GroupStack, rows_nd, rows_d, t=None,
+                   youden: bool = False):
+    """evaluate for each of m fitted pairs (nd's row i, d's row i) at k
+    points, given by each group's design rows there: a (k, q) array that
+    every pair shares, or an (m, k, q) stack of each pair's rows.
+
+    Returns (auc, roc, youden) with a row per pair: the (m, k) AUCs, ROC(t |
+    x) as (m, k, t.size) (None without t), and (Youden index, smallest
+    threshold attaining it) as (m, k, 2) (None unless youden is set).  Each
+    pair's values are, bit for bit, those of the pair evaluated alone.
+    """
+    rows_nd = np.asarray(rows_nd, dtype=float)
+    rows_d = np.asarray(rows_d, dtype=float)
+    if rows_nd.shape[-2] != rows_d.shape[-2]:
+        raise ValueError(f"{rows_nd.shape[-2]} nondiseased design rows but "
+                         f"{rows_d.shape[-2]} diseased")
     if t is not None:
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t, dtype=float).ravel()
         if _outside(t, 0.0, 1.0).any():
             raise ValueError("t values must lie in [0, 1]")
-    nd, d = pair.nondiseased, pair.diseased
-    if nd.fit.sigma <= 0.0 or d.fit.sigma <= 0.0:
+    if (nd.sigma <= 0.0).any() or (d.sigma <= 0.0).any():
         raise NumericalError("degenerate scale in fitted pair")
-    # each mean is predict_mean's 1-D product: a 2-D rows @ beta can differ
-    # by an ulp, and that can move the Youden index by a point mass
-    mu_nd = np.array([row @ nd.fit.beta for row in rows_nd])
-    mu_d = np.array([row @ d.fit.beta for row in rows_d])
-    adj_nd = mu_nd[:, None] + nd.fit.sigma * nd.ecdf.support
-    adj_d = mu_d[:, None] + d.fit.sigma * d.ecdf.support
-    # the nondiseased weight at or below each diseased value, per point; the
-    # nondiseased support is sorted, so one searchsorted per row finds it
-    covered = np.concatenate([[0.0], nd.ecdf.cum_weights])
-    d_w = d.ecdf.weights
-    auc = np.array([d_w @ covered[np.searchsorted(a_nd, a_d, side="right")]
-                    for a_nd, a_d in zip(adj_nd, adj_d)])
-    auc /= nd.ecdf.cum_weights[-1] * d_w.sum()
+    m = nd.sigma.size
+
+    def means(rows, group):
+        # each mean is predict_mean's 1-D product: a 2-D rows @ beta can
+        # differ by an ulp, and that can move the Youden index by a point mass
+        stack = np.broadcast_to(rows, (m,) + rows.shape[-2:])
+        return np.array([[row @ b for row in r] for r, b in zip(stack, group.beta)])
+
+    mu_nd, mu_d = means(rows_nd, nd), means(rows_d, d)
+    # sigma * eps per support point, +inf on the padding
+    spread_nd = nd.sigma[:, None] * nd.ecdf.support
+    spread_d = d.sigma[:, None] * d.ecdf.support
+    # the nondiseased weight at or below each diseased adjusted value
+    # mu_d + sigma_d * eps, per pair and point; the nondiseased adjusted
+    # values are sorted, so one searchsorted per point finds it, and each
+    # diseased row is cut to its own support, since padding would change the
+    # dot's and the sum's summation order
+    covered = np.concatenate([np.zeros((m, 1)), nd.ecdf.cum_weights], axis=1)
+    auc = np.empty(mu_nd.shape)
+    d_sums = np.empty(m)
+    for i, s in enumerate(d.ecdf.sizes.tolist()):
+        d_w = d.ecdf.weights[i, :s]
+        adj_nd = mu_nd[i, :, None] + spread_nd[i]
+        adj_d = mu_d[i, :, None] + spread_d[i, :s]
+        auc[i] = [d_w @ covered[i, a_nd.searchsorted(a_d, side="right")]
+                  for a_nd, a_d in zip(adj_nd, adj_d)]
+        d_sums[i] = d_w.sum()
+    auc /= (nd.ecdf.total * d_sums)[:, None]
     roc = None
     if t is not None:
-        a = (mu_nd - mu_d) / d.fit.sigma
-        c = nd.fit.sigma / d.fit.sigma
-        roc = 1.0 - d.ecdf.cdf(a[:, None] + c * nd.ecdf.quantile(1.0 - t))
+        a = (mu_nd - mu_d) / d.sigma[:, None]
+        c = nd.sigma / d.sigma
+        shift = c[:, None] * nd.ecdf.quantile(np.broadcast_to(1.0 - t, (m, t.size)))
+        roc = 1.0 - d.ecdf.cdf(a[:, :, None] + shift[:, None, :])
     best = None
     if youden:
         # the objective is a step function that can change only at the
         # groups' adjusted values; a tied candidate repeats its objective,
-        # so the first maximum is at the smallest candidate attaining it
-        cand = np.sort(np.concatenate([adj_nd, adj_d], axis=1), axis=1)
-        objective = (nd.ecdf.cdf((cand - mu_nd[:, None]) / nd.fit.sigma)
-                     - d.ecdf.cdf((cand - mu_d[:, None]) / d.fit.sigma))
-        at = np.argmax(objective, axis=1)
-        points = np.arange(at.size)
-        best = np.column_stack([objective[points, at], cand[points, at]])
+        # so the first maximum is at the smallest candidate attaining it.
+        # The padding's +inf candidates sort last and never count.
+        cand = np.sort(np.concatenate([mu_nd[:, :, None] + spread_nd[:, None, :],
+                                       mu_d[:, :, None] + spread_d[:, None, :]], axis=2),
+                       axis=2)
+        objective = (nd.ecdf.cdf((cand - mu_nd[:, :, None]) / nd.sigma[:, None, None])
+                     - d.ecdf.cdf((cand - mu_d[:, :, None]) / d.sigma[:, None, None]))
+        real = np.arange(cand.shape[2]) < (nd.ecdf.sizes + d.ecdf.sizes)[:, None]
+        objective = np.where(real[:, None, :], objective, -np.inf)
+        at = np.argmax(objective, axis=2)[:, :, None]
+        best = np.concatenate([np.take_along_axis(objective, at, axis=2),
+                               np.take_along_axis(cand, at, axis=2)], axis=2)
     return auc, roc, best
 
 

@@ -40,7 +40,7 @@ from .data import GroupSample
 from .errors import NumericalError
 from .huber import FitConfig, irls_refit, ols_refit
 from .model_select import _layouts, _ranked, _scored
-from .roc import GroupFit, PopulationPair, _sample_fit, evaluate
+from .roc import GroupFit, GroupStack, _sample_fit, evaluate_stack
 from .splines import _counts, _two_dim, design_stack, grid_stack
 
 # each estimator's plan: its knot layout of (n_interior, p), and a robust fit or not
@@ -264,7 +264,7 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     estimators and candidates gets one splines.design_stack, fitted once by
     huber.irls_refit and once by huber.ols_refit as its plans need, and one
     splines.grid_stack if an estimator evaluates on it; each estimator's
-    AUCs come from one roc.evaluate call per replicate.  Every number
+    AUCs come from one roc.evaluate_stack call per chunk.  Every number
     equals that of fitting each replicate on its own.
     """
     p = scn.n_covariates
@@ -293,7 +293,7 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     for start in range(0, n_replicates, chunk):
         reps = range(start, min(start + chunk, n_replicates))
         draws = [generate(scn, n_nondiseased, n_diseased, seed=(seed, r)) for r in reps]
-        # per group and estimator plan: GroupFits (None if failed), grid rows
+        # per group and estimator plan: fits (a NumericalError if failed), grid rows
         by_group = []
         for key, samples in zip(counts, zip(*draws)):
             X = np.array([s.covariates for s in samples])
@@ -307,10 +307,7 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
                     if (layout, robust) in candidates:
                         scored.append([_scored(layout, *row) for row in zip(specs, Zs, fits)])
                     if (layout, robust) in plans.values():
-                        fitted[layout, robust] = (
-                            [None if isinstance(fit, NumericalError)
-                             else GroupFit.from_fit(fit, spec, sample.label)
-                             for fit, spec, sample in zip(fits, specs, samples)], *grid)
+                        fitted[layout, robust] = (fits, *grid)
             for cands in zip(*scored):
                 try:
                     chosen = _ranked(list(cands)).best.n_interior
@@ -320,17 +317,14 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
             by_group.append(fitted)
         for kind, plan in plans.items():
             (nd, rows_nd, in_nd), (d, rows_d, in_d) = (group[plan] for group in by_group)
-            for i, r in enumerate(reps):
-                if nd[i] is None or d[i] is None:
-                    failed[kind] += 1
-                    continue
-                # points outside this replicate's boundary knots stay NaN
-                inside = in_nd[i] & in_d[i]
-                try:
-                    aucs[kind][r, inside] = evaluate(PopulationPair(nd[i], d[i]),
-                                                     rows_nd[i, inside], rows_d[i, inside])[0]
-                except NumericalError:
-                    pass  # a degenerate scale leaves the whole row NaN
+            ok = np.array([not isinstance(f_nd, NumericalError)
+                           and not isinstance(f_d, NumericalError) for f_nd, f_d in zip(nd, d)])
+            failed[kind] += int((~ok).sum())
+            if ok.any():
+                auc = evaluate_stack(*(GroupStack.from_fits([f for f, k in zip(fits, ok) if k])
+                                       for fits in (nd, d)), rows_nd[ok], rows_d[ok])[0]
+                # points outside a replicate's boundary knots stay NaN
+                aucs[kind][start + ok.nonzero()[0]] = np.where(in_nd[ok] & in_d[ok], auc, np.nan)
 
     report = McReport(
         x_grid=x_grid,

@@ -215,17 +215,6 @@ class SplineSpec:
 
     knots: tuple[KnotSpec | None, ...]
 
-    @classmethod
-    def from_data(cls, X, n_interior: int | Sequence[int | None]) -> "SplineSpec":
-        """Derive knots from training covariates.
-
-        n_interior is either a single count applied to every covariate or a
-        per-covariate sequence in which None marks a passthrough column.
-        """
-        X = _two_dim(X)
-        return cls(knots=tuple(None if k is None else knot_sequence(X[:, h], k)
-                               for h, k in enumerate(_counts(n_interior, X.shape[1]))))
-
     @property
     def n_covariates(self) -> int:
         return len(self.knots)
@@ -282,7 +271,9 @@ def design_stack(X, n_interior: int | Sequence[int | None]
     """Specs and design matrices of a stack of m training sets of one shape.
 
     X is (m, n, p), m sets of n rows and p covariates (an (m, n) X holds one
-    covariate); n_interior is as in SplineSpec.from_data.  Returns the m
+    covariate).  n_interior is either a single count applied to every
+    covariate or a per-covariate sequence in which None marks a passthrough
+    column.  Returns the m
     SplineSpecs, the r-th derived from X[r] alone, and the C-ordered
     (m, n, q) stack whose r-th matrix is specs[r].matrix(X[r]), bit for bit.
     """

@@ -11,7 +11,7 @@ import numpy as np
 from robroc.errors import NumericalError
 from robroc.huber import irls_fit
 from robroc.roc import GroupFit, PopulationPair
-from robroc.splines import SplineSpec, _full_basis
+from robroc.splines import _full_basis, design_stack
 
 VERDICTS = []
 
@@ -49,10 +49,10 @@ def assert_same_group(got, want):
 
 def reference_fit_pair(nondiseased, diseased, n_interior, config=None):
     """fit_pair as the per-sample route it replaced, kept as its reference:
-    per group SplineSpec.from_data, its matrix and irls_fit."""
+    per group the spec of its one-row design stack, its matrix and irls_fit."""
     groups = []
     for sample in (nondiseased, diseased):
-        spec = SplineSpec.from_data(sample.covariates, n_interior)
+        spec = design_stack(sample.covariates[None], n_interior)[0][0]
         fit = irls_fit(spec.matrix(sample.covariates), sample.outcomes, config)
         groups.append(GroupFit.from_fit(fit, spec, sample.label))
     return PopulationPair(*groups)

@@ -196,8 +196,9 @@ class TestResidualBootstrap:
 
         def recording(fits, designs, cfg, fit_config, statistic):
             def record(refits, ys):
-                seen.append((refits, statistic(refits, ys)))
-                return seen[-1][1]
+                values = statistic(refits, ys)
+                seen.extend(zip(zip(*refits), zip(*values)))
+                return values
             return replicates(fits, designs, cfg, fit_config, record)
 
         monkeypatch.setattr(bootstrap, "_replicates", recording)
@@ -320,6 +321,19 @@ def parent_replicates(fits, designs, cfg, fit_config, statistic):
                     "unreliable": n_failed > bootstrap.FAILURE_WARNING_FRACTION * cfg.n_replicates}
 
 
+def one_replicate(statistic):
+    """A chunk statistic as a per-replicate one: the chunk of one replicate,
+    each array's one row."""
+    return lambda refits, ys: [None if v is None else v[0] for v in
+                               statistic([[f] for f in refits], [y[None] for y in ys])]
+
+
+def stacked(values):
+    """Per-replicate values as the chunk statistics' arrays, a row per
+    replicate."""
+    return tuple(None if v[0] is None else np.array(v) for v in zip(*values))
+
+
 def assert_same(a, b):
     """Replicate values equal bit for bit: floats, arrays, and tuples or
     lists of them."""
@@ -347,8 +361,9 @@ class TestEqualsParentLoop:
                 monkeypatch.setattr(bootstrap, "REFIT_CHUNK_VALUES",
                                     3 * max(Z.shape[0] for Z in designs))
             values, counts = batched(fits, designs, cfg, fit_config, statistic)
-            expected, parent = parent_replicates(fits, designs, cfg, fit_config, statistic)
-            assert_same(values, expected)
+            expected, parent = parent_replicates(fits, designs, cfg, fit_config,
+                                                 one_replicate(statistic))
+            assert_same(values, stacked(expected))
             assert counts == parent
             runs.append(counts)
             return values, counts

@@ -10,7 +10,7 @@ from robroc.huber import FitConfig, RobustFit, irls_fit
 from robroc.model_select import (RaicCandidate, default_candidates, knot_grid, raic,
                                  raic_penalty, select_knots)
 from robroc.simulate import generate, scenario
-from robroc.splines import SplineSpec
+from robroc.splines import design_stack
 
 
 def hand_fit(u, sigma=1.0, q=1) -> RobustFit:
@@ -194,15 +194,15 @@ class TestSelectKnots:
 
 
 def reference_select(sample, candidates, config=None):
-    """select_knots as the per-candidate loop it replaced: SplineSpec.from_data,
-    matrix, irls_fit and raic for each candidate, then the smallest rAIC,
-    exact ties to the smallest knot vector.  Returns the candidates and the
+    """select_knots as the per-candidate loop it replaced: the spec of the
+    one-row design stack, its matrix, irls_fit and raic for each candidate,
+    then the smallest rAIC, exact ties to the smallest knot vector.  Returns the candidates and the
     selected index, None if every candidate failed."""
     p = sample.n_covariates
     out = []
     for cand in candidates:
         vec = (cand,) * p if isinstance(cand, int) else tuple(cand)
-        spec = SplineSpec.from_data(sample.covariates, vec)
+        spec = design_stack(sample.covariates[None], vec)[0][0]
         Z = spec.matrix(sample.covariates)
         try:
             fit = irls_fit(Z, sample.outcomes, config)

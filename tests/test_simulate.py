@@ -18,7 +18,7 @@ from robroc.roc import (GroupFit, PopulationPair, auc_closed_form, auc_grid, auc
 from robroc.simulate import (ESTIMATORS, Scenario, _contaminated_count,
                              comparator_fit, generate, run_study, scenario,
                              true_auc)
-from robroc.splines import SplineSpec
+from robroc.splines import SplineSpec, design_stack
 
 
 def normal_cdf(z: float) -> float:
@@ -215,10 +215,11 @@ class TestComparatorFit:
 
 
 def reference_comparator(kind, sample, n_interior=0):
-    """comparator_fit as the per-sample route it replaced: SplineSpec.from_data
-    (or the all-passthrough spec), matrix, ols_as_robust_fit."""
+    """comparator_fit as the per-sample route it replaced: the spec of the
+    one-row design stack (or the all-passthrough spec), its matrix and
+    ols_as_robust_fit."""
     spec = (SplineSpec((None,) * sample.n_covariates) if kind == "ols_linear"
-            else SplineSpec.from_data(sample.covariates, n_interior))
+            else design_stack(sample.covariates[None], n_interior)[0][0])
     fit = ols_as_robust_fit(spec.matrix(sample.covariates), sample.outcomes)
     return GroupFit.from_fit(fit, spec, sample.label)
 

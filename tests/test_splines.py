@@ -172,7 +172,7 @@ class TestDesigns:
     def test_single_covariate_shape(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(0, 1, size=(50, 1))
-        spec = SplineSpec.from_data(X, 0)
+        spec = design_stack(X[None], 0)[0][0]
         Z = spec.matrix(X)
         assert Z.shape == (50, 4)
         np.testing.assert_array_equal(Z[:, 0], np.ones(50))
@@ -181,14 +181,14 @@ class TestDesigns:
     def test_two_covariate_column_counts(self, counts, q):
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, size=(80, 2))
-        spec = SplineSpec.from_data(X, counts)
+        spec = design_stack(X[None], counts)[0][0]
         assert spec.n_columns == q
         assert spec.matrix(X).shape == (80, q)
 
     def test_spline_entries_within_unit_interval(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(-2, 2, size=(60, 2))
-        Z = SplineSpec.from_data(X, (2, 3)).matrix(X)
+        Z = design_stack(X[None], (2, 3))[0][0].matrix(X)
         block = Z[:, 1:]
         assert block.min() >= 0.0 and block.max() <= 1.0
 
@@ -196,7 +196,7 @@ class TestDesigns:
         rng = np.random.default_rng(17)
         X = np.column_stack([rng.uniform(0, 1, 40),
                              rng.integers(0, 2, 40).astype(float)])
-        spec = SplineSpec.from_data(X, [0, None])
+        spec = design_stack(X[None], [0, None])[0][0]
         assert spec.n_columns == 1 + 3 + 1
         Z = spec.matrix(X)
         np.testing.assert_array_equal(Z[:, -1], X[:, 1])
@@ -204,7 +204,7 @@ class TestDesigns:
     def test_row_matches_matrix(self):
         rng = np.random.default_rng(19)
         X = rng.uniform(0, 1, size=(30, 2))
-        spec = SplineSpec.from_data(X, (1, 0))
+        spec = design_stack(X[None], (1, 0))[0][0]
         Z = spec.matrix(X)
         for j in (0, 7, 29):
             np.testing.assert_array_equal(spec.row(X[j]), Z[j])
@@ -220,18 +220,18 @@ class TestDesigns:
 
     def test_extrapolating_row_rejected(self):
         X = np.linspace(0, 1, 25)[:, None]
-        spec = SplineSpec.from_data(X, 0)
+        spec = design_stack(X[None], 0)[0][0]
         with pytest.raises(DataError, match="extrapolate"):
             spec.row([1.5])
 
     def test_wrong_count_length_rejected(self):
         X = np.random.default_rng(29).uniform(size=(20, 2))
         with pytest.raises(ValueError):
-            SplineSpec.from_data(X, [0, 1, 2])
+            design_stack(X[None], [0, 1, 2])
 
     def test_wrong_column_count_rejected(self):
         X = np.random.default_rng(37).uniform(size=(20, 2))
-        spec = SplineSpec.from_data(X, 0)
+        spec = design_stack(X[None], 0)[0][0]
         with pytest.raises(DataError):
             spec.matrix(X[:, :1])
 
@@ -239,7 +239,7 @@ class TestDesigns:
 class TestNonFinitePoints:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_covers_is_false_and_matrix_refuses(self, bad):
-        spec = SplineSpec.from_data(np.linspace(0, 1, 30), 1)
+        spec = design_stack(np.linspace(0, 1, 30)[None], 1)[0][0]
         X = np.array([0.2, bad, 0.7])
         np.testing.assert_array_equal(spec.covers(X), [True, False, True])
         with pytest.raises(DataError, match="extrapolate"):
@@ -395,7 +395,7 @@ class TestStackEqualsParentLoop:
         specs, Zs = design_stack(X, (2, 0, None))
         assert Zs.shape == (5, 50, 1 + 5 + 3 + 1) and Zs.flags.c_contiguous
         for spec, Z, x in zip(specs, Zs, X):
-            assert spec == SplineSpec.from_data(x, (2, 0, None))
+            assert spec == design_stack(x[None], (2, 0, None))[0][0]
             expected = np.hstack([parent_matrix(x[:, 0], spec.knots[0]),
                                   parent_matrix(x[:, 1], spec.knots[1])[:, 1:], x[:, 2:]])
             assert_same_bits(Z, expected)
