@@ -8,9 +8,10 @@ import csv
 
 import numpy as np
 
+from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import irls_fit
-from robroc.roc import GroupFit, PopulationPair
+from robroc.roc import GroupFit, PopulationPair, evaluate
 from robroc.splines import _full_basis, design_stack
 
 VERDICTS = []
@@ -58,6 +59,58 @@ def reference_fit_pair(nondiseased, diseased, n_interior, config=None):
     return PopulationPair(*groups)
 
 
+def binary_samples(seed, n_nd, n_d, tied):
+    """Two groups over one 0/1 covariate; with tied set, their outcomes are
+    integers, which tie within each category."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for n, shift, label in ((n_nd, 0.0, "nondiseased"), (n_d, 1.0, "diseased")):
+        z = rng.integers(0, 2, n).astype(float)
+        y = rng.normal(2.0 * z + shift, 1.5)
+        samples.append(GroupSample(outcomes=np.round(y) if tied else y,
+                                   covariates=z[:, None], label=label))
+    return samples
+
+
+def reference_ecdf(values, weights) -> tuple:
+    """WeightedEcdf.from_residuals as the one-sample build that the stacked
+    builder replaced, kept as its reference: np.unique, one np.bincount of
+    the weights over the inverse, np.cumsum.  Returns the support, merged
+    weights, cumulative weights and total."""
+    support, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    merged = np.bincount(inverse, weights=np.asarray(weights, dtype=float),
+                         minlength=support.size)
+    cum = np.cumsum(merged)
+    return support, merged, cum, float(cum[-1])
+
+
+def reference_cdf(ecdf, y) -> np.ndarray:
+    """WeightedEcdf.cdf as one search of the unpadded support."""
+    idx = np.searchsorted(ecdf.support, np.asarray(y, dtype=float), side="right")
+    return np.where(idx > 0, ecdf.cum_weights[idx - 1], 0.0) / ecdf.total
+
+
+def reference_quantile(ecdf, t) -> np.ndarray:
+    """WeightedEcdf.quantile as one search of the unpadded cumulative
+    weights."""
+    idx = np.searchsorted(ecdf.cum_weights, np.asarray(t, dtype=float) * ecdf.total,
+                          side="left")
+    return ecdf.support[np.minimum(idx, ecdf.support.size - 1)]
+
+
+def per_replicate_statistic(groups, rows, t=None, youden=False):
+    """residual_bootstrap's chunk statistic as the per-replicate route it
+    replaced, kept as its reference: per replicate, a GroupFit per refit,
+    their PopulationPair and one evaluate.  The replicates' values are
+    stacked as the chunk statistic returns them."""
+    def statistic(refits, _):
+        values = [evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
+                                            for f, g in zip(rep, groups))), *rows, t, youden)
+                  for rep in zip(*refits)]
+        return tuple(None if v[0] is None else np.array(v) for v in zip(*values))
+    return statistic
+
+
 # The per-point evaluators that roc.evaluate replaced, kept as its reference:
 # each takes the groups' fitted means at one covariate point.
 
@@ -94,16 +147,17 @@ def point_roc(pair, mu_nd: float, mu_d: float, t) -> np.ndarray:
     _check_scales(pair)
     a = (mu_nd - mu_d) / pair.diseased.fit.sigma
     c = pair.nondiseased.fit.sigma / pair.diseased.fit.sigma
-    q = pair.nondiseased.ecdf.quantile(1.0 - t)
-    return 1.0 - pair.diseased.ecdf.cdf(a + c * q)
+    q = reference_quantile(pair.nondiseased.ecdf, 1.0 - t)
+    return 1.0 - reference_cdf(pair.diseased.ecdf, a + c * q)
 
 
 def point_youden(pair, mu_nd: float, mu_d: float) -> tuple[float, float]:
     _check_scales(pair)
     candidates = np.union1d(_adjusted(pair.nondiseased, mu_nd),
                             _adjusted(pair.diseased, mu_d))
-    f_nd = pair.nondiseased.ecdf.cdf((candidates - mu_nd) / pair.nondiseased.fit.sigma)
-    f_d = pair.diseased.ecdf.cdf((candidates - mu_d) / pair.diseased.fit.sigma)
+    f_nd = reference_cdf(pair.nondiseased.ecdf,
+                         (candidates - mu_nd) / pair.nondiseased.fit.sigma)
+    f_d = reference_cdf(pair.diseased.ecdf, (candidates - mu_d) / pair.diseased.fit.sigma)
     objective = f_nd - f_d
     best = int(np.argmax(objective))  # first maximum = smallest candidate
     return float(objective[best]), float(candidates[best])

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import point_auc, point_roc, point_youden, row_means
+from conftest import (binary_samples, per_replicate_statistic, point_auc, point_roc,
+                      point_youden, row_means)
 from robroc import bootstrap
 from robroc.bootstrap import (BootstrapConfig, _resample_indices, _resampling_cdf,
                               percentile_interval, residual_bootstrap,
@@ -397,6 +398,69 @@ class TestEqualsParentLoop:
         residual_bootstrap(pair, nd, d, X0, BootstrapConfig(n_replicates=10, seed=4),
                            FitConfig(max_iterations=2), youden=True)
         assert compared[0]["n_nonconverged"] > 0
+
+
+class TestChunkStatisticEqualsPerReplicate:
+    """residual_bootstrap's chunk statistic equals the per-replicate route,
+    a GroupFit, PopulationPair and evaluate per replicate, bit for bit on the
+    same refits; the counts equal the unbatched loop's."""
+
+    @pytest.fixture(params=[1, 3, 7])
+    def compare(self, request, monkeypatch):
+        def run(pair, nd, d, x, cfg, fit_config=None, t_grid=None, youden=False):
+            runs = []
+            batched = bootstrap._replicates
+            reference = per_replicate_statistic((pair.nondiseased, pair.diseased),
+                                                pair.design_rows(np.asarray(x)), t_grid, youden)
+
+            def both(fits, designs, cfg, fit_config, statistic):
+                monkeypatch.setattr(bootstrap, "REFIT_CHUNK_VALUES",
+                                    request.param * max(Z.shape[0] for Z in designs))
+                got = batched(fits, designs, cfg, fit_config, statistic)
+                assert_same(got, batched(fits, designs, cfg, fit_config, reference))
+                values, counts = parent_replicates(fits, designs, cfg, fit_config,
+                                                   one_replicate(reference))
+                assert_same(got, (stacked(values), counts))
+                runs.append(got[1])
+                return got
+
+            monkeypatch.setattr(bootstrap, "_replicates", both)
+            residual_bootstrap(pair, nd, d, x, cfg, fit_config, t_grid=t_grid, youden=youden)
+            (counts,) = runs
+            return counts
+
+        return run
+
+    def test_chunk_boundaries(self, compare):
+        nd, d = generate(scenario("I", contamination=0.05), 90, 70, seed=43)
+        compare(fit_pair(nd, d, 2), nd, d, [[0.2], [0.5], [0.8]],
+                BootstrapConfig(n_replicates=17, seed=4), t_grid=np.linspace(0.0, 1.0, 11),
+                youden=True)
+
+    def test_degenerate_scale_inside_a_chunk(self, compare):
+        # a resample that misses the sixth row refits interpolating data and
+        # fails on a zero MAD, between replicates that succeed
+        x = np.linspace(0.0, 1.0, 6)
+        pair, nd, d = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
+                                np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
+        counts = compare(pair, nd, d, [[0.3], [0.5]], BootstrapConfig(n_replicates=40, seed=5),
+                         t_grid=np.linspace(0.0, 1.0, 5), youden=True)
+        assert 0 < counts["n_failed"] < 40 and counts["unreliable"]
+
+    def test_nonconverged_refits(self, compare):
+        nd, d, pair = linear_pair(np.random.default_rng(61))
+        counts = compare(pair, nd, d, [X0], BootstrapConfig(n_replicates=10, seed=4),
+                         FitConfig(max_iterations=2), youden=True)
+        assert counts["n_nonconverged"] > 0
+
+    def test_tied_residuals(self, compare):
+        # a 0/1 covariate with integer outcomes: residual supports shorter
+        # than the sample, by a different count in each replicate
+        nd, d = binary_samples(29, 60, 45, tied=True)
+        pair = fit_pair(nd, d, [None])
+        assert pair.nondiseased.ecdf.support.size < 60
+        compare(pair, nd, d, [[0.0], [1.0]], BootstrapConfig(n_replicates=19, seed=6),
+                t_grid=np.linspace(0.0, 1.0, 9), youden=True)
 
 
 @dataclass

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import (assert_same_group, point_auc, point_roc, point_youden,
+from conftest import (assert_same_group, binary_samples, point_auc, point_roc, point_youden,
                       reference_fit_pair, row_means)
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
-from robroc.roc import (PopulationPair, auc_closed_form, auc_grid, auc_simpson,
-                        composite_simpson, evaluate, fit_pair, GroupFit, predict_mean,
+from robroc.roc import (GroupStack, PopulationPair, auc_closed_form, auc_grid, auc_simpson,
+                        composite_simpson, evaluate, evaluate_stack, fit_pair, GroupFit,
+                        predict_mean,
                         robust_unconditional_auc, roc_curve, roc_values,
                         unconditional_auc, youden_index)
 from robroc.simulate import generate, scenario
@@ -333,6 +334,55 @@ class TestEvaluate:
                     evaluate(pair, rows, rows, t, youden=youden)
             with pytest.raises(NumericalError, match="degenerate scale in fitted pair"):
                 auc_closed_form(pair, X0)
+
+    def test_stack_equals_each_pair_alone(self):
+        # pairs with tied and untied outcomes, so their residual supports
+        # differ in length, each at its own design rows and at shared ones
+        pairs = [fit_pair(*binary_samples(seed, 70, 50, tied=seed % 2), [None])
+                 for seed in range(5)]
+        grid = np.array([[0.0], [1.0], [1.0]])
+        groups = [GroupStack.from_fits([getattr(p, g).fit for p in pairs])
+                  for g in ("nondiseased", "diseased")]
+        assert len({p.nondiseased.ecdf.support.size for p in pairs}) > 1
+        own = [np.array(rows) for rows in zip(*(p.design_rows(grid) for p in pairs))]
+        shared = pairs[0].design_rows(grid)
+        for rows, rows_of in ((own, lambda i: [r[i] for r in own]), (shared, lambda i: shared)):
+            values = evaluate_stack(*groups, *rows, self.T, youden=True)
+            for i, pair in enumerate(pairs):
+                for got, want in zip(values, evaluate(pair, *rows_of(i), self.T, youden=True)):
+                    assert got[i].tobytes() == want.tobytes()
+
+    def test_stack_of_hand_fits_equals_each_pair_alone(self):
+        # non-unit weights and supports of unequal lengths, so that a dot or
+        # sum over a padded row would round differently.  The first pair's
+        # top nondiseased value does not survive the round trip
+        # (mu + sigma * e - mu) / sigma, so all its Youden objectives are
+        # negative and a padding candidate, whose objective is 0, must not count
+        rng = np.random.default_rng(83)
+        mu, sigma, top = 2.132715515343598, 7.322015953741584, 0.261749948792537
+        assert ((mu + sigma * top) - mu) / sigma < top
+
+        def fit(intercept, scale, residuals):
+            n = residuals.size
+            return RobustFit(beta=np.array([intercept, 0.0]), sigma=scale,
+                             std_residuals=residuals, huber_weights=np.ones(n),
+                             truncated_weights=rng.uniform(0.2, 1.8, n), iterations=1,
+                             converged=True)
+
+        nd = [fit(mu, sigma, np.tile([-1.0, -0.5, top], 10)), fit(0.5, 1.3, rng.normal(size=30)),
+              fit(0.5, 1.3, rng.normal(size=30))]
+        d = [fit(-100.0, 1.0, rng.integers(-10, 11, 45).astype(float)),
+             fit(1.5, 0.8, rng.normal(size=45)),
+             fit(1.5, 0.3, rng.integers(-10, 11, 45).astype(float))]
+        rows = np.array([[1.0, 0.0], [1.0, 0.4]])
+        values = evaluate_stack(GroupStack.from_fits(nd), GroupStack.from_fits(d), rows, rows,
+                                self.T, youden=True)
+        assert values[2][0, 0, 0] < 0.0
+        for i in range(3):
+            pair = PopulationPair(*(GroupFit.from_fit(f, SplineSpec((None,)))
+                                    for f in (nd[i], d[i])))
+            for got, want in zip(values, evaluate(pair, rows, rows, self.T, youden=True)):
+                assert got[i].tobytes() == want.tobytes()
 
     def test_roc_curve_equals_its_parts(self):
         nd, d = generate(scenario("III", contamination=0.05), 80, 60, seed=5)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_cdf, reference_ecdf, reference_quantile
 from robroc.huber import irls_fit
-from robroc.wecdf import WeightedEcdf
+from robroc.wecdf import EcdfStack, WeightedEcdf
 
 
 class TestConstruction:
@@ -159,3 +162,78 @@ class TestResidualDiagnostics:
         fit = irls_fit(Z, y)
         d = WeightedEcdf.from_residuals(fit.std_residuals, fit.truncated_weights)
         assert d.total == pytest.approx(fit.truncated_weights.sum(), rel=1e-12)
+
+
+@st.composite
+def tied_stacks(draw):
+    """An (m, n) stack of integer-valued residuals, many of them tied, with
+    positive weights that are mostly not 1."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    values = draw(st.lists(st.integers(-4, 4), min_size=m * n, max_size=m * n))
+    weights = draw(st.lists(st.one_of(st.sampled_from([0.1, 1.0 / 3.0, 0.7, 1.0, 2.5]),
+                                      st.floats(1e-3, 1e3)),
+                            min_size=m * n, max_size=m * n))
+    return (np.array(values, dtype=float).reshape(m, n),
+            np.array(weights, dtype=float).reshape(m, n))
+
+
+def assert_row_is_reference(row, values, weights):
+    want = reference_ecdf(values, weights)
+    for name, expected in zip(("support", "weights", "cum_weights", "total"), want):
+        got = np.asarray(getattr(row, name))
+        assert got.tobytes() == np.asarray(expected).tobytes(), name
+
+
+class TestEcdfStack:
+    """The stacked build and evaluation equal the one-sample ones row by
+    row, bit for bit."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(tied_stacks())
+    def test_rows_equal_the_one_sample_build(self, stack):
+        V, W = stack
+        ecdfs = EcdfStack.from_residuals(V, W)
+        for i, (v, w) in enumerate(zip(V, W)):
+            assert_row_is_reference(ecdfs.row(i), v, w)
+            assert_row_is_reference(WeightedEcdf.from_residuals(v, w), v, w)
+            s = ecdfs.sizes[i]
+            assert np.all(ecdfs.support[i, s:] == np.inf)
+            assert np.all(ecdfs.weights[i, s:] == 0.0)
+            assert np.all(ecdfs.cum_weights[i, s:] == ecdfs.total[i])
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(tied_stacks(), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_cdf_and_quantile_equal_each_row_alone(self, stack, ys, ts):
+        V, W = stack
+        ecdfs = EcdfStack.from_residuals(V, W)
+        # the support values themselves, points between and beyond them,
+        # and +inf
+        Y = np.column_stack([V, np.tile(ys + [np.inf], (len(V), 1))])
+        T = np.tile(ts, (len(V), 1))
+        cdfs, quantiles = ecdfs.cdf(Y), ecdfs.quantile(T)
+        for i in range(len(V)):
+            row = ecdfs.row(i)
+            assert cdfs[i].tobytes() == reference_cdf(row, Y[i]).tobytes()
+            assert quantiles[i].tobytes() == reference_quantile(row, T[i]).tobytes()
+
+    def test_unit_weights_by_default(self):
+        V = np.array([[2.0, 1.0, 2.0], [0.5, 0.5, 0.5]])
+        ecdfs = EcdfStack.from_residuals(V)
+        np.testing.assert_array_equal(ecdfs.sizes, [2, 1])
+        np.testing.assert_array_equal(ecdfs.support, [[1.0, 2.0], [0.5, np.inf]])
+        np.testing.assert_array_equal(ecdfs.weights, [[1.0, 2.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(ecdfs.total, [3.0, 3.0])
+
+    def test_bad_stacks_rejected(self):
+        V = np.ones((2, 3))
+        with pytest.raises(ValueError, match="6 values but 3 weights"):
+            EcdfStack.from_residuals(V, np.ones((1, 3)))
+        with pytest.raises(ValueError, match="weights must be positive"):
+            EcdfStack.from_residuals(V, np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            EcdfStack.from_residuals(np.array([[1.0, 2.0], [np.nan, 0.0]]))
+        with pytest.raises(ValueError, match="empty"):
+            EcdfStack.from_residuals(np.ones((2, 0)))
+        with pytest.raises(ValueError, match="must lie in"):
+            EcdfStack.from_residuals(V).quantile(np.array([[0.5], [1.5]]))
