@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupSample
 from .errors import NumericalError
 # irls_fit stays bound here beside irls_refit: bench/tracer.py wraps it at
 # every module-level name, bootstrap's included, and bench/test_bench.py
 # checks that
 from .huber import FitConfig, irls_fit, irls_refit
-from .roc import (GroupStack, PopulationPair, evaluate, evaluate_stack,
-                  robust_unconditional_auc, unconditional_auc)
+from .roc import GroupStack, PopulationPair, evaluate, evaluate_stack, unconditional_auc
+from .splines import _two_dim
 
 FAILURE_WARNING_FRACTION = 0.05
 # Replicates are refit a chunk at a time, and chunk size x the larger
@@ -103,14 +102,14 @@ def _resample_indices(rng: np.random.Generator, cdf: np.ndarray) -> np.ndarray:
     return cdf.searchsorted(rng.random(cdf.size), side="right")
 
 
-def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | None,
-                statistic) -> tuple[tuple, dict]:
+def _replicates(pair: PopulationPair, cfg: BootstrapConfig, statistic) -> tuple[tuple, dict]:
     """Run the replicate loop shared by every bootstrap in this module.
 
-    fits and designs hold the nondiseased then the diseased group's fit and
-    design matrix.  Replicate b resamples each group's standardized
-    residuals in that order from the stream (seed, b), rebuilds outcomes on
-    the design rows, and refits warm-started at the observed coefficients.
+    Replicate b resamples each group's standardized residuals, the
+    nondiseased group's first, from the stream (seed, b), rebuilds outcomes
+    on its design rows (the design at its sample's covariates), and refits
+    warm-started at the observed coefficients with the pair's FitConfig (or,
+    for a pair built by hand without one, its fits' tuning and truncation).
     The replicates are refit a chunk at a time, one irls_refit per group,
     and each chunk's statistic is taken in one call,
     statistic(refits, outcomes): refits holds each group's refits of the
@@ -121,6 +120,11 @@ def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | Non
     Returns the statistic's arrays over every kept replicate in order, and
     BootstrapResult's count fields.
     """
+    if pair.nondiseased.sample is None or pair.diseased.sample is None:
+        raise ValueError("a pair fitted without its samples cannot be bootstrapped")
+    fits = [pair.nondiseased.fit, pair.diseased.fit]
+    designs = [g.design.matrix(g.sample.covariates) for g in (pair.nondiseased, pair.diseased)]
+    fit_config = pair.config or FitConfig(tuning=fits[0].tuning, truncation=fits[0].truncation)
     means = [Z @ fit.beta for Z, fit in zip(designs, fits)]
     cdfs = [_resampling_cdf(fit.truncated_weights) for fit in fits]
     chunk = max(1, REFIT_CHUNK_VALUES // max(Z.shape[0] for Z in designs))
@@ -153,10 +157,7 @@ def _replicates(fits, designs, cfg: BootstrapConfig, fit_config: FitConfig | Non
                     "unreliable": n_failed > FAILURE_WARNING_FRACTION * cfg.n_replicates}
 
 
-def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
-                       diseased: GroupSample, x,
-                       config: BootstrapConfig | None = None,
-                       fit_config: FitConfig | None = None, *,
+def residual_bootstrap(pair: PopulationPair, x, config: BootstrapConfig | None = None, *,
                        t_grid=None, youden: bool = False) -> BootstrapResult:
     """Bootstrap confidence intervals for AUC(x) at each row of x (a 1-d x
     holds points of a single covariate), and optionally ROC(t | x) bands on
@@ -167,22 +168,14 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
     used but counted separately.
     """
     cfg = config or BootstrapConfig()
-    fcfg = fit_config or FitConfig(tuning=pair.nondiseased.fit.tuning,
-                                   truncation=pair.nondiseased.fit.truncation)
-    X = np.asarray(x, dtype=float)
-    X = X[:, None] if X.ndim == 1 else X
+    X = _two_dim(x)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("no covariate points to bootstrap: x needs one or more rows")
-    groups = (pair.nondiseased, pair.diseased)
     # the knots are frozen across replicates, so each group's design rows at
     # the points are built once and only the coefficients change
     rows = pair.design_rows(X)
-    (aucs, bands, youdens), counts = _replicates(
-        [g.fit for g in groups],
-        [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
-        cfg, fcfg,
-        lambda refits, _: evaluate_stack(*map(GroupStack.from_fits, refits), *rows,
-                                         t_grid, youden))
+    (aucs, bands, youdens), counts = _replicates(pair, cfg, lambda refits, _: evaluate_stack(
+        *map(GroupStack.from_fits, refits), *rows, t_grid, youden))
 
     auc, band, youden_rows = evaluate(pair, *rows, t_grid, youden)
     result = BootstrapResult(X, auc, *percentile_interval(aucs, cfg.alpha), **counts)
@@ -196,18 +189,17 @@ def residual_bootstrap(pair: PopulationPair, nondiseased: GroupSample,
     return result
 
 
-def unconditional_auc_bootstrap(y_nondiseased, y_diseased,
-                                config: BootstrapConfig | None = None,
-                                fit_config: FitConfig | None = None) -> BootstrapResult:
-    """Percentile interval for the unconditional AUC via the same residual
-    scheme applied to intercept-only fits of each group: a result at one
-    point with no covariates."""
+def unconditional_auc_bootstrap(pair: PopulationPair,
+                                config: BootstrapConfig | None = None) -> BootstrapResult:
+    """Percentile interval for the unconditional AUC of the intercept-only
+    pair of robust_unconditional_auc, via the same residual scheme: a result
+    at one point with no covariates."""
     cfg = config or BootstrapConfig()
-    auc_hat, *fits = robust_unconditional_auc(y_nondiseased, y_diseased, fit_config)
-    (aucs,), counts = _replicates(
-        fits, [np.ones((f.std_residuals.size, 1)) for f in fits], cfg, fit_config,
-        lambda refits, ys: (np.array([[unconditional_auc(y_nd, y_d, f_nd.truncated_weights,
-                                                         f_d.truncated_weights)]
-                                      for y_nd, y_d, f_nd, f_d in zip(*ys, *refits)]),))
+    (aucs,), counts = _replicates(pair, cfg, lambda refits, ys: (np.array(
+        [[unconditional_auc(y_nd, y_d, f_nd.truncated_weights, f_d.truncated_weights)]
+         for y_nd, y_d, f_nd, f_d in zip(*ys, *refits)]),))
+    groups = (pair.nondiseased, pair.diseased)
+    auc_hat = unconditional_auc(*(g.sample.outcomes for g in groups),
+                                *(g.fit.truncated_weights for g in groups))
     return BootstrapResult(np.empty((1, 0)), np.array([auc_hat]),
                            *percentile_interval(aucs, cfg.alpha), **counts)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -29,6 +30,11 @@ from .simulate import ESTIMATORS, run_study, scenario
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with - then a digit or a dot: -5:5:3 and -1e-3 are values
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -173,14 +179,13 @@ def _load_groups(cfg: RunConfig):
 
 def _fitted_pair(cfg: RunConfig, fit_config: FitConfig):
     knots = parse_knots(cfg.knots, _n_covariates(cfg))
-    nd, d = _load_groups(cfg)
-    return nd, d, fit_pair(nd, d, knots, config=fit_config)
+    return fit_pair(*_load_groups(cfg), knots, config=fit_config)
 
 
-def _bootstrap(args, fit_config: FitConfig, method, *data, **options):
+def _bootstrap(args, method, *data, **options):
     """Call a bootstrap with the checked BootstrapConfig, and warn on stderr
     when too many replicates failed."""
-    result = method(*data, args.boot_config, fit_config, **options)
+    result = method(*data, args.boot_config, **options)
     if result.unreliable:
         print(f"warning: {result.n_failed}/{result.n_replicates} bootstrap replicates "
               "failed; intervals unreliable", file=sys.stderr)
@@ -239,24 +244,24 @@ def _term_names(design, names) -> list[str]:
 # write(name, header, columns) puts a table into --out and returns its path.
 
 def _cmd_fit(cfg, fit_config, args, write) -> None:
-    nd, d, pair = _fitted_pair(cfg, fit_config)
-    groups = ((nd, pair.nondiseased), (d, pair.diseased))
-    rows = [[gf.label, term, est] for _, gf in groups
+    pair = _fitted_pair(cfg, fit_config)
+    groups = (pair.nondiseased, pair.diseased)
+    rows = [[gf.sample.label, term, est] for gf in groups
             for term, est in zip(_term_names(gf.design, cfg.covariates), gf.fit.beta)]
     write("coefficients.csv", ["group", "term", "estimate"], list(zip(*rows)))
-    per_group = [(sample.rows, sample.outcomes, gf.fit.std_residuals,
-                  gf.fit.huber_weights, gf.fit.truncated_weights) for sample, gf in groups]
+    per_group = [(gf.sample.rows, gf.sample.outcomes, gf.fit.std_residuals,
+                  gf.fit.huber_weights, gf.fit.truncated_weights) for gf in groups]
     write("weights.csv", ["group", "row", "outcome", "std_residual", "huber_weight",
                           "truncated_weight"],
-          [[gf.label for sample, gf in groups for _ in range(sample.n)],
+          [[gf.sample.label for gf in groups for _ in range(gf.sample.n)],
            *map(np.concatenate, zip(*per_group))])
 
-    for _, gf in groups:
+    for gf in groups:
         state = "converged" if gf.fit.converged else "NOT converged"
-        print(f"{gf.label}: n={gf.fit.std_residuals.size} sigma={gf.fit.sigma:.6g} "
+        print(f"{gf.sample.label}: n={gf.fit.std_residuals.size} sigma={gf.fit.sigma:.6g} "
               f"iterations={gf.fit.iterations} ({state})")
         if not gf.fit.converged:
-            print(f"warning: {gf.label} fit hit the iteration cap", file=sys.stderr)
+            print(f"warning: {gf.sample.label} fit hit the iteration cap", file=sys.stderr)
 
 
 def _cmd_select_knots(cfg, fit_config, args, write) -> None:
@@ -278,7 +283,7 @@ def _cmd_select_knots(cfg, fit_config, args, write) -> None:
 
 def _cmd_roc(cfg, fit_config, args, write) -> None:
     x = _point(cfg)
-    _, _, pair = _fitted_pair(cfg, fit_config)
+    pair = _fitted_pair(cfg, fit_config)
     result = roc_curve(pair, x, np.linspace(0.0, 1.0, cfg.t_points),
                        n_panels=cfg.simpson_panels)
     write("roc_curve.csv", ["t", "roc"], [result.t_grid, result.roc_values])
@@ -288,13 +293,13 @@ def _cmd_roc(cfg, fit_config, args, write) -> None:
 
 def _cmd_auc(cfg, fit_config, args, write) -> None:
     grid = _x_grid(cfg)
-    nd, d, pair = _fitted_pair(cfg, fit_config)
+    pair = _fitted_pair(cfg, fit_config)
     grid = _default_grid(cfg, pair) if grid is None else grid
     name = cfg.covariates[0]
     if not args.ci:
         path = write("auc.csv", [name, "auc"], [grid[:, 0], auc_grid(pair, grid)])
     else:
-        boot = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d, grid)
+        boot = _bootstrap(args, residual_bootstrap, pair, grid)
         path = write("auc.csv", [name, "auc", "lower", "upper"],
                      [grid[:, 0], boot.auc, boot.auc_lower, boot.auc_upper])
     print(f"wrote AUC over {len(grid)} grid points to {path}")
@@ -302,7 +307,7 @@ def _cmd_auc(cfg, fit_config, args, write) -> None:
 
 def _cmd_youden(cfg, fit_config, args, write) -> None:
     points = _point(cfg)[None, :] if cfg.x else _x_grid(cfg)
-    _, _, pair = _fitted_pair(cfg, fit_config)
+    pair = _fitted_pair(cfg, fit_config)
     points = _default_grid(cfg, pair) if points is None else points
     best = evaluate(pair, *pair.design_rows(points), youden=True)[2]
     path = write("youden.csv", [*cfg.covariates, "youden", "threshold"], [*points.T, *best.T])
@@ -311,10 +316,10 @@ def _cmd_youden(cfg, fit_config, args, write) -> None:
 
 def _cmd_bootstrap(cfg, fit_config, args, write) -> None:
     x = _point(cfg)
-    nd, d, pair = _fitted_pair(cfg, fit_config)
+    pair = _fitted_pair(cfg, fit_config)
     t_grid = np.linspace(0.0, 1.0, cfg.t_points)
-    res = _bootstrap(args, fit_config, residual_bootstrap, pair, nd, d, x[None, :],
-                     t_grid=t_grid, youden=args.youden)
+    res = _bootstrap(args, residual_bootstrap, pair, x[None, :], t_grid=t_grid,
+                     youden=args.youden)
     write("auc_ci.csv", [*cfg.covariates, "auc", "lower", "upper"],
           [*res.x.T, res.auc, res.auc_lower, res.auc_upper])
     write("roc_band.csv", ["t", "roc", "lower", "upper"],
@@ -327,13 +332,13 @@ def _cmd_bootstrap(cfg, fit_config, args, write) -> None:
 
 def _cmd_uauc(cfg, fit_config, args, write) -> None:
     nd, d = _load_groups(cfg)
+    auc, pair = robust_unconditional_auc(nd.outcomes, d.outcomes, fit_config)
     if cfg.replicates > 0:
-        res = _bootstrap(args, fit_config, unconditional_auc_bootstrap, nd.outcomes, d.outcomes)
-        auc, lo, hi = res.auc[0], res.auc_lower[0], res.auc_upper[0]
+        res = _bootstrap(args, unconditional_auc_bootstrap, pair)
+        lo, hi = res.auc_lower[0], res.auc_upper[0]
         write("uauc.csv", ["auc", "lower", "upper"], [[auc], [lo], [hi]])
         print(f"unconditional AUC: {auc:.6f} [{lo:.6f}, {hi:.6f}]")
     else:
-        auc, _, _ = robust_unconditional_auc(nd.outcomes, d.outcomes, fit_config)
         write("uauc.csv", ["auc"], [[auc]])
         print(f"unconditional AUC: {auc:.6f}")
 

@@ -38,18 +38,19 @@ from .wecdf import EcdfStack, WeightedEcdf
 
 @dataclass
 class GroupFit:
-    """One population's fitted model: coefficients, scale, residual law."""
+    """One population's fitted model: coefficients, scale, residual law, sample."""
 
     fit: RobustFit
     design: SplineSpec
     ecdf: WeightedEcdf
-    label: str = ""
+    sample: GroupSample | None = None
 
     @classmethod
-    def from_fit(cls, fit: RobustFit, design: SplineSpec, label: str = "") -> "GroupFit":
+    def from_fit(cls, fit: RobustFit, design: SplineSpec,
+                 sample: GroupSample | None = None) -> "GroupFit":
         """Attach the truncated-weight residual distribution to a fit."""
         ecdf = WeightedEcdf.from_residuals(fit.std_residuals, fit.truncated_weights)
-        return cls(fit=fit, design=design, ecdf=ecdf, label=label)
+        return cls(fit=fit, design=design, ecdf=ecdf, sample=sample)
 
 
 @dataclass
@@ -74,6 +75,7 @@ class GroupStack:
 class PopulationPair:
     nondiseased: GroupFit
     diseased: GroupFit
+    config: FitConfig | None = None  # what both fits used; None for a pair built by hand
 
     def design_rows(self, X) -> list[np.ndarray]:
         """Each group's design rows at the rows of X (a 1-d X holds points
@@ -97,14 +99,14 @@ def _sample_fit(sample: GroupSample, n_interior, refit, *args) -> GroupFit:
     (fit,) = refit(Z, sample.outcomes[None], *args)
     if isinstance(fit, NumericalError):
         raise fit
-    return GroupFit.from_fit(fit, spec, sample.label)
+    return GroupFit.from_fit(fit, spec, sample)
 
 
 def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior,
              config: FitConfig | None = None) -> PopulationPair:
     """Fit both populations by Huber IRLS with the same knot counts."""
     return PopulationPair(*(_sample_fit(s, n_interior, irls_refit, config)
-                            for s in (nondiseased, diseased)))
+                            for s in (nondiseased, diseased)), config or FitConfig())
 
 
 def predict_mean(fit: RobustFit, design: SplineSpec, x) -> float:
@@ -304,14 +306,15 @@ def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,
     return float((w_d @ (below + 0.5 * at)) / (cum[-1] * w_d.sum()))
 
 
-def robust_unconditional_auc(y_nondiseased, y_diseased,
-                             config: FitConfig | None = None
-                             ) -> tuple[float, RobustFit, RobustFit]:
+def robust_unconditional_auc(y_nondiseased, y_diseased, config: FitConfig | None = None
+                             ) -> tuple[float, PopulationPair]:
     """Unconditional AUC with truncated weights from intercept-only robust
-    fits of each group.  Returns the AUC and both fits (for bootstrapping)."""
-    y_nd = np.asarray(y_nondiseased, dtype=float).ravel()
-    y_d = np.asarray(y_diseased, dtype=float).ravel()
-    fit_nd = irls_fit(np.ones((y_nd.size, 1)), y_nd, config)
-    fit_d = irls_fit(np.ones((y_d.size, 1)), y_d, config)
-    auc = unconditional_auc(y_nd, y_d, fit_nd.truncated_weights, fit_d.truncated_weights)
-    return auc, fit_nd, fit_d
+    fits of each group.  Returns the AUC and their pair (for bootstrapping)."""
+    groups = []
+    for y, label in ((y_nondiseased, "nondiseased"), (y_diseased, "diseased")):
+        sample = GroupSample(outcomes=y, covariates=np.empty((np.size(y), 0)), label=label)
+        fit = irls_fit(np.ones((sample.n, 1)), sample.outcomes, config)
+        groups.append(GroupFit.from_fit(fit, SplineSpec(()), sample))
+    auc = unconditional_auc(*(g.sample.outcomes for g in groups),
+                            *(g.fit.truncated_weights for g in groups))
+    return auc, PopulationPair(*groups, config or FitConfig())

@@ -10,7 +10,7 @@ import numpy as np
 
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
-from robroc.huber import irls_fit
+from robroc.huber import FitConfig, irls_fit
 from robroc.roc import GroupFit, PopulationPair, evaluate
 from robroc.splines import _full_basis, design_stack
 
@@ -42,7 +42,7 @@ def assert_same_group(got, want):
     """Two GroupFits are equal bit for bit: fit, design, residual
     distribution and label."""
     assert_same_fit(got.fit, want.fit)
-    assert (got.design, got.label) == (want.design, want.label)
+    assert (got.design, got.sample.label) == (want.design, want.sample.label)
     for name in ("support", "weights", "cum_weights", "total"):
         assert np.asarray(getattr(got.ecdf, name)).tobytes() == \
             np.asarray(getattr(want.ecdf, name)).tobytes(), name
@@ -55,8 +55,8 @@ def reference_fit_pair(nondiseased, diseased, n_interior, config=None):
     for sample in (nondiseased, diseased):
         spec = design_stack(sample.covariates[None], n_interior)[0][0]
         fit = irls_fit(spec.matrix(sample.covariates), sample.outcomes, config)
-        groups.append(GroupFit.from_fit(fit, spec, sample.label))
-    return PopulationPair(*groups)
+        groups.append(GroupFit.from_fit(fit, spec, sample))
+    return PopulationPair(*groups, config or FitConfig())
 
 
 def binary_samples(seed, n_nd, n_d, tied):
@@ -104,7 +104,7 @@ def per_replicate_statistic(groups, rows, t=None, youden=False):
     their PopulationPair and one evaluate.  The replicates' values are
     stacked as the chunk statistic returns them."""
     def statistic(refits, _):
-        values = [evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
+        values = [evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.sample)
                                             for f, g in zip(rep, groups))), *rows, t, youden)
                   for rep in zip(*refits)]
         return tuple(None if v[0] is None else np.array(v) for v in zip(*values))

@@ -304,8 +304,8 @@ def test_a7_property_suite():
     nd, d, x0 = draw_linear_pair(rng, 40, 40)
     pair = fit_pair(nd, d, 0)
     cfg = BootstrapConfig(n_replicates=20, seed=5)
-    first = residual_bootstrap(pair, nd, d, [x0], cfg)
-    second = residual_bootstrap(pair, nd, d, [x0], cfg)
+    first = residual_bootstrap(pair, [x0], cfg)
+    second = residual_bootstrap(pair, [x0], cfg)
     boot_ok = (np.array_equal(first.auc_lower, second.auc_lower)
                and np.array_equal(first.auc_upper, second.auc_upper))
 

@@ -1,6 +1,6 @@
 """Tests for the weighted residual bootstrap and percentile intervals."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -25,29 +25,39 @@ X0 = np.array([0.5])
 
 def linear_pair(rng, n_nd=35, n_d=35):
     nd, d = generate(scenario("I"), n_nd, n_d, seed=rng.integers(2 ** 31))
-    return nd, d, fit_pair(nd, d, 0)
+    return fit_pair(nd, d, 0)
 
 
 def hand_pair(nd_residuals, d_residuals, x):
     """Pair over the linear design [1, x] whose refit inputs are fully
     controlled."""
-    def group(res, label):
+    def group(res, sample):
         res = np.asarray(res, dtype=float)
         n = res.size
         fit = RobustFit(beta=np.array([0.0, 1.0]), sigma=1.0,
                         std_residuals=res, huber_weights=np.ones(n),
                         truncated_weights=np.ones(n), iterations=1,
                         converged=True)
-        return GroupFit.from_fit(fit, SplineSpec((None,)), label)
+        return GroupFit.from_fit(fit, SplineSpec((None,)), sample)
 
     x = np.asarray(x, dtype=float)
     nd = GroupSample(outcomes=x + np.asarray(nd_residuals, dtype=float),
                      covariates=x[:, None], label="nondiseased")
     d = GroupSample(outcomes=x + np.asarray(d_residuals, dtype=float),
                     covariates=x[:, None], label="diseased")
-    pair = PopulationPair(nondiseased=group(nd_residuals, "nondiseased"),
-                          diseased=group(d_residuals, "diseased"))
-    return pair, nd, d
+    return PopulationPair(nondiseased=group(nd_residuals, nd),
+                          diseased=group(d_residuals, d))
+
+
+def replicate_inputs(pair):
+    """The fits, design matrices and refit settings that the bootstraps
+    passed to the replicate loop before a pair carried its samples and fit
+    settings."""
+    groups = (pair.nondiseased, pair.diseased)
+    fit_config = pair.config or FitConfig(tuning=pair.nondiseased.fit.tuning,
+                                          truncation=pair.nondiseased.fit.truncation)
+    return ([g.fit for g in groups], [g.design.matrix(g.sample.covariates) for g in groups],
+            fit_config)
 
 
 class TestPercentileInterval:
@@ -138,10 +148,10 @@ class TestResampleIndices:
 class TestResidualBootstrap:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(19)
-        nd, d, pair = linear_pair(rng)
+        pair = linear_pair(rng)
 
         def band(seed):
-            res = residual_bootstrap(pair, nd, d, X0, BootstrapConfig(n_replicates=40, seed=seed),
+            res = residual_bootstrap(pair, X0, BootstrapConfig(n_replicates=40, seed=seed),
                                      t_grid=np.linspace(0.0, 1.0, 11))
             return np.concatenate([res.auc_lower, res.auc_upper, res.roc_lower[0],
                                    res.roc_upper[0]])
@@ -151,25 +161,24 @@ class TestResidualBootstrap:
 
     def test_bare_x_targets_are_wrapped(self):
         rng = np.random.default_rng(23)
-        nd, d, pair = linear_pair(rng)
+        pair = linear_pair(rng)
         # a 1-d x holds points of one covariate
-        res = residual_bootstrap(pair, nd, d, [0.25, 0.75],
-                                 BootstrapConfig(n_replicates=10, seed=1))
+        res = residual_bootstrap(pair, [0.25, 0.75], BootstrapConfig(n_replicates=10, seed=1))
         np.testing.assert_array_equal(res.x, [[0.25], [0.75]])
         assert res.auc.shape == res.auc_lower.shape == res.auc_upper.shape == (2,)
         assert res.roc is None and res.youden is None
 
     def test_empty_targets_rejected(self):
         rng = np.random.default_rng(29)
-        nd, d, pair = linear_pair(rng)
+        pair = linear_pair(rng)
         with pytest.raises(ValueError, match="no covariate points"):
-            residual_bootstrap(pair, nd, d, [])
+            residual_bootstrap(pair, [])
 
     def test_band_and_youden_outputs(self):
         rng = np.random.default_rng(31)
-        nd, d, pair = linear_pair(rng)
+        pair = linear_pair(rng)
         t_grid = np.linspace(0.0, 1.0, 21)
-        res = residual_bootstrap(pair, nd, d, X0, BootstrapConfig(n_replicates=30, seed=2),
+        res = residual_bootstrap(pair, X0, BootstrapConfig(n_replicates=30, seed=2),
                                  t_grid=t_grid, youden=True)
         assert res.n_replicates == 30
         assert res.n_failed == 0
@@ -195,15 +204,15 @@ class TestResidualBootstrap:
         seen = []
         replicates = bootstrap._replicates
 
-        def recording(fits, designs, cfg, fit_config, statistic):
+        def recording(pair, cfg, statistic):
             def record(refits, ys):
                 values = statistic(refits, ys)
                 seen.extend(zip(zip(*refits), zip(*values)))
                 return values
-            return replicates(fits, designs, cfg, fit_config, record)
+            return replicates(pair, cfg, record)
 
         monkeypatch.setattr(bootstrap, "_replicates", recording)
-        res = residual_bootstrap(pair, nd, d, points, BootstrapConfig(n_replicates=24, seed=5),
+        res = residual_bootstrap(pair, points, BootstrapConfig(n_replicates=24, seed=5),
                                  t_grid=t_grid, youden=True)
         assert len(seen) == 24
         groups = (pair.nondiseased, pair.diseased)
@@ -218,15 +227,23 @@ class TestResidualBootstrap:
             assert np.array_equal(res.roc[k], roc_values(pair, x, t_grid))
             assert (res.youden[k], res.threshold[k]) == youden_index(pair, x)
 
+    def test_pair_without_samples_rejected(self):
+        pair = hand_pair(np.full(6, 0.3), np.full(6, -0.2), np.linspace(0.0, 1.0, 6))
+        for bare in (replace(pair, nondiseased=replace(pair.nondiseased, sample=None)),
+                     replace(pair, diseased=replace(pair.diseased, sample=None))):
+            with pytest.raises(ValueError, match="without its samples"):
+                residual_bootstrap(bare, [0.5], BootstrapConfig(n_replicates=2))
+            with pytest.raises(ValueError, match="without its samples"):
+                unconditional_auc_bootstrap(bare, BootstrapConfig(n_replicates=2))
+
     def test_single_distinct_residual_fails_every_replicate(self):
         # constant residuals put every refit outcome exactly on the fitted
         # line, so each replicate dies on a zero MAD
         x = np.linspace(0.0, 1.0, 6)
-        pair, nd, d = hand_pair(np.full(6, 0.3), np.full(6, -0.2), x)
+        pair = hand_pair(np.full(6, 0.3), np.full(6, -0.2), x)
         with pytest.raises(NumericalError,
                            match="every bootstrap replicate failed"):
-            residual_bootstrap(pair, nd, d, [np.array([0.5])],
-                               BootstrapConfig(n_replicates=20, seed=3))
+            residual_bootstrap(pair, [np.array([0.5])], BootstrapConfig(n_replicates=20, seed=3))
 
     def test_partial_failures_set_unreliable_flag(self):
         # five of six residuals are zero: a resample that misses the sixth
@@ -234,9 +251,8 @@ class TestResidualBootstrap:
         x = np.linspace(0.0, 1.0, 6)
         nd_res = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0])
         d_res = np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2])
-        pair, nd, d = hand_pair(nd_res, d_res, x)
-        res = residual_bootstrap(pair, nd, d, [np.array([0.5])],
-                                 BootstrapConfig(n_replicates=40, seed=5))
+        pair = hand_pair(nd_res, d_res, x)
+        res = residual_bootstrap(pair, [np.array([0.5])], BootstrapConfig(n_replicates=40, seed=5))
         assert 0 < res.n_failed < 40
         assert res.unreliable is True
 
@@ -247,8 +263,7 @@ class TestResidualBootstrap:
         for r in range(60):
             nd, d = generate(scn, 100, 100, seed=(37, r))
             pair = fit_pair(nd, d, 0)
-            res = residual_bootstrap(pair, nd, d, [X0],
-                                     BootstrapConfig(n_replicates=100, seed=r))
+            res = residual_bootstrap(pair, [X0], BootstrapConfig(n_replicates=100, seed=r))
             covered += res.auc_lower[0] <= truth <= res.auc_upper[0]
         assert 0.85 <= covered / 60 <= 1.0
 
@@ -257,18 +272,16 @@ class TestReplicateTallies:
     # one warm-started IRLS step never meets the tolerance, so every
     # replicate that does not fail is a non-converged one
     def test_residual_bootstrap_counts_nonconverged(self):
-        nd, d, pair = linear_pair(np.random.default_rng(61))
-        res = residual_bootstrap(pair, nd, d, [X0],
-                                 BootstrapConfig(n_replicates=25, seed=4),
-                                 FitConfig(max_iterations=1))
+        pair = replace(linear_pair(np.random.default_rng(61)), config=FitConfig(max_iterations=1))
+        res = residual_bootstrap(pair, [X0], BootstrapConfig(n_replicates=25, seed=4))
         assert res.n_replicates == 25
         assert res.n_nonconverged == res.n_replicates - res.n_failed > 0
 
     def test_unconditional_bootstrap_counts_nonconverged(self):
         rng = np.random.default_rng(67)
-        summary = unconditional_auc_bootstrap(
-            rng.normal(0.0, 1.0, 60), rng.normal(1.0, 1.0, 60),
-            BootstrapConfig(n_replicates=25, seed=4), FitConfig(max_iterations=1))
+        _, pair = robust_unconditional_auc(rng.normal(0.0, 1.0, 60), rng.normal(1.0, 1.0, 60),
+                                           FitConfig(max_iterations=1))
+        summary = unconditional_auc_bootstrap(pair, BootstrapConfig(n_replicates=25, seed=4))
         assert summary.n_replicates == 25
         assert summary.n_nonconverged == summary.n_replicates - summary.n_failed > 0
 
@@ -279,7 +292,8 @@ class TestUnconditionalAucBootstrap:
         y_nd = rng.normal(0.0, 1.0, 80)
         y_d = rng.normal(1.0, 1.0, 80)
         cfg = BootstrapConfig(n_replicates=60, seed=6)
-        res = unconditional_auc_bootstrap(y_nd, y_d, cfg)
+        _, pair = robust_unconditional_auc(y_nd, y_d)
+        res = unconditional_auc_bootstrap(pair, cfg)
         # one point with no covariates
         assert res.x.shape == (1, 0)
         assert res.auc.shape == res.auc_lower.shape == res.auc_upper.shape == (1,)
@@ -288,7 +302,7 @@ class TestUnconditionalAucBootstrap:
         assert 0.6 < auc < 0.9
         assert 0.0 <= lo < hi <= 1.0
         assert res.n_replicates == 60
-        again = unconditional_auc_bootstrap(y_nd, y_d, cfg)
+        again = unconditional_auc_bootstrap(pair, cfg)
         assert (auc, lo, hi) == (again.auc[0], again.auc_lower[0], again.auc_upper[0])
 
 
@@ -357,11 +371,12 @@ class TestEqualsParentLoop:
         runs = []
         batched = bootstrap._replicates
 
-        def both(fits, designs, cfg, fit_config, statistic):
+        def both(pair, cfg, statistic):
+            fits, designs, fit_config = replicate_inputs(pair)
             if request.param == "chunks_of_three":
                 monkeypatch.setattr(bootstrap, "REFIT_CHUNK_VALUES",
                                     3 * max(Z.shape[0] for Z in designs))
-            values, counts = batched(fits, designs, cfg, fit_config, statistic)
+            values, counts = batched(pair, cfg, statistic)
             expected, parent = parent_replicates(fits, designs, cfg, fit_config,
                                                  one_replicate(statistic))
             assert_same(values, stacked(expected))
@@ -375,28 +390,26 @@ class TestEqualsParentLoop:
     def test_band_and_youden(self, compared):
         nd, d = generate(scenario("I", contamination=0.05), 90, 70, seed=41)
         pair = fit_pair(nd, d, 2)
-        residual_bootstrap(pair, nd, d, [0.2, 0.6], BootstrapConfig(n_replicates=13, seed=3),
+        residual_bootstrap(pair, [0.2, 0.6], BootstrapConfig(n_replicates=13, seed=3),
                            t_grid=np.linspace(0.0, 1.0, 21), youden=True)
         assert len(compared) == 1
 
     def test_unconditional_auc(self, compared):
         rng = np.random.default_rng(43)
-        unconditional_auc_bootstrap(rng.standard_t(3, 50), rng.standard_t(3, 40) + 1.0,
-                                    BootstrapConfig(n_replicates=11, seed=2))
+        _, pair = robust_unconditional_auc(rng.standard_t(3, 50), rng.standard_t(3, 40) + 1.0)
+        unconditional_auc_bootstrap(pair, BootstrapConfig(n_replicates=11, seed=2))
         assert len(compared) == 1
 
     def test_failed_replicates(self, compared):
         x = np.linspace(0.0, 1.0, 6)
-        pair, nd, d = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
-                                np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
-        residual_bootstrap(pair, nd, d, [np.array([0.5])],
-                           BootstrapConfig(n_replicates=40, seed=5))
+        pair = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
+                         np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
+        residual_bootstrap(pair, [np.array([0.5])], BootstrapConfig(n_replicates=40, seed=5))
         assert 0 < compared[0]["n_failed"] < 40
 
     def test_nonconverged_replicates(self, compared):
-        nd, d, pair = linear_pair(np.random.default_rng(61))
-        residual_bootstrap(pair, nd, d, X0, BootstrapConfig(n_replicates=10, seed=4),
-                           FitConfig(max_iterations=2), youden=True)
+        pair = replace(linear_pair(np.random.default_rng(61)), config=FitConfig(max_iterations=2))
+        residual_bootstrap(pair, X0, BootstrapConfig(n_replicates=10, seed=4), youden=True)
         assert compared[0]["n_nonconverged"] > 0
 
 
@@ -407,17 +420,18 @@ class TestChunkStatisticEqualsPerReplicate:
 
     @pytest.fixture(params=[1, 3, 7])
     def compare(self, request, monkeypatch):
-        def run(pair, nd, d, x, cfg, fit_config=None, t_grid=None, youden=False):
+        def run(pair, x, cfg, t_grid=None, youden=False):
             runs = []
             batched = bootstrap._replicates
             reference = per_replicate_statistic((pair.nondiseased, pair.diseased),
                                                 pair.design_rows(np.asarray(x)), t_grid, youden)
 
-            def both(fits, designs, cfg, fit_config, statistic):
+            def both(pair, cfg, statistic):
+                fits, designs, fit_config = replicate_inputs(pair)
                 monkeypatch.setattr(bootstrap, "REFIT_CHUNK_VALUES",
                                     request.param * max(Z.shape[0] for Z in designs))
-                got = batched(fits, designs, cfg, fit_config, statistic)
-                assert_same(got, batched(fits, designs, cfg, fit_config, reference))
+                got = batched(pair, cfg, statistic)
+                assert_same(got, batched(pair, cfg, reference))
                 values, counts = parent_replicates(fits, designs, cfg, fit_config,
                                                    one_replicate(reference))
                 assert_same(got, (stacked(values), counts))
@@ -425,7 +439,7 @@ class TestChunkStatisticEqualsPerReplicate:
                 return got
 
             monkeypatch.setattr(bootstrap, "_replicates", both)
-            residual_bootstrap(pair, nd, d, x, cfg, fit_config, t_grid=t_grid, youden=youden)
+            residual_bootstrap(pair, x, cfg, t_grid=t_grid, youden=youden)
             (counts,) = runs
             return counts
 
@@ -433,7 +447,7 @@ class TestChunkStatisticEqualsPerReplicate:
 
     def test_chunk_boundaries(self, compare):
         nd, d = generate(scenario("I", contamination=0.05), 90, 70, seed=43)
-        compare(fit_pair(nd, d, 2), nd, d, [[0.2], [0.5], [0.8]],
+        compare(fit_pair(nd, d, 2), [[0.2], [0.5], [0.8]],
                 BootstrapConfig(n_replicates=17, seed=4), t_grid=np.linspace(0.0, 1.0, 11),
                 youden=True)
 
@@ -441,16 +455,15 @@ class TestChunkStatisticEqualsPerReplicate:
         # a resample that misses the sixth row refits interpolating data and
         # fails on a zero MAD, between replicates that succeed
         x = np.linspace(0.0, 1.0, 6)
-        pair, nd, d = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
-                                np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
-        counts = compare(pair, nd, d, [[0.3], [0.5]], BootstrapConfig(n_replicates=40, seed=5),
+        pair = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
+                         np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
+        counts = compare(pair, [[0.3], [0.5]], BootstrapConfig(n_replicates=40, seed=5),
                          t_grid=np.linspace(0.0, 1.0, 5), youden=True)
         assert 0 < counts["n_failed"] < 40 and counts["unreliable"]
 
     def test_nonconverged_refits(self, compare):
-        nd, d, pair = linear_pair(np.random.default_rng(61))
-        counts = compare(pair, nd, d, [X0], BootstrapConfig(n_replicates=10, seed=4),
-                         FitConfig(max_iterations=2), youden=True)
+        pair = replace(linear_pair(np.random.default_rng(61)), config=FitConfig(max_iterations=2))
+        counts = compare(pair, [X0], BootstrapConfig(n_replicates=10, seed=4), youden=True)
         assert counts["n_nonconverged"] > 0
 
     def test_tied_residuals(self, compare):
@@ -459,7 +472,7 @@ class TestChunkStatisticEqualsPerReplicate:
         nd, d = binary_samples(29, 60, 45, tied=True)
         pair = fit_pair(nd, d, [None])
         assert pair.nondiseased.ecdf.support.size < 60
-        compare(pair, nd, d, [[0.0], [1.0]], BootstrapConfig(n_replicates=19, seed=6),
+        compare(pair, [[0.0], [1.0]], BootstrapConfig(n_replicates=19, seed=6),
                 t_grid=np.linspace(0.0, 1.0, 9), youden=True)
 
 
@@ -506,7 +519,7 @@ def parent_residual_bootstrap(pair, nondiseased, diseased, targets, config, fit_
         [g.fit for g in groups],
         [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
         config, fcfg,
-        lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.label)
+        lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.sample)
                                                     for f, g in zip(refits, groups)))))
     results = []
     for k, (tgt, (auc, band_hat, youden)) in enumerate(zip(targets, evaluate(pair))):
@@ -525,10 +538,13 @@ def parent_residual_bootstrap(pair, nondiseased, diseased, targets, config, fit_
 
 
 def parent_unconditional_auc_bootstrap(y_nondiseased, y_diseased, config, fit_config=None):
-    """The unconditional bootstrap's (auc, lower, upper, counts) 4-tuple."""
+    """The unconditional bootstrap's (auc, lower, upper, counts) 4-tuple,
+    from its own intercept-only fits on columns of ones."""
     y_nd = np.asarray(y_nondiseased, dtype=float).ravel()
     y_d = np.asarray(y_diseased, dtype=float).ravel()
-    auc_hat, fit_nd, fit_d = robust_unconditional_auc(y_nd, y_d, fit_config)
+    fit_nd = irls_fit(np.ones((y_nd.size, 1)), y_nd, fit_config)
+    fit_d = irls_fit(np.ones((y_d.size, 1)), y_d, fit_config)
+    auc_hat = unconditional_auc(y_nd, y_d, fit_nd.truncated_weights, fit_d.truncated_weights)
     reps, counts = parent_replicates(
         [fit_nd, fit_d], [np.ones((y_nd.size, 1)), np.ones((y_d.size, 1))],
         config, fit_config,
@@ -562,9 +578,10 @@ class TestEqualsParentBootstrap:
             assert res.youden is res.threshold is res.youden_lower is res.youden_upper is None
         assert {name: getattr(res, name) for name in counts} == counts
 
-    def compare(self, pair, nd, d, x, targets, cfg, fit_config=None, t_grid=None, youden=False):
-        res = residual_bootstrap(pair, nd, d, x, cfg, fit_config, t_grid=t_grid, youden=youden)
-        parent, counts = parent_residual_bootstrap(pair, nd, d, targets, cfg, fit_config)
+    def compare(self, pair, x, targets, cfg, t_grid=None, youden=False):
+        res = residual_bootstrap(pair, x, cfg, t_grid=t_grid, youden=youden)
+        parent, counts = parent_residual_bootstrap(pair, pair.nondiseased.sample,
+                                                   pair.diseased.sample, targets, cfg, pair.config)
         self.assert_rows_equal(res, parent, counts, t_grid, youden)
         return res
 
@@ -573,7 +590,7 @@ class TestEqualsParentBootstrap:
         pair = fit_pair(nd, d, 2)
         t_grid = np.linspace(0.0, 1.0, 31)
         points = [0.15, 0.4, 0.55, 0.8]
-        self.compare(pair, nd, d, np.array(points)[:, None],
+        self.compare(pair, np.array(points)[:, None],
                      [ParentTarget(x=np.array([x]), t_grid=t_grid, youden=True) for x in points],
                      BootstrapConfig(n_replicates=17, seed=8), t_grid=t_grid, youden=True)
 
@@ -582,41 +599,50 @@ class TestEqualsParentBootstrap:
         pair = fit_pair(nd, d, [1, 0])
         t_grid = np.linspace(0.0, 1.0, 11)
         points = np.array([[0.3, 1.0], [0.7, 0.5], [0.5, 1.5]])
-        self.compare(pair, nd, d, points,
+        self.compare(pair, points,
                      [ParentTarget(x=x, t_grid=t_grid, youden=True) for x in points],
                      BootstrapConfig(n_replicates=12, seed=2, alpha=0.1),
                      t_grid=t_grid, youden=True)
 
     def test_one_dimensional_x(self):
-        nd, d, pair = linear_pair(np.random.default_rng(59))
-        res = self.compare(pair, nd, d, [0.2, 0.5, 0.9], [0.2, 0.5, 0.9],
+        pair = linear_pair(np.random.default_rng(59))
+        res = self.compare(pair, [0.2, 0.5, 0.9], [0.2, 0.5, 0.9],
                            BootstrapConfig(n_replicates=15, seed=6))
         assert res.x.shape == (3, 1)
 
     def test_failed_replicates(self):
         x = np.linspace(0.0, 1.0, 6)
-        pair, nd, d = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
-                                np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
+        pair = hand_pair(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]),
+                         np.array([0.4, -0.4, 0.8, -0.8, 1.2, -1.2]), x)
         t_grid = np.linspace(0.0, 1.0, 5)
-        res = self.compare(pair, nd, d, [[0.3], [0.5]],
+        res = self.compare(pair, [[0.3], [0.5]],
                            [ParentTarget(x=np.array([v]), t_grid=t_grid, youden=True)
                             for v in (0.3, 0.5)],
                            BootstrapConfig(n_replicates=40, seed=5), t_grid=t_grid, youden=True)
         assert 0 < res.n_failed < 40 and res.unreliable is True
 
     def test_nonconverged_replicates(self):
-        nd, d, pair = linear_pair(np.random.default_rng(61))
-        res = self.compare(pair, nd, d, X0, [ParentTarget(x=X0, youden=True)],
-                           BootstrapConfig(n_replicates=10, seed=4), FitConfig(max_iterations=2),
-                           youden=True)
+        pair = replace(linear_pair(np.random.default_rng(61)), config=FitConfig(max_iterations=2))
+        res = self.compare(pair, X0, [ParentTarget(x=X0, youden=True)],
+                           BootstrapConfig(n_replicates=10, seed=4), youden=True)
         assert res.n_nonconverged > 0
+
+    def test_pair_refits_with_its_own_fit_settings(self):
+        # three warm-started IRLS steps never meet the tolerance here, so a
+        # bootstrap that refit with the default settings would count none
+        nd, d = generate(scenario("I", contamination=0.05), 120, 120, seed=0)
+        pair = fit_pair(nd, d, 1, FitConfig(max_iterations=3))
+        assert pair.config == FitConfig(max_iterations=3)
+        res = self.compare(pair, X0, [X0], BootstrapConfig(n_replicates=40, seed=0))
+        assert res.n_nonconverged == 40 and res.n_failed == 0
 
     def test_unconditional_auc(self):
         rng = np.random.default_rng(71)
         y_nd, y_d = rng.standard_t(3, 50), rng.standard_t(3, 40) + 1.0
         for fit_config in (None, FitConfig(max_iterations=1)):
             cfg = BootstrapConfig(n_replicates=21, seed=9)
-            res = unconditional_auc_bootstrap(y_nd, y_d, cfg, fit_config)
+            res = unconditional_auc_bootstrap(robust_unconditional_auc(y_nd, y_d, fit_config)[1],
+                                              cfg)
             auc, lo, hi, counts = parent_unconditional_auc_bootstrap(y_nd, y_d, cfg, fit_config)
             assert res.x.shape == (1, 0)
             assert np.array_equal(res.auc, [auc])

@@ -224,6 +224,42 @@ class TestExitCodes:
         assert err.startswith("usage error") and message in err
 
 
+class TestNegativeOptionValues:
+    """A value that starts with - and then a digit or a dot is a value, not
+    a flag, whether it is given as --opt VALUE or as --opt=VALUE."""
+
+    @staticmethod
+    def centered_csv(path):
+        # age centered on 0, so that points below 0 lie inside the data,
+        # and a 0/1 column z
+        nd, d = generate(scenario("I"), 60, 60, seed=7)
+        rng = np.random.default_rng(7)
+        lines = ["outcome,disease,age,z"]
+        for sample, flag in ((nd, 0), (d, 1)):
+            for y, x in zip(sample.outcomes, sample.covariates[:, 0]):
+                lines.append(f"{float(y)!r},{flag},{float(x) - 0.5!r},{rng.integers(0, 2)}")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["auc", "--covariates", "age", "--x-grid", "-0.4:0.4:3"], 0, "3 grid points"),
+        (["auc", "--covariates", "age", "--x-grid", "-5:5:3"], 2, "outside boundary knots"),
+        (["roc", "--covariates", "age,z", "--knots", "1,cat", "--x", "-0.25,1"], 0, "AUC at"),
+        (["youden", "--covariates", "age", "--x", "-.25"], 0, "1 point(s)"),
+        (["fit", "--covariates", "age", "--tol", "-1e-3"], 1, "tol must be positive"),
+        (["simulate", "--scenario", "I", "--sizes", "20,20", "--reps", "2", "--grid-points",
+          "3", "--kappa", "-5,5"], 0, "robust:"),
+        (["simulate", "--scenario", "I", "--sizes", "20,20", "--reps", "2", "--grid-points",
+          "3", "--kappa=-5,5"], 0, "robust:"),
+    ], ids=["x-grid", "x-grid-outside", "x-two-covariates", "x-leading-dot", "tol", "kappa",
+            "kappa-equals"])
+    def test_read_as_values(self, tmp_path, capsys, argv, code, message):
+        data = [] if argv[0] == "simulate" else ["--data", str(self.centered_csv(tmp_path / "c.csv"))]
+        assert run(tmp_path, argv[0], *data, *argv[1:])[0] == code
+        captured = capsys.readouterr()
+        assert message in (captured.out if code == 0 else captured.err)
+
+
 class TestCurveCommands:
     def test_roc_grid_size(self, tmp_path, data_csv, capsys):
         code, out = run(tmp_path, "roc", "--data", str(data_csv),

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_fit
-from robroc import bootstrap, huber
+from robroc import bootstrap, huber, splines
 from robroc.errors import NumericalError
 from robroc.huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
                           irls_refit, mad_scale, ols_as_robust_fit, ols_refit)
+from robroc.simulate import generate, scenario
 
 B = 1.345
 
@@ -420,6 +421,27 @@ class TestIrlsFit:
         assert warm.iterations == 1
         far = irls_fit(Z, y, beta_init=np.array([50.0, -50.0]))
         np.testing.assert_allclose(far.beta, cold.beta, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["I", "III", "IV"])
+    def test_fixed_point_does_not_depend_on_the_start(self, name):
+        # irls_fit's docstring: the fixed point does not depend on the
+        # start.  A tight tolerance takes every start to the same beta and
+        # sigma up to rounding, for both groups at 0 and 2 knots.
+        cfg = FitConfig(tol=1e-13, max_iterations=200)
+        for seed in range(8):
+            for sample in generate(scenario(name, contamination=0.05), 200, 100, seed=seed):
+                for knots in (0, 2):
+                    Z = splines.design_stack(sample.covariates[None], knots)[1][0]
+                    y = sample.outcomes
+                    cold = irls_fit(Z, y, cfg)
+                    ols = np.linalg.lstsq(Z, y, rcond=None)[0]
+                    perturbed = ols + 0.1 * np.random.default_rng(seed).normal(size=ols.size)
+                    for start in (perturbed, np.zeros(ols.size), ols + 3.0):
+                        warm = irls_fit(Z, y, cfg, beta_init=start)
+                        assert cold.converged and warm.converged
+                        assert (np.max(np.abs(warm.beta - cold.beta))
+                                <= 1e-12 * np.max(np.abs(cold.beta)))
+                        assert abs(warm.sigma - cold.sigma) <= 1e-12 * cold.sigma
 
     def test_underdetermined_rejected(self):
         Z = np.ones((3, 3))

@@ -19,7 +19,7 @@ from robroc.splines import SplineSpec
 X0 = np.array([0.0])
 
 
-def hand_group(values, weights=None, label="g", sigma=1.0) -> GroupFit:
+def hand_group(values, weights=None, sigma=1.0) -> GroupFit:
     """Group whose adjusted values at x=0 are exactly the given values (for
     the default sigma)."""
     v = np.asarray(values, dtype=float)
@@ -28,13 +28,13 @@ def hand_group(values, weights=None, label="g", sigma=1.0) -> GroupFit:
     fit = RobustFit(beta=np.zeros(2), sigma=sigma, std_residuals=v,
                     huber_weights=np.ones(n), truncated_weights=w,
                     iterations=1, converged=True)
-    return GroupFit.from_fit(fit, SplineSpec((None,)), label)
+    return GroupFit.from_fit(fit, SplineSpec((None,)))
 
 
 def hand_pair(nd_values, d_values, nd_weights=None, d_weights=None):
     return PopulationPair(
-        nondiseased=hand_group(nd_values, nd_weights, "nondiseased"),
-        diseased=hand_group(d_values, d_weights, "diseased"),
+        nondiseased=hand_group(nd_values, nd_weights),
+        diseased=hand_group(d_values, d_weights),
     )
 
 
@@ -316,8 +316,7 @@ class TestEvaluate:
     def test_error_order(self):
         rows = np.zeros((2, 2))
         for sigma in (1.0, 0.0, -1.0):
-            pair = PopulationPair(hand_group([0.0, 1.0], label="nondiseased"),
-                                  hand_group([1.0, 2.0], label="diseased", sigma=sigma))
+            pair = PopulationPair(hand_group([0.0, 1.0]), hand_group([1.0, 2.0], sigma=sigma))
             # point counts that differ are a usage error before anything else
             for t, youden in ((None, False), (self.T, False), (None, True), ([1.5], True)):
                 for k_nd, k_d in ((5, 3), (0, 2)):
@@ -545,7 +544,8 @@ class TestUnconditionalAuc:
         y_nd = rng.normal(0.0, 1.0, 80)
         y_d = rng.normal(1.0, 1.0, 80)
         y_nd[0] = 60.0  # gross outlier in the nondiseased group
-        auc, fit_nd, fit_d = robust_unconditional_auc(y_nd, y_d)
+        auc, pair = robust_unconditional_auc(y_nd, y_d)
+        fit_nd = pair.nondiseased.fit
         expected_nd = irls_fit(np.ones((80, 1)), y_nd)
         np.testing.assert_array_equal(fit_nd.truncated_weights,
                                       expected_nd.truncated_weights)
@@ -563,8 +563,8 @@ class TestRobustUnconditionalAucTies:
         y_nd = rng.integers(0, 6, 70).astype(float)
         y_d = rng.integers(2, 9, 60).astype(float)
         y_nd[:3] = [40.0, 45.0, 50.0]
-        auc, fit_nd, fit_d = robust_unconditional_auc(y_nd, y_d)
-        w_nd, w_d = fit_nd.truncated_weights, fit_d.truncated_weights
+        auc, pair = robust_unconditional_auc(y_nd, y_d)
+        w_nd, w_d = pair.nondiseased.fit.truncated_weights, pair.diseased.fit.truncated_weights
         assert np.any(w_nd < 1.0)
         assert np.intersect1d(y_nd, y_d).size > 0
         total = 0.0
@@ -575,6 +575,38 @@ class TestRobustUnconditionalAucTies:
                 elif yi == yj:
                     total += 0.5 * wi * wj
         assert auc == pytest.approx(total / (w_nd.sum() * w_d.sum()), abs=1e-12)
+
+
+class TestPairCarriesItsInputs:
+    """A fitted pair holds the samples and the FitConfig its fits came
+    from, so a bootstrap needs nothing else."""
+
+    @pytest.mark.parametrize("config", [None, FitConfig(tuning=0.9, max_iterations=4)])
+    def test_fit_pair(self, config):
+        nd, d = generate(scenario("I"), 60, 50, seed=3)
+        pair = fit_pair(nd, d, 1, config)
+        assert pair.nondiseased.sample is nd and pair.diseased.sample is d
+        assert (pair.nondiseased.sample.label, pair.diseased.sample.label) == ("nondiseased", "diseased")
+        assert pair.config == (config or FitConfig())
+
+    @pytest.mark.parametrize("config", [None, FitConfig(max_iterations=2)])
+    def test_robust_unconditional_auc_is_intercept_only(self, config):
+        rng = np.random.default_rng(5)
+        y_nd, y_d = rng.normal(0.0, 1.0, 40), rng.normal(1.0, 1.0, 30)
+        auc, pair = robust_unconditional_auc(y_nd, y_d, config)
+        assert pair.config == (config or FitConfig())
+        for g, y, label in ((pair.nondiseased, y_nd, "nondiseased"),
+                            (pair.diseased, y_d, "diseased")):
+            assert g.design == SplineSpec(()) and g.sample.label == label
+            assert g.sample.covariates.shape == (y.size, 0)
+            assert np.array_equal(g.sample.outcomes, y)
+            ones = np.ones((y.size, 1))
+            assert g.design.matrix(g.sample.covariates).tobytes() == ones.tobytes()
+            want = irls_fit(ones, y, config)
+            assert g.fit.beta.tobytes() == want.beta.tobytes()
+            assert g.fit.truncated_weights.tobytes() == want.truncated_weights.tobytes()
+        assert auc == unconditional_auc(y_nd, y_d, pair.nondiseased.fit.truncated_weights,
+                                        pair.diseased.fit.truncated_weights)
 
 
 class TestRowPermutationInvariance:

@@ -196,7 +196,7 @@ class TestComparatorFit:
         assert gf.fit.sigma == pytest.approx(1.5, abs=0.1)
         np.testing.assert_array_equal(gf.fit.truncated_weights, np.ones(8000))
         assert gf.ecdf.total == pytest.approx(8000.0)
-        assert gf.label == "nondiseased"
+        assert gf.sample.label == "nondiseased"
 
     def test_bspline_comparator_matches_linear_on_linear_truth(self):
         nd, _ = generate(scenario("I"), 8000, 1, seed=31)
@@ -221,7 +221,7 @@ def reference_comparator(kind, sample, n_interior=0):
     spec = (SplineSpec((None,) * sample.n_covariates) if kind == "ols_linear"
             else design_stack(sample.covariates[None], n_interior)[0][0])
     fit = ols_as_robust_fit(spec.matrix(sample.covariates), sample.outcomes)
-    return GroupFit.from_fit(fit, spec, sample.label)
+    return GroupFit.from_fit(fit, spec, sample)
 
 
 def fitted_or_error(fn, *args):
