@@ -27,7 +27,7 @@ from .errors import NumericalError
 # irls_fit stays bound here beside irls_refit: bench/tracer.py wraps it at
 # every module-level name, bootstrap's included, and bench/test_bench.py
 # checks that
-from .huber import FitConfig, irls_fit, irls_refit
+from .huber import irls_fit, irls_refit
 from .roc import GroupStack, PopulationPair, evaluate, evaluate_stack, unconditional_auc
 from .splines import _two_dim
 
@@ -108,8 +108,7 @@ def _replicates(pair: PopulationPair, cfg: BootstrapConfig, statistic) -> tuple[
     Replicate b resamples each group's standardized residuals, the
     nondiseased group's first, from the stream (seed, b), rebuilds outcomes
     on its design rows (the design at its sample's covariates), and refits
-    warm-started at the observed coefficients with the pair's FitConfig (or,
-    for a pair built by hand without one, its fits' tuning and truncation).
+    warm-started at the observed coefficients with the pair's FitConfig.
     The replicates are refit a chunk at a time, one irls_refit per group,
     and each chunk's statistic is taken in one call,
     statistic(refits, outcomes): refits holds each group's refits of the
@@ -124,7 +123,6 @@ def _replicates(pair: PopulationPair, cfg: BootstrapConfig, statistic) -> tuple[
         raise ValueError("a pair fitted without its samples cannot be bootstrapped")
     fits = [pair.nondiseased.fit, pair.diseased.fit]
     designs = [g.design.matrix(g.sample.covariates) for g in (pair.nondiseased, pair.diseased)]
-    fit_config = pair.config or FitConfig(tuning=fits[0].tuning, truncation=fits[0].truncation)
     means = [Z @ fit.beta for Z, fit in zip(designs, fits)]
     cdfs = [_resampling_cdf(fit.truncated_weights) for fit in fits]
     chunk = max(1, REFIT_CHUNK_VALUES // max(Z.shape[0] for Z in designs))
@@ -139,7 +137,7 @@ def _replicates(pair: PopulationPair, cfg: BootstrapConfig, statistic) -> tuple[
                 idx.append(_resample_indices(rng, cdf))
         Ys = [mu + fit.sigma * fit.std_residuals[np.array(idx)]
               for mu, fit, idx in zip(means, fits, draws)]
-        refits = [irls_refit(Z, Y, fit_config, fit.beta)
+        refits = [irls_refit(Z, Y, pair.config, fit.beta)
                   for Z, Y, fit in zip(designs, Ys, fits)]
         kept = np.array([not any(isinstance(f, NumericalError) for f in rep)
                          for rep in zip(*refits)])
@@ -194,12 +192,11 @@ def unconditional_auc_bootstrap(pair: PopulationPair,
     """Percentile interval for the unconditional AUC of the intercept-only
     pair of robust_unconditional_auc, via the same residual scheme: a result
     at one point with no covariates."""
+    if any(g.design.n_covariates for g in (pair.nondiseased, pair.diseased)):
+        raise ValueError("the unconditional AUC bootstrap needs an intercept-only pair")
     cfg = config or BootstrapConfig()
     (aucs,), counts = _replicates(pair, cfg, lambda refits, ys: (np.array(
         [[unconditional_auc(y_nd, y_d, f_nd.truncated_weights, f_d.truncated_weights)]
          for y_nd, y_d, f_nd, f_d in zip(*ys, *refits)]),))
-    groups = (pair.nondiseased, pair.diseased)
-    auc_hat = unconditional_auc(*(g.sample.outcomes for g in groups),
-                                *(g.fit.truncated_weights for g in groups))
-    return BootstrapResult(np.empty((1, 0)), np.array([auc_hat]),
+    return BootstrapResult(np.empty((1, 0)), np.array([pair.outcome_auc()]),
                            *percentile_interval(aucs, cfg.alpha), **counts)

@@ -24,7 +24,7 @@ numerical check of the same integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -75,12 +75,18 @@ class GroupStack:
 class PopulationPair:
     nondiseased: GroupFit
     diseased: GroupFit
-    config: FitConfig | None = None  # what both fits used; None for a pair built by hand
+    config: FitConfig = field(default_factory=FitConfig)  # what both fits used
 
     def design_rows(self, X) -> list[np.ndarray]:
         """Each group's design rows at the rows of X (a 1-d X holds points
         of a single covariate), as evaluate takes them."""
         return [g.design.matrix(X) for g in (self.nondiseased, self.diseased)]
+
+    def outcome_auc(self) -> float:
+        """robust_unconditional_auc's AUC, for an intercept-only pair."""
+        groups = (self.nondiseased, self.diseased)
+        return unconditional_auc(*(g.sample.outcomes for g in groups),
+                                 *(g.fit.truncated_weights for g in groups))
 
 
 @dataclass
@@ -315,6 +321,5 @@ def robust_unconditional_auc(y_nondiseased, y_diseased, config: FitConfig | None
         sample = GroupSample(outcomes=y, covariates=np.empty((np.size(y), 0)), label=label)
         fit = irls_fit(np.ones((sample.n, 1)), sample.outcomes, config)
         groups.append(GroupFit.from_fit(fit, SplineSpec(()), sample))
-    auc = unconditional_auc(*(g.sample.outcomes for g in groups),
-                            *(g.fit.truncated_weights for g in groups))
-    return auc, PopulationPair(*groups, config or FitConfig())
+    pair = PopulationPair(*groups, config or FitConfig())
+    return pair.outcome_auc(), pair

@@ -54,10 +54,8 @@ def replicate_inputs(pair):
     passed to the replicate loop before a pair carried its samples and fit
     settings."""
     groups = (pair.nondiseased, pair.diseased)
-    fit_config = pair.config or FitConfig(tuning=pair.nondiseased.fit.tuning,
-                                          truncation=pair.nondiseased.fit.truncation)
     return ([g.fit for g in groups], [g.design.matrix(g.sample.covariates) for g in groups],
-            fit_config)
+            pair.config)
 
 
 class TestPercentileInterval:
@@ -229,12 +227,18 @@ class TestResidualBootstrap:
 
     def test_pair_without_samples_rejected(self):
         pair = hand_pair(np.full(6, 0.3), np.full(6, -0.2), np.linspace(0.0, 1.0, 6))
-        for bare in (replace(pair, nondiseased=replace(pair.nondiseased, sample=None)),
-                     replace(pair, diseased=replace(pair.diseased, sample=None))):
-            with pytest.raises(ValueError, match="without its samples"):
-                residual_bootstrap(bare, [0.5], BootstrapConfig(n_replicates=2))
-            with pytest.raises(ValueError, match="without its samples"):
-                unconditional_auc_bootstrap(bare, BootstrapConfig(n_replicates=2))
+        uauc_pair = robust_unconditional_auc(np.arange(6.0), np.arange(6.0) + 0.5)[1]
+        cfg = BootstrapConfig(n_replicates=2)
+        calls = ((pair, lambda bare: residual_bootstrap(bare, [0.5], cfg)),
+                 (uauc_pair, lambda bare: unconditional_auc_bootstrap(bare, cfg)))
+        for p, call in calls:
+            for bare in (replace(p, nondiseased=replace(p.nondiseased, sample=None)),
+                         replace(p, diseased=replace(p.diseased, sample=None))):
+                with pytest.raises(ValueError, match="without its samples"):
+                    call(bare)
+        # a pair with covariates is not the unconditional AUC's pair
+        with pytest.raises(ValueError, match="intercept-only pair"):
+            unconditional_auc_bootstrap(pair, BootstrapConfig(n_replicates=2))
 
     def test_single_distinct_residual_fails_every_replicate(self):
         # constant residuals put every refit outcome exactly on the fitted
