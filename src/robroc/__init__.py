@@ -12,11 +12,12 @@ __version__ = "0.1.0"
 
 from .bootstrap import (BootstrapConfig, BootstrapResult, percentile_interval,
                         residual_bootstrap, unconditional_auc_bootstrap)
+from .cli import RunConfig, load_config
 from .data import GroupSample
 from .errors import DataError, NumericalError, UsageError
 from .huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
                     ols_as_robust_fit)
-from .io import RunConfig, load_config, read_csv
+from .io import read_csv
 from .model_select import (RaicCandidate, RaicReport, default_candidates, raic,
                            raic_penalty, select_knots)
 from .roc import (GroupFit, PopulationPair, auc_closed_form, auc_simpson,

@@ -4,16 +4,21 @@ Subcommands: fit, select-knots, roc, auc, youden, bootstrap, uauc,
 simulate.  Options resolve as flag > config file (--config or the
 ROBROC_CONFIG environment variable) > built-in default.  Every run writes
 CSV tables plus a manifest.json into --out.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical failure.
+error, 2 data error, 3 numerical failure.  A new setting is declared once,
+as a RunConfig field: its flag, config key, type, default, help, flag group
+and least value all come from there.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
-from dataclasses import asdict
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -21,12 +26,121 @@ from . import __version__
 from .bootstrap import BootstrapConfig, residual_bootstrap, unconditional_auc_bootstrap
 from .errors import DataError, NumericalError, UsageError
 from .huber import FitConfig
-from .io import (CONFIG_ENV_VAR, RunConfig, load_config, parse_grid,
-                 parse_knots, parse_values, read_csv, write_manifest,
-                 write_table)
+from .io import parse_grid, parse_knots, parse_values, read_csv, write_manifest, write_table
 from .model_select import knot_grid, select_knots
 from .roc import auc_grid, evaluate, fit_pair, robust_unconditional_auc, roc_curve
 from .simulate import ESTIMATORS, run_study, scenario
+
+CONFIG_ENV_VAR = "ROBROC_CONFIG"
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def load_config(path) -> dict[str, str]:
+    """Flat key=value file; blank lines and # comments are ignored."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line {lineno} is not key=value: {raw!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
+
+
+def _setting(default, group: str, help: str | None = None, least=None, choices=None):
+    """A RunConfig field: its default (list for an empty list), the flag
+    group that declares its flag, its help, the least value _check allows
+    and the values the flag allows."""
+    meta = {"group": group, "help": help, "least": least, "choices": choices}
+    if default is list:
+        return field(default_factory=list, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _typed(f, raw, source: str):
+    """A flag or config-file string as field f's annotated type; source
+    names it in the error.  A typed value (a store_true flag) passes."""
+    if not isinstance(raw, str) or f.type.startswith("str"):
+        return raw
+    if f.type == "list[str]":
+        return [c.strip() for c in raw.split(",") if c.strip()]
+    if f.type == "bool":
+        value = _BOOLEANS.get(raw.strip().lower())
+        if value is None:
+            raise UsageError(f"{source}: expected a boolean, got {raw!r}")
+        return value
+    try:
+        return {"int": int, "float": float}[f.type](raw)
+    except ValueError:
+        raise UsageError(f"{source}: expected {f.type}, got {raw!r}") from None
+
+
+@dataclass
+class RunConfig:
+    """Resolved options for one CLI run: flag > config file > default.
+
+    Each field is one setting, the flag --name (with - for _) and the config
+    key name, typed by its annotation.  Fields are in the order that each
+    subcommand's --help lists them."""
+
+    out: str = _setting(".", "base", "output directory (default .)")
+    knots: str = _setting("0", "base", "interior knots per covariate, e.g. 0 or 2,0 or cat")
+    tuning: float = _setting(FitConfig.tuning, "base", "Huber tuning constant (1.345)")
+    truncation: float = _setting(FitConfig.truncation, "base", "weight truncation threshold (3)")
+    max_iterations: int = _setting(FitConfig.max_iterations, "base", "IRLS iteration cap (50)")
+    tol: float = _setting(FitConfig.tol, "base", "IRLS convergence tolerance (1e-8)")
+    data: str | None = _setting(None, "data", "CSV data file")
+    outcome: str = _setting("outcome", "data", "outcome column name")
+    disease: str = _setting("disease", "data", "0/1 disease column name")
+    covariates: list[str] = _setting(list, "data", "comma-separated covariate columns")
+    skip_missing: bool = _setting(False, "data", "drop rows with missing values instead of failing")
+    seed: int = _setting(BootstrapConfig.seed, "seed", "RNG seed (default 0)", least=0)
+    replicates: int = _setting(
+        BootstrapConfig.n_replicates, "boot",
+        "bootstrap replicates (default 1000; for uauc 0 skips the interval)", least=0)
+    alpha: float = _setting(BootstrapConfig.alpha, "boot", "interval miscoverage (default 0.05)")
+    x: str | None = _setting(None, "point",
+                             "covariate point, one comma-separated value per covariate")
+    x_grid: str | None = _setting(None, "grid", "grid as start:stop:count")
+    t_points: int = _setting(201, "t", "ROC grid size on [0,1] (default 201)", least=2)
+    candidates: str = _setting("0,1,2,3,4", "select-knots",
+                               "knot counts to try per covariate (default 0,1,2,3,4)")
+    simpson_panels: int = _setting(200, "roc", "Simpson panel count (default 200)")
+    scenario: str | None = _setting(None, "simulate", "I, II, III, or IV")
+    sizes: str | None = _setting(None, "simulate", "group sizes as nondiseased,diseased")
+    reps: int = _setting(100, "simulate", "Monte Carlo replicates (default 100)", least=1)
+    contamination: float = _setting(0.0, "simulate",
+                                    "outcome fraction replaced per group (default 0)")
+    kappa: str | None = _setting(None, "simulate", "outlier shift multipliers nd,d (default 15,20)")
+    outlier_kind: str = _setting("location", "simulate", choices=("location", "radial"))
+    select: str | None = _setting(None, "simulate",
+                                  "tally rAIC choices among these counts, e.g. 0,3")
+    grid_points: int = _setting(21, "simulate", "AUC grid size (default 21)", least=1)
+    estimators: str = _setting("robust", "simulate", "comma list from: " + ", ".join(ESTIMATORS))
+
+    @classmethod
+    def resolve(cls, flags: dict, config: dict[str, str]) -> RunConfig:
+        unknown = set(config) - {f.name for f in fields(cls)}
+        if unknown:
+            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        values: dict = {}
+        for f in fields(cls):
+            if flags.get(f.name) is not None:
+                values[f.name] = _typed(f, flags[f.name], _flag(f.name))
+            elif f.name in config:
+                values[f.name] = _typed(f, config[f.name], f"config key {f.name}")
+        return cls(**values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,107 +153,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
+def _flag_groups() -> dict[str, _Parser]:
+    """One parent parser per flag group, holding its RunConfig fields' flags
+    in field order.  Built once, as every run builds the parser: a
+    subcommand parser only reads its parents, and nothing may change them."""
+    groups = defaultdict(lambda: _Parser(add_help=False))
+    groups["base"].add_argument("--config", help="key=value config file")
+    for f in fields(RunConfig):
+        group, text = groups[f.metadata["group"]], f.metadata["help"]
+        if f.type == "bool":
+            group.add_argument(_flag(f.name), action="store_true", default=None, help=text)
+        else:
+            group.add_argument(_flag(f.name), help=text, choices=f.metadata["choices"])
+    return dict(groups)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="robroc",
                      description="Robust covariate-specific ROC analysis")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # option groups, each declared once and named by the subcommands using it
-    base = _Parser(add_help=False)
-    base.add_argument("--config", help="key=value config file")
-    base.add_argument("--out", help="output directory (default .)")
-    base.add_argument("--knots", help="interior knots per covariate, e.g. 0 or 2,0 or cat")
-    base.add_argument("--tuning", type=float, help="Huber tuning constant (1.345)")
-    base.add_argument("--truncation", type=float,
-                      help="weight truncation threshold (3)")
-    base.add_argument("--max-iterations", type=int, help="IRLS iteration cap (50)")
-    base.add_argument("--tol", type=float, help="IRLS convergence tolerance (1e-8)")
-
-    data = _Parser(add_help=False, parents=[base])
-    data.add_argument("--data", help="CSV data file")
-    data.add_argument("--outcome", help="outcome column name")
-    data.add_argument("--disease", help="0/1 disease column name")
-    data.add_argument("--covariates", help="comma-separated covariate columns")
-    data.add_argument("--skip-missing", action="store_true", default=None,
-                      help="drop rows with missing values instead of failing")
-
-    seed, point, grid, t_points = (_Parser(add_help=False) for _ in range(4))
-    seed.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    point.add_argument("--x", help="covariate point, one comma-separated value per covariate")
-    grid.add_argument("--x-grid", help="grid as start:stop:count")
-    t_points.add_argument("--t-points", type=int, help="ROC grid size on [0,1] (default 201)")
-
-    boot = _Parser(add_help=False, parents=[seed])
-    boot.add_argument("--replicates", type=int,
-                      help="bootstrap replicates (default 1000; for uauc 0 skips the interval)")
-    boot.add_argument("--alpha", type=float, help="interval miscoverage (default 0.05)")
-
-    p = sub.add_parser("fit", parents=[data],
-                       help="fit both groups and report coefficients and weights")
-    p.set_defaults(run=_cmd_fit)
-
-    p = sub.add_parser("select-knots", parents=[data],
-                       help="rank interior knot counts per group by robust AIC")
-    p.add_argument("--candidates", help="knot counts to try per covariate (default 0,1,2,3,4)")
-    p.set_defaults(run=_cmd_select_knots)
-
-    p = sub.add_parser("roc", parents=[data, point, t_points],
-                       help="covariate-specific ROC curve at a point")
-    p.add_argument("--simpson-panels", type=int, help="Simpson panel count (default 200)")
-    p.set_defaults(run=_cmd_roc)
-
-    p = sub.add_parser("auc", parents=[data, boot, grid],
-                       help="covariate-specific AUC over a grid")
-    p.add_argument("--ci", action="store_true", default=False,
-                   help="add bootstrap percentile intervals")
-    p.set_defaults(run=_cmd_auc)
-
-    p = sub.add_parser("youden", parents=[data, point, grid],
-                       help="Youden index and optimal threshold over a grid")
-    p.set_defaults(run=_cmd_youden)
-
-    p = sub.add_parser("bootstrap", parents=[data, boot, point, t_points],
-                       help="bootstrap bands for ROC and AUC at a point")
-    p.add_argument("--youden", action="store_true", default=False,
-                   help="also bootstrap the Youden index")
-    p.set_defaults(run=_cmd_bootstrap)
-
-    p = sub.add_parser("uauc", parents=[data, boot],
-                       help="unconditional AUC with robust weights")
-    p.set_defaults(run=_cmd_uauc)
-
-    p = sub.add_parser("simulate", parents=[base, seed],
-                       help="Monte Carlo study on a built-in scenario")
-    p.add_argument("--scenario", help="I, II, III, or IV")
-    p.add_argument("--sizes", help="group sizes as nondiseased,diseased")
-    p.add_argument("--reps", type=int, help="Monte Carlo replicates (default 100)")
-    p.add_argument("--contamination", type=float,
-                   help="outcome fraction replaced per group (default 0)")
-    p.add_argument("--kappa", help="outlier shift multipliers nd,d (default 15,20)")
-    p.add_argument("--outlier-kind", choices=["location", "radial"])
-    p.add_argument("--select", help="tally rAIC choices among these counts, e.g. 0,3")
-    p.add_argument("--grid-points", type=int, help="AUC grid size (default 21)")
-    p.add_argument("--estimators", help="comma list from: " + ", ".join(ESTIMATORS))
-    p.set_defaults(run=_cmd_simulate)
+    groups = _flag_groups()
+    for name, run, names, text in (
+            ("fit", _cmd_fit, "base data", "fit both groups and report coefficients and weights"),
+            ("select-knots", _cmd_select_knots, "base data select-knots",
+             "rank interior knot counts per group by robust AIC"),
+            ("roc", _cmd_roc, "base data point t roc", "covariate-specific ROC curve at a point"),
+            ("auc", _cmd_auc, "base data seed boot grid", "covariate-specific AUC over a grid"),
+            ("youden", _cmd_youden, "base data point grid",
+             "Youden index and optimal threshold over a grid"),
+            ("bootstrap", _cmd_bootstrap, "base data seed boot point t",
+             "bootstrap bands for ROC and AUC at a point"),
+            ("uauc", _cmd_uauc, "base data seed boot", "unconditional AUC with robust weights"),
+            ("simulate", _cmd_simulate, "base seed simulate",
+             "Monte Carlo study on a built-in scenario")):
+        p = sub.add_parser(name, parents=[groups[g] for g in names.split()], help=text)
+        p.set_defaults(run=run)
+    sub.choices["auc"].add_argument("--ci", action="store_true", default=False,
+                                    help="add bootstrap percentile intervals")
+    sub.choices["bootstrap"].add_argument("--youden", action="store_true", default=False,
+                                          help="also bootstrap the Youden index")
     return parser
 
 
 def _resolve(args) -> RunConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    config = load_config(path) if path else {}
-    return RunConfig.resolve(vars(args), config)
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    return RunConfig.resolve(vars(args), load_config(path) if path else {})
 
 
 def _check(cfg: RunConfig, args) -> tuple[FitConfig, BootstrapConfig | None]:
     """Reject nonsense settings before any file is read; return the FitConfig
     and, for a run that bootstraps, the BootstrapConfig."""
-    for flag, value, least in (("--t-points", cfg.t_points, 2),
-                               ("--reps", cfg.reps, 1),
-                               ("--grid-points", cfg.grid_points, 1),
-                               ("--replicates", cfg.replicates, 0)):
-        if value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
+    for f in fields(cfg):
+        value, least = getattr(cfg, f.name), f.metadata["least"]
+        if least is not None and value < least:
+            raise UsageError(f"{_flag(f.name)} must be at least {least}, got {value}")
     if cfg.simpson_panels < 2 or cfg.simpson_panels % 2:
         raise UsageError(f"--simpson-panels must be even and at least 2, got {cfg.simpson_panels}")
     fit_config = FitConfig(tuning=cfg.tuning, truncation=cfg.truncation,

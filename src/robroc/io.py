@@ -1,4 +1,4 @@
-"""CSV ingestion, flat key=value configs, and output tables.
+"""CSV ingestion, option-value parsers, and output tables.
 
 Data files are headered CSV.  Missing-value tokens ("", "NA", "NaN",
 "null", case-insensitive) either abort ingestion with the offending row
@@ -13,15 +13,13 @@ import csv
 import json
 import operator
 import os
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import GroupSample
 from .errors import DataError, UsageError
 
-CONFIG_ENV_VAR = "ROBROC_CONFIG"
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 _FLAGS = (0.0, 1.0)
 
@@ -158,95 +156,6 @@ def read_csv(path, outcome: str, disease: str, covariates,
         if not np.any(ds.disease == label):
             raise DataError(f"no rows with {disease} == {label}")
     return ds
-
-
-def load_config(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and # comments are ignored."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {lineno} is not key=value: {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI run: flag > config file > default."""
-
-    data: str | None = None
-    outcome: str = "outcome"
-    disease: str = "disease"
-    covariates: list[str] = field(default_factory=list)
-    knots: str = "0"
-    candidates: str = "0,1,2,3,4"
-    tuning: float = 1.345
-    truncation: float = 3.0
-    max_iterations: int = 50
-    tol: float = 1e-8
-    seed: int = 0
-    replicates: int = 1000
-    alpha: float = 0.05
-    t_points: int = 201
-    simpson_panels: int = 200
-    x: str | None = None
-    x_grid: str | None = None
-    out: str = "."
-    skip_missing: bool = False
-    scenario: str | None = None
-    sizes: str | None = None
-    reps: int = 100
-    contamination: float = 0.0
-    kappa: str | None = None
-    outlier_kind: str = "location"
-    select: str | None = None
-    estimators: str = "robust"
-    grid_points: int = 21
-
-    @classmethod
-    def resolve(cls, flags: dict, config: dict[str, str]) -> "RunConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
-        unknown = set(config) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        values: dict = {}
-        for name in known:
-            if name in flags and flags[name] is not None:
-                values[name] = flags[name]
-            elif name in config:
-                values[name] = cls._parse(name, config[name])
-        if isinstance(values.get("covariates"), str):
-            values["covariates"] = cls._parse("covariates", values["covariates"])
-        return cls(**values)
-
-    @classmethod
-    def _parse(cls, name: str, raw: str):
-        if name == "covariates":
-            return [c.strip() for c in raw.split(",") if c.strip()]
-        if name == "skip_missing":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise UsageError(f"config key skip_missing: expected a boolean, got {raw!r}")
-        kind = type(next(f.default for f in fields(cls) if f.name == name))
-        if kind not in (int, float):
-            return raw
-        try:
-            return kind(raw)
-        except ValueError:
-            raise UsageError(
-                f"config key {name}: expected {kind.__name__}, got {raw!r}"
-            ) from None
 
 
 def parse_knots(raw: str, n_covariates: int) -> list[int | None]:

@@ -75,6 +75,11 @@ class TestPercentileInterval:
     def test_single_value(self):
         assert percentile_interval([3.5], 0.05) == (3.5, 3.5)
 
+    def test_nearest_rank_rounds_a_fractional_rank_up(self):
+        # B = 101 at alpha 0.05: the ranks 2.525 and 98.475 round up to 3
+        # and 99, where a floor would give 2 and 98
+        assert percentile_interval(np.arange(101.0), 0.05) == (2.0, 98.0)
+
     def test_brackets_center(self):
         rng = np.random.default_rng(13)
         values = rng.normal(size=501)
@@ -259,6 +264,27 @@ class TestResidualBootstrap:
         res = residual_bootstrap(pair, [np.array([0.5])], BootstrapConfig(n_replicates=40, seed=5))
         assert 0 < res.n_failed < 40
         assert res.unreliable is True
+
+    @pytest.mark.parametrize("n_forced, unreliable", [(1, False), (2, True)])
+    def test_unreliable_only_above_five_percent(self, monkeypatch, n_forced, unreliable):
+        # B = 20: one failed replicate is exactly 5% of B and leaves the
+        # result reliable; a second one makes it unreliable
+        refit = bootstrap.irls_refit
+        calls = []
+
+        def failing(Z, Y, config, beta_init=None):
+            fits = refit(Z, Y, config, beta_init)
+            calls.append(len(fits))
+            if len(calls) == 1:  # the nondiseased refits of the first chunk
+                fits[:n_forced] = [NumericalError("forced")] * n_forced
+            return fits
+
+        monkeypatch.setattr(bootstrap, "irls_refit", failing)
+        pair = linear_pair(np.random.default_rng(71))
+        res = residual_bootstrap(pair, [X0], BootstrapConfig(n_replicates=20, seed=1))
+        assert calls[0] == 20
+        assert res.n_failed == n_forced
+        assert res.unreliable is unreliable
 
     def test_interval_covers_truth_at_nominal_rate(self):
         scn = scenario("I")

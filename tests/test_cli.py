@@ -173,6 +173,10 @@ class TestExitCodes:
         (["bootstrap", "--x", "inf"], "--x values must be finite"),
         (["auc", "--x-grid", "0:nan:5"], "--x-grid points must be finite"),
         (["youden", "--x-grid", "nan:0.5:3"], "--x-grid points must be finite"),
+        (["bootstrap", "--x", "0.5", "--seed", "-1", "--replicates", "3"],
+         "--seed must be at least 0, got -1"),
+        (["auc", "--ci", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["uauc", "--seed", "-1"], "--seed must be at least 0, got -1"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
         # settings are checked before the data file is read; the case's own
@@ -216,6 +220,7 @@ class TestExitCodes:
         (["--contamination", "0.1", "--kappa=-5,5", "--outlier-kind", "radial"],
          "radial outliers need kappa >= 0"),
         (["--estimators", ","], "--estimators needs one or more"),
+        (["--seed", "-1"], "--seed must be at least 0, got -1"),
     ])
     def test_nonsense_study_settings_rejected(self, tmp_path, capsys, argv, message):
         code, _ = run(tmp_path, "simulate", "--scenario", "I", "--sizes", "30,30", *argv)

@@ -400,6 +400,24 @@ class TestIrlsFit:
         np.testing.assert_array_equal(fit.truncated_weights, expected)
         assert np.all(fit.huber_weights[~inside] < 1.0)
 
+    def test_residual_exactly_at_truncation_gets_unit_weight(self):
+        # truncation does not enter the IRLS loop, so refitting with v set to
+        # a downweighted |e_k| reproduces every residual and puts e_k exactly
+        # at v, where the rule |e| <= v gives the truncated weight 1
+        rng = np.random.default_rng(37)
+        n = 120
+        Z = np.column_stack([np.ones(n), rng.uniform(0, 1, n)])
+        y = Z[:, 1] + rng.standard_t(df=2, size=n)
+        fit = irls_fit(Z, y)
+        k = int(np.flatnonzero(fit.huber_weights < 1.0)[0])
+        v = abs(float(fit.std_residuals[k]))
+        at_v = irls_fit(Z, y, FitConfig(truncation=v))
+        assert np.array_equal(at_v.std_residuals, fit.std_residuals)
+        assert at_v.huber_weights[k] < 1.0
+        assert at_v.truncated_weights[k] == 1.0
+        expected = np.where(np.abs(fit.std_residuals) <= v, 1.0, fit.huber_weights)
+        np.testing.assert_array_equal(at_v.truncated_weights, expected)
+
     def test_iteration_cap_flags_nonconvergence(self):
         rng = np.random.default_rng(41)
         n = 60

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import read_table
 from robroc.errors import DataError, UsageError
-from robroc.io import (Dataset, RunConfig, _format_cell, load_config,
-                       parse_grid, parse_knots, parse_values, read_csv,
-                       write_manifest, write_table)
+from robroc.cli import RunConfig, load_config
+from robroc.io import (Dataset, _format_cell, parse_grid, parse_knots, parse_values,
+                       read_csv, write_manifest, write_table)
 
 
 def reference_read_csv(path, outcome, disease, covariates, skip_missing=False):
