@@ -15,13 +15,12 @@ from .bootstrap import (BootstrapConfig, BootstrapResult, percentile_interval,
 from .cli import RunConfig, load_config
 from .data import GroupSample
 from .errors import DataError, NumericalError, UsageError
-from .huber import (FitConfig, RobustFit, huber_psi, huber_weight, irls_fit,
-                    ols_as_robust_fit)
+from .huber import FitConfig, RobustFit, huber_psi, huber_weight, irls_fit
 from .io import read_csv
 from .model_select import (RaicCandidate, RaicReport, default_candidates, raic,
                            raic_penalty, select_knots)
 from .roc import (GroupFit, PopulationPair, auc_closed_form, auc_simpson,
-                  evaluate, fit_pair, predict_mean, robust_unconditional_auc,
+                  evaluate, fit_pair, robust_unconditional_auc,
                   roc_curve, roc_values, unconditional_auc, youden_index)
 from .simulate import (ESTIMATORS, McEstimatorSummary, McReport, Scenario,
                        comparator_fit, generate, run_study, scenario,
@@ -35,12 +34,11 @@ __all__ = [
     "residual_bootstrap", "unconditional_auc_bootstrap",
     "GroupSample", "DataError", "NumericalError", "UsageError",
     "FitConfig", "RobustFit", "huber_psi", "huber_weight", "irls_fit",
-    "ols_as_robust_fit",
     "RunConfig", "load_config", "read_csv",
     "RaicCandidate", "RaicReport", "default_candidates", "raic",
     "raic_penalty", "select_knots",
     "GroupFit", "PopulationPair", "auc_closed_form", "auc_simpson", "evaluate",
-    "fit_pair", "predict_mean", "robust_unconditional_auc",
+    "fit_pair", "robust_unconditional_auc",
     "roc_curve", "roc_values", "unconditional_auc", "youden_index",
     "ESTIMATORS", "McEstimatorSummary", "McReport", "Scenario",
     "comparator_fit", "generate", "run_study", "scenario", "true_auc",

@@ -123,7 +123,9 @@ class RunConfig:
     contamination: float = _setting(0.0, "simulate",
                                     "outcome fraction replaced per group (default 0)")
     kappa: str | None = _setting(None, "simulate", "outlier shift multipliers nd,d (default 15,20)")
-    outlier_kind: str = _setting("location", "simulate", choices=("location", "radial"))
+    outlier_kind: str = _setting("location", "simulate", "outliers shift the mean (location) "
+                                 "or inflate the scale (radial); default location",
+                                 choices=("location", "radial"))
     select: str | None = _setting(None, "simulate",
                                   "tally rAIC choices among these counts, e.g. 0,3")
     grid_points: int = _setting(21, "simulate", "AUC grid size (default 21)", least=1)
@@ -235,6 +237,9 @@ def _ints(flag: str, raw: str, least: int) -> list[int]:
 def _n_covariates(cfg: RunConfig) -> int:
     if not cfg.covariates:
         raise UsageError("no covariates; pass --covariates or set covariates=")
+    # a repeated column always makes the design singular
+    if len(set(cfg.covariates)) < len(cfg.covariates):
+        raise UsageError(f"--covariates names a covariate twice: {','.join(cfg.covariates)}")
     return len(cfg.covariates)
 
 

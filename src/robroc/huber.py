@@ -24,8 +24,8 @@ loop, and ols_refit, the least-squares fit in the same RobustFit shape,
 which is IRLS's cold start with the classical scale.  The bootstrap's
 refits share one design and one warm start; a Monte Carlo study's
 replicates, and any one data set, bring their own designs and start cold.
-Each row's fit depends on that row alone.  irls_fit and ols_as_robust_fit
-are their one-row calls, and mad_scale is the row-wise MAD of one row.
+Each row's fit depends on that row alone.  irls_fit is irls_refit's
+one-row call.
 
 After convergence, weights for downstream distribution estimates are
 truncated: observations with standardized residual at most v (default 3)
@@ -64,18 +64,6 @@ def huber_weight(u, b: float = DEFAULT_TUNING):
     # inf/inf, so that case keeps the min form, whose inf/0 raises nothing
     out = b / np.maximum(au, b) if b < np.inf else np.minimum(1.0, b / au)
     return float(out) if out.ndim == 0 else out
-
-
-def mad_scale(residuals) -> float:
-    """1.4826 * median(|residuals|), the uncentered MAD scale estimate.
-
-    The factor makes the estimate Fisher-consistent for the standard
-    deviation under normal errors.
-    """
-    r = np.asarray(residuals, dtype=float).reshape(1, -1)
-    if r.size == 0:
-        raise ValueError("no residuals")
-    return float(_row_mad_scales(r)[0])
 
 
 def _row_mad_scales(R: np.ndarray) -> np.ndarray:
@@ -201,17 +189,6 @@ def _stacked_lstsq(Zs: np.ndarray, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return beta, singular
 
 
-def _one_row(refit, Z, y, *args) -> RobustFit:
-    """refit on the one-row stack of Z and y; a failed fit raises its error."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2:
-        raise ValueError(f"expected a 2-d design, got {Z.ndim} dims")
-    (fit,) = refit(Z, np.asarray(y, dtype=float).reshape(1, -1), *args)
-    if isinstance(fit, NumericalError):
-        raise fit
-    return fit
-
-
 def irls_fit(Z, y, config: FitConfig | None = None,
              beta_init: np.ndarray | None = None) -> RobustFit:
     """Fit y = Z beta + sigma * eps by Huber IRLS with MAD scale updates:
@@ -224,7 +201,13 @@ def irls_fit(Z, y, config: FitConfig | None = None,
     depend on the start).  Convergence is max|beta_new - beta| < tol;
     hitting max_iterations is not an error but returns converged=False.
     """
-    return _one_row(irls_refit, Z, y, config, beta_init)
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2:
+        raise ValueError(f"expected a 2-d design, got {Z.ndim} dims")
+    (fit,) = irls_refit(Z, np.asarray(y, dtype=float).reshape(1, -1), config, beta_init)
+    if isinstance(fit, NumericalError):
+        raise fit
+    return fit
 
 
 def _checked(Z, Y) -> tuple[np.ndarray, np.ndarray, list[NumericalError] | None]:
@@ -355,12 +338,12 @@ def irls_refit(Z, Y, config: FitConfig | None,
 
 def ols_refit(Z, Y) -> list[RobustFit | NumericalError]:
     """Least-squares fit of every outcome row Y[i] of a stack, in the
-    RobustFit shape, for the non-robust comparators; ols_as_robust_fit is
-    the one-row case.  Z, the checks and the solve are irls_refit's cold
-    start.  Each fit has the classical scale sqrt(SSR / (n - Q)), unit
-    weights, no iterations and infinite tuning, and depends on its row
-    alone.  A row whose design is singular, or whose residual variance is
-    zero to rounding, gets its NumericalError in place.
+    RobustFit shape, for the non-robust comparators.  Z, the checks and
+    the solve are irls_refit's cold start.  Each fit has the classical
+    scale sqrt(SSR / (n - Q)), unit weights, no iterations and infinite
+    tuning, and depends on its row alone.  A row whose design is singular,
+    or whose residual variance is zero to rounding, gets its NumericalError
+    in place.
     """
     Z, Y, failed = _checked(Z, Y)
     if failed is not None:
@@ -382,9 +365,3 @@ def ols_refit(Z, Y) -> list[RobustFit | NumericalError]:
                                   truncation=np.inf))
     return fits
 
-
-def ols_as_robust_fit(Z, y) -> RobustFit:
-    """Ordinary least squares in the RobustFit shape: ols_refit on the
-    one-row stack, raising the row's NumericalError (a singular design, an
-    underdetermined fit, or zero residual variance)."""
-    return _one_row(ols_refit, Z, y)

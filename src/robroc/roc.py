@@ -31,26 +31,12 @@ import numpy as np
 
 from .data import GroupSample
 from .errors import NumericalError
+# irls_fit stays bound here, though roc fits through irls_refit alone:
+# bench/tracer.py wraps it at every module-level name, roc's included, and
+# bench/test_bench.py checks that
 from .huber import FitConfig, RobustFit, irls_fit, irls_refit
 from .splines import SplineSpec, _outside, design_stack
 from .wecdf import EcdfStack, WeightedEcdf
-
-
-@dataclass
-class GroupFit:
-    """One population's fitted model: coefficients, scale, residual law, sample."""
-
-    fit: RobustFit
-    design: SplineSpec
-    ecdf: WeightedEcdf
-    sample: GroupSample | None = None
-
-    @classmethod
-    def from_fit(cls, fit: RobustFit, design: SplineSpec,
-                 sample: GroupSample | None = None) -> "GroupFit":
-        """Attach the truncated-weight residual distribution to a fit."""
-        ecdf = WeightedEcdf.from_residuals(fit.std_residuals, fit.truncated_weights)
-        return cls(fit=fit, design=design, ecdf=ecdf, sample=sample)
 
 
 @dataclass
@@ -64,11 +50,30 @@ class GroupStack:
 
     @classmethod
     def from_fits(cls, fits: Sequence[RobustFit]) -> "GroupStack":
-        """Each fit with GroupFit.from_fit's residual distribution, all
+        """Each fit with its truncated-weight residual distribution, all
         built in one pass."""
         return cls(beta=np.array([f.beta for f in fits]), sigma=np.array([f.sigma for f in fits]),
                    ecdf=EcdfStack.from_residuals(np.array([f.std_residuals for f in fits]),
                                                  np.array([f.truncated_weights for f in fits])))
+
+
+@dataclass
+class GroupFit:
+    """One population's fitted model: coefficients and scale (fit), design
+    and sample, held as the one-row GroupStack (stack) that evaluate reads."""
+
+    fit: RobustFit
+    design: SplineSpec
+    sample: GroupSample | None = None
+    stack: GroupStack = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.stack = GroupStack.from_fits([self.fit])
+
+    @property
+    def ecdf(self) -> WeightedEcdf:
+        """The truncated-weight residual distribution, the stack's row."""
+        return self.stack.ecdf.row(0)
 
 
 @dataclass
@@ -105,7 +110,7 @@ def _sample_fit(sample: GroupSample, n_interior, refit, *args) -> GroupFit:
     (fit,) = refit(Z, sample.outcomes[None], *args)
     if isinstance(fit, NumericalError):
         raise fit
-    return GroupFit.from_fit(fit, spec, sample)
+    return GroupFit(fit, spec, sample)
 
 
 def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior,
@@ -113,11 +118,6 @@ def fit_pair(nondiseased: GroupSample, diseased: GroupSample, n_interior,
     """Fit both populations by Huber IRLS with the same knot counts."""
     return PopulationPair(*(_sample_fit(s, n_interior, irls_refit, config)
                             for s in (nondiseased, diseased)), config or FitConfig())
-
-
-def predict_mean(fit: RobustFit, design: SplineSpec, x) -> float:
-    """Fitted regression mean at a covariate point."""
-    return float(design.row(x) @ fit.beta)
 
 
 def _one_point(x) -> np.ndarray:
@@ -133,12 +133,11 @@ def evaluate(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray, t=No
     Returns (auc, roc, youden) with a row per point: the k AUCs, ROC(t | x)
     as a k x t.size array (None without t), and the k (Youden index,
     smallest threshold attaining it) pairs as a k x 2 array (None unless
-    youden is set).  It is the one-pair case of evaluate_stack.
+    youden is set).  It is the one-pair case of evaluate_stack, on the
+    groups' one-row stacks.
     """
-    groups = [GroupStack(g.fit.beta[None], np.array([g.fit.sigma]), g.ecdf.stacked())
-              for g in (pair.nondiseased, pair.diseased)]
-    return tuple(None if v is None else v[0]
-                 for v in evaluate_stack(*groups, rows_nd, rows_d, t, youden))
+    return tuple(None if v is None else v[0] for v in evaluate_stack(
+        pair.nondiseased.stack, pair.diseased.stack, rows_nd, rows_d, t, youden))
 
 
 def evaluate_stack(nd: GroupStack, d: GroupStack, rows_nd, rows_d, t=None,
@@ -166,8 +165,9 @@ def evaluate_stack(nd: GroupStack, d: GroupStack, rows_nd, rows_d, t=None,
     m = nd.sigma.size
 
     def means(rows, group):
-        # each mean is predict_mean's 1-D product: a 2-D rows @ beta can
-        # differ by an ulp, and that can move the Youden index by a point mass
+        # each mean is one design row's 1-D product with beta: a 2-D
+        # rows @ beta can differ by an ulp, and that can move the Youden
+        # index by a point mass
         stack = np.broadcast_to(rows, (m,) + rows.shape[-2:])
         return np.array([[row @ b for row in r] for r, b in zip(stack, group.beta)])
 
@@ -292,7 +292,8 @@ def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,
     It stays separate from auc_closed_form on intercept-only fits because
     there the adjusted values beta_hat + sigma_hat * eps_hat_i reproduce y_i
     only up to rounding, so tied integer outcomes across groups could stop
-    tying and silently lose their half credit.
+    tying and silently lose their half credit.  Outcomes must be finite, and
+    weights (1 by default) positive and finite.
     """
     y_nd = np.asarray(y_nondiseased, dtype=float).ravel()
     y_d = np.asarray(y_diseased, dtype=float).ravel()
@@ -302,6 +303,10 @@ def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,
     w_d = np.ones(y_d.size) if w_diseased is None else np.asarray(w_diseased, dtype=float).ravel()
     if w_nd.size != y_nd.size or w_d.size != y_d.size:
         raise ValueError("weight lengths must match outcome lengths")
+    if not (np.isfinite(y_nd).all() and np.isfinite(y_d).all()):
+        raise ValueError("outcomes must be finite")
+    if not all(np.isfinite(w).all() and (w > 0.0).all() for w in (w_nd, w_d)):
+        raise ValueError("weights must be positive and finite")
     order = np.argsort(y_nd)
     y_nd_sorted = y_nd[order]
     cum = np.cumsum(w_nd[order])
@@ -315,11 +320,9 @@ def unconditional_auc(y_nondiseased, y_diseased, w_nondiseased=None,
 def robust_unconditional_auc(y_nondiseased, y_diseased, config: FitConfig | None = None
                              ) -> tuple[float, PopulationPair]:
     """Unconditional AUC with truncated weights from intercept-only robust
-    fits of each group.  Returns the AUC and their pair (for bootstrapping)."""
-    groups = []
-    for y, label in ((y_nondiseased, "nondiseased"), (y_diseased, "diseased")):
-        sample = GroupSample(outcomes=y, covariates=np.empty((np.size(y), 0)), label=label)
-        fit = irls_fit(np.ones((sample.n, 1)), sample.outcomes, config)
-        groups.append(GroupFit.from_fit(fit, SplineSpec(()), sample))
-    pair = PopulationPair(*groups, config or FitConfig())
+    fits of each group, fit_pair's fits of samples without covariates.
+    Returns the AUC and their pair (for bootstrapping)."""
+    samples = (GroupSample(outcomes=y, covariates=np.empty((np.size(y), 0)), label=label)
+               for y, label in ((y_nondiseased, "nondiseased"), (y_diseased, "diseased")))
+    pair = fit_pair(*samples, 0, config)
     return pair.outcome_auc(), pair

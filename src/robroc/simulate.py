@@ -267,6 +267,8 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     AUCs come from one roc.evaluate_stack call per chunk.  Every number
     equals that of fitting each replicate on its own.
     """
+    if n_replicates < 1:
+        raise ValueError(f"need at least one replicate, got {n_replicates}")
     p = scn.n_covariates
     plans = {}
     for kind in estimators:

@@ -219,14 +219,6 @@ class SplineSpec:
     def n_covariates(self) -> int:
         return len(self.knots)
 
-    @property
-    def n_interior(self) -> tuple[int | None, ...]:
-        return tuple(k.n_interior if k is not None else None for k in self.knots)
-
-    @property
-    def n_columns(self) -> int:
-        return 1 + sum(k.n_columns if k is not None else 1 for k in self.knots)
-
     def _checked(self, X) -> np.ndarray:
         X = _two_dim(X)
         if X.shape[1] != self.n_covariates:
@@ -256,9 +248,6 @@ class SplineSpec:
             if k is not None:
                 inside &= ~_outside(X[:, h], *k.boundary)
         return inside
-
-    def row(self, x) -> np.ndarray:
-        return self.matrix(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
 
 
 def _two_dim(X) -> np.ndarray:

@@ -55,7 +55,7 @@ def reference_fit_pair(nondiseased, diseased, n_interior, config=None):
     for sample in (nondiseased, diseased):
         spec = design_stack(sample.covariates[None], n_interior)[0][0]
         fit = irls_fit(spec.matrix(sample.covariates), sample.outcomes, config)
-        groups.append(GroupFit.from_fit(fit, spec, sample))
+        groups.append(GroupFit(fit, spec, sample))
     return PopulationPair(*groups, config or FitConfig())
 
 
@@ -104,7 +104,7 @@ def per_replicate_statistic(groups, rows, t=None, youden=False):
     their PopulationPair and one evaluate.  The replicates' values are
     stacked as the chunk statistic returns them."""
     def statistic(refits, _):
-        values = [evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.sample)
+        values = [evaluate(PopulationPair(*(GroupFit(f, g.design, g.sample)
                                             for f, g in zip(rep, groups))), *rows, t, youden)
                   for rep in zip(*refits)]
         return tuple(None if v[0] is None else np.array(v) for v in zip(*values))
@@ -115,7 +115,7 @@ def per_replicate_statistic(groups, rows, t=None, youden=False):
 # each takes the groups' fitted means at one covariate point.
 
 def row_means(fit, rows) -> list[float]:
-    """Fitted means at design rows, each the 1-D product predict_mean takes."""
+    """Fitted means at design rows, each a row's 1-D product with beta."""
     return [float(row @ fit.beta) for row in rows]
 
 

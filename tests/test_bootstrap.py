@@ -38,7 +38,7 @@ def hand_pair(nd_residuals, d_residuals, x):
                         std_residuals=res, huber_weights=np.ones(n),
                         truncated_weights=np.ones(n), iterations=1,
                         converged=True)
-        return GroupFit.from_fit(fit, SplineSpec((None,)), sample)
+        return GroupFit(fit, SplineSpec((None,)), sample)
 
     x = np.asarray(x, dtype=float)
     nd = GroupSample(outcomes=x + np.asarray(nd_residuals, dtype=float),
@@ -220,7 +220,7 @@ class TestResidualBootstrap:
         assert len(seen) == 24
         groups = (pair.nondiseased, pair.diseased)
         for refits, (auc, band, youden) in seen:
-            rep = PopulationPair(*(GroupFit.from_fit(f, g.design) for f, g in zip(refits, groups)))
+            rep = PopulationPair(*(GroupFit(f, g.design) for f, g in zip(refits, groups)))
             for k, x in enumerate(points):
                 assert auc[k] == auc_closed_form(rep, x)
                 assert np.array_equal(band[k], roc_values(rep, x, t_grid))
@@ -549,7 +549,7 @@ def parent_residual_bootstrap(pair, nondiseased, diseased, targets, config, fit_
         [g.fit for g in groups],
         [g.design.matrix(s.covariates) for g, s in zip(groups, (nondiseased, diseased))],
         config, fcfg,
-        lambda refits, _: evaluate(PopulationPair(*(GroupFit.from_fit(f, g.design, g.sample)
+        lambda refits, _: evaluate(PopulationPair(*(GroupFit(f, g.design, g.sample)
                                                     for f, g in zip(refits, groups)))))
     results = []
     for k, (tgt, (auc, band_hat, youden)) in enumerate(zip(targets, evaluate(pair))):

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, output schemas, config precedence."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import read_table
-from robroc.cli import main
+from robroc.cli import _build_parser, main
 from robroc.simulate import generate, scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,6 +178,8 @@ class TestExitCodes:
          "--seed must be at least 0, got -1"),
         (["auc", "--ci", "--seed", "-1"], "--seed must be at least 0, got -1"),
         (["uauc", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["fit", "--covariates", "age,age", "--knots", "2,cat"],
+         "--covariates names a covariate twice: age,age"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
         # settings are checked before the data file is read; the case's own
@@ -498,3 +501,10 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert (out / "auc.csv").exists()
         assert (out / "manifest.json").exists()
+
+    def test_every_option_has_help(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, p in sub.choices.items():
+            for action in p._actions:
+                assert action.help, f"{name} {'/'.join(action.option_strings)} has no help"

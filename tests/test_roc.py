@@ -10,11 +10,11 @@ from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
 from robroc.roc import (GroupStack, PopulationPair, auc_closed_form, auc_grid, auc_simpson,
                         composite_simpson, evaluate, evaluate_stack, fit_pair, GroupFit,
-                        predict_mean,
                         robust_unconditional_auc, roc_curve, roc_values,
                         unconditional_auc, youden_index)
 from robroc.simulate import generate, scenario
 from robroc.splines import SplineSpec
+from robroc.wecdf import WeightedEcdf
 
 X0 = np.array([0.0])
 
@@ -28,7 +28,7 @@ def hand_group(values, weights=None, sigma=1.0) -> GroupFit:
     fit = RobustFit(beta=np.zeros(2), sigma=sigma, std_residuals=v,
                     huber_weights=np.ones(n), truncated_weights=w,
                     iterations=1, converged=True)
-    return GroupFit.from_fit(fit, SplineSpec((None,)))
+    return GroupFit(fit, SplineSpec((None,)))
 
 
 def hand_pair(nd_values, d_values, nd_weights=None, d_weights=None):
@@ -47,6 +47,12 @@ def linear_samples(rng, n_nd, n_d):
     nd = GroupSample(outcomes=y_nd, covariates=x_nd[:, None], label="nondiseased")
     d = GroupSample(outcomes=y_d, covariates=x_d[:, None], label="diseased")
     return nd, d
+
+
+def predict_mean(fit, design, x) -> float:
+    """The fitted mean at one covariate point: its design row's 1-D product
+    with the coefficients."""
+    return float(design.matrix(np.atleast_1d(np.asarray(x, dtype=float))[None])[0] @ fit.beta)
 
 
 def adjusted_values(pair, x):
@@ -378,8 +384,7 @@ class TestEvaluate:
                                 self.T, youden=True)
         assert values[2][0, 0, 0] < 0.0
         for i in range(3):
-            pair = PopulationPair(*(GroupFit.from_fit(f, SplineSpec((None,)))
-                                    for f in (nd[i], d[i])))
+            pair = PopulationPair(*(GroupFit(f, SplineSpec((None,))) for f in (nd[i], d[i])))
             for got, want in zip(values, evaluate(pair, rows, rows, self.T, youden=True)):
                 assert got[i].tobytes() == want.tobytes()
 
@@ -539,6 +544,18 @@ class TestUnconditionalAuc:
         with pytest.raises(ValueError):
             unconditional_auc([1.0, 2.0], [1.0], w_nondiseased=[1.0])
 
+    @pytest.mark.parametrize("y_nd, y_d", [([1.0, np.nan], [2.0]), ([1.0, 3.0], [np.inf]),
+                                           ([-np.inf, 3.0], [2.0])])
+    def test_non_finite_outcomes_rejected(self, y_nd, y_d):
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            unconditional_auc(y_nd, y_d)
+
+    @pytest.mark.parametrize("w_nd, w_d", [([1.0, -5.0], None), ([1.0, 0.0], None),
+                                           (None, [np.nan]), (None, [np.inf])])
+    def test_weights_not_positive_and_finite_rejected(self, w_nd, w_d):
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            unconditional_auc([1.0, 3.0], [2.0], w_nd, w_d)
+
     def test_robust_weights_downweight_outliers(self):
         rng = np.random.default_rng(97)
         y_nd = rng.normal(0.0, 1.0, 80)
@@ -575,6 +592,24 @@ class TestRobustUnconditionalAucTies:
                 elif yi == yj:
                     total += 0.5 * wi * wj
         assert auc == pytest.approx(total / (w_nd.sum() * w_d.sum()), abs=1e-12)
+
+
+class TestGroupFit:
+    def test_stack_is_the_one_row_stack_of_its_fit(self):
+        # evaluate reads the stack, and ecdf is its row: the distribution
+        # the truncated weights give the standardized residuals
+        pair = fit_pair(*generate(scenario("III", contamination=0.05), 80, 60, seed=5), 1)
+        for g in (pair.nondiseased, pair.diseased):
+            want = GroupStack.from_fits([g.fit])
+            assert g.stack.beta.tobytes() == want.beta.tobytes()
+            assert g.stack.sigma.tobytes() == want.sigma.tobytes()
+            for name in ("support", "weights", "cum_weights", "sizes", "total"):
+                assert getattr(g.stack.ecdf, name).tobytes() == \
+                    getattr(want.ecdf, name).tobytes(), name
+            ecdf = WeightedEcdf.from_residuals(g.fit.std_residuals, g.fit.truncated_weights)
+            for name in ("support", "weights", "cum_weights", "total"):
+                assert np.asarray(getattr(g.ecdf, name)).tobytes() == \
+                    np.asarray(getattr(ecdf, name)).tobytes(), name
 
 
 class TestPairCarriesItsInputs:

@@ -11,10 +11,10 @@ from conftest import assert_same_group
 from robroc import simulate
 from robroc.data import GroupSample
 from robroc.errors import DataError, NumericalError
-from robroc.huber import ols_as_robust_fit
+from robroc.huber import ols_refit
 from robroc.model_select import select_knots
 from robroc.roc import (GroupFit, PopulationPair, auc_closed_form, auc_grid, auc_simpson,
-                        fit_pair, predict_mean)
+                        fit_pair)
 from robroc.simulate import (ESTIMATORS, Scenario, _contaminated_count,
                              comparator_fit, generate, run_study, scenario,
                              true_auc)
@@ -203,8 +203,7 @@ class TestComparatorFit:
         linear = comparator_fit("ols_linear", nd)
         spline = comparator_fit("ols_bspline", nd, n_interior=0)
         for x in np.linspace(0.2, 0.8, 13):
-            a = predict_mean(linear.fit, linear.design, [x])
-            b = predict_mean(spline.fit, spline.design, [x])
+            a, b = (g.design.matrix([[x]])[0] @ g.fit.beta for g in (linear, spline))
             assert abs(a - b) < 0.08
 
     def test_unknown_kind_rejected(self):
@@ -217,11 +216,13 @@ class TestComparatorFit:
 def reference_comparator(kind, sample, n_interior=0):
     """comparator_fit as the per-sample route it replaced: the spec of the
     one-row design stack (or the all-passthrough spec), its matrix and
-    ols_as_robust_fit."""
+    ols_refit of the one outcome row."""
     spec = (SplineSpec((None,) * sample.n_covariates) if kind == "ols_linear"
             else design_stack(sample.covariates[None], n_interior)[0][0])
-    fit = ols_as_robust_fit(spec.matrix(sample.covariates), sample.outcomes)
-    return GroupFit.from_fit(fit, spec, sample)
+    fit = ols_refit(spec.matrix(sample.covariates), sample.outcomes[None])[0]
+    if isinstance(fit, NumericalError):
+        raise fit
+    return GroupFit(fit, spec, sample)
 
 
 def fitted_or_error(fn, *args):
@@ -298,6 +299,11 @@ class TestRunStudy:
     def test_estimator_names_validated(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             run_study(scenario("I"), 30, 30, 1, estimators=("lasso",))
+
+    @pytest.mark.parametrize("n_replicates", [0, -1])
+    def test_fewer_than_one_replicate_rejected(self, n_replicates):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            run_study(scenario("I"), 30, 30, n_replicates)
 
     def test_grid_column_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grid"):
