@@ -49,8 +49,16 @@ _SINGULAR = "singular design matrix"
 _COLLAPSED_SCALE = "degenerate scale: MAD of residuals is zero"
 
 
+def _check_tuning(b) -> None:
+    """Refuse a tuning constant b that is not positive (NaN included); b =
+    inf, least squares, is valid."""
+    if not b > 0.0:
+        raise ValueError(f"tuning constant must be positive, got {b}")
+
+
 def huber_psi(u, b: float = DEFAULT_TUNING):
     """Derivative of the Huber loss (the influence function)."""
+    _check_tuning(b)
     u = np.asarray(u, dtype=float)
     out = np.clip(u, -b, b)
     return float(out) if out.ndim == 0 else out
@@ -58,6 +66,7 @@ def huber_psi(u, b: float = DEFAULT_TUNING):
 
 def huber_weight(u, b: float = DEFAULT_TUNING):
     """IRLS weight psi(u)/u = min(1, b/|u|), equal to 1 at u = 0."""
+    _check_tuning(b)
     au = np.abs(np.asarray(u, dtype=float))
     # b / max(|u|, b) is min(1, b/|u|) bit for bit, 0, inf and NaN included,
     # and never divides by zero; at b = inf (least squares) it would be

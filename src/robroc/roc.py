@@ -140,6 +140,18 @@ def evaluate(pair: PopulationPair, rows_nd: np.ndarray, rows_d: np.ndarray, t=No
         pair.nondiseased.stack, pair.diseased.stack, rows_nd, rows_d, t, youden))
 
 
+def _means(rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The (m, k) fitted means of m coefficient rows beta (m, q) at k design
+    rows: (k, q) rows that every pair shares, or an (m, k, q) stack.
+
+    It is one matmul of (1, q) @ (q, 1) products, which numpy takes each
+    through the float64 dot of a 1-D row @ beta, so every mean has that
+    product's bits.  A 2-D rows @ beta (a gemv or gemm) can differ by an
+    ulp, and that can move the Youden index by a point mass.
+    """
+    return np.matmul(rows[..., None, :], beta[:, None, :, None])[..., 0, 0]
+
+
 def evaluate_stack(nd: GroupStack, d: GroupStack, rows_nd, rows_d, t=None,
                    youden: bool = False):
     """evaluate for each of m fitted pairs (nd's row i, d's row i) at k
@@ -163,15 +175,7 @@ def evaluate_stack(nd: GroupStack, d: GroupStack, rows_nd, rows_d, t=None,
     if (nd.sigma <= 0.0).any() or (d.sigma <= 0.0).any():
         raise NumericalError("degenerate scale in fitted pair")
     m = nd.sigma.size
-
-    def means(rows, group):
-        # each mean is one design row's 1-D product with beta: a 2-D
-        # rows @ beta can differ by an ulp, and that can move the Youden
-        # index by a point mass
-        stack = np.broadcast_to(rows, (m,) + rows.shape[-2:])
-        return np.array([[row @ b for row in r] for r, b in zip(stack, group.beta)])
-
-    mu_nd, mu_d = means(rows_nd, nd), means(rows_d, d)
+    mu_nd, mu_d = _means(rows_nd, nd.beta), _means(rows_d, d.beta)
     # sigma * eps per support point, +inf on the padding
     spread_nd = nd.sigma[:, None] * nd.ecdf.support
     spread_d = d.sigma[:, None] * d.ecdf.support
@@ -179,7 +183,8 @@ def evaluate_stack(nd: GroupStack, d: GroupStack, rows_nd, rows_d, t=None,
     # mu_d + sigma_d * eps, per pair and point; the nondiseased adjusted
     # values are sorted, so one searchsorted per point finds it, and each
     # diseased row is cut to its own support, since padding would change the
-    # dot's and the sum's summation order
+    # dot's and the sum's summation order.  The pair's k dots are one matmul
+    # of (1, s) @ (s, 1) products, each the 1-D d_w @ covered dot
     covered = np.concatenate([np.zeros((m, 1)), nd.ecdf.cum_weights], axis=1)
     auc = np.empty(mu_nd.shape)
     d_sums = np.empty(m)
@@ -187,8 +192,9 @@ def evaluate_stack(nd: GroupStack, d: GroupStack, rows_nd, rows_d, t=None,
         d_w = d.ecdf.weights[i, :s]
         adj_nd = mu_nd[i, :, None] + spread_nd[i]
         adj_d = mu_d[i, :, None] + spread_d[i, :s]
-        auc[i] = [d_w @ covered[i, a_nd.searchsorted(a_d, side="right")]
-                  for a_nd, a_d in zip(adj_nd, adj_d)]
+        idx = np.array([a_nd.searchsorted(a_d, side="right")
+                        for a_nd, a_d in zip(adj_nd, adj_d)], dtype=np.intp).reshape(adj_d.shape)
+        auc[i] = np.matmul(covered[i, idx][:, None, :], d_w[:, None])[:, 0, 0]
         d_sums[i] = d_w.sum()
     auc /= (nd.ecdf.total * d_sums)[:, None]
     roc = None

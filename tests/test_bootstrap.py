@@ -80,6 +80,12 @@ class TestPercentileInterval:
         # and 99, where a floor would give 2 and 98
         assert percentile_interval(np.arange(101.0), 0.05) == (2.0, 98.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        # at 1.5 the nearest ranks would give a lower bound above the upper
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            percentile_interval(np.arange(10.0), alpha)
+
     def test_brackets_center(self):
         rng = np.random.default_rng(13)
         values = rng.normal(size=501)

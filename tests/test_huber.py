@@ -103,6 +103,14 @@ class TestLossPieces:
             assert np.array_equal(huber_weight(u, b), expected, equal_nan=True)
         assert huber_weight(0.0, b) == 1.0
 
+    @pytest.mark.parametrize("fn", [huber_psi, huber_weight])
+    @pytest.mark.parametrize("b", [-1.0, 0.0, -np.inf, np.nan])
+    def test_tuning_not_positive_rejected(self, fn, b):
+        # unchecked, huber_weight([1.0], -1) gave a weight of -1 and at
+        # b = 0 a weight of 0; huber_psi([1.0], -1) gave -1
+        with pytest.raises(ValueError, match="tuning constant must be positive"):
+            fn([1.0], b)
+
     def test_vectorized_shapes(self):
         u = np.array([[0.0, 2.0], [-3.0, 1.0]])
         assert huber_rho(u).shape == (2, 2)

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (assert_same_group, binary_samples, point_auc, point_roc, point_youden,
                       reference_fit_pair, row_means)
 from robroc.data import GroupSample
 from robroc.errors import NumericalError
 from robroc.huber import FitConfig, RobustFit, irls_fit
-from robroc.roc import (GroupStack, PopulationPair, auc_closed_form, auc_grid, auc_simpson,
-                        composite_simpson, evaluate, evaluate_stack, fit_pair, GroupFit,
-                        robust_unconditional_auc, roc_curve, roc_values,
+from robroc.roc import (_means, GroupStack, PopulationPair, auc_closed_form, auc_grid,
+                        auc_simpson, composite_simpson, evaluate, evaluate_stack, fit_pair,
+                        GroupFit, robust_unconditional_auc, roc_curve, roc_values,
                         unconditional_auc, youden_index)
 from robroc.simulate import generate, scenario
 from robroc.splines import SplineSpec
@@ -396,6 +398,58 @@ class TestEvaluate:
         assert np.array_equal(result.roc_values, roc_values(pair, x, self.T))
         assert result.auc_closed_form == auc_closed_form(pair, x)
         assert result.auc_simpson == auc_simpson(pair, x, 40)
+
+
+def signed_magnitudes(rng, shape) -> np.ndarray:
+    """Values of either sign with magnitudes log-uniform on [1e-3, 1e3]."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+
+@st.composite
+def product_stacks(draw):
+    """m fitted pairs of q coefficients at k points, with shared (k, q) or
+    stacked (m, k, q) design rows, and residual rows of the drawn lengths;
+    integer residuals tie, so their supports are shorter than the rows."""
+    q, k, m = draw(st.integers(1, 13)), draw(st.integers(0, 45)), draw(st.integers(1, 30))
+    shared, tied = draw(st.booleans()), draw(st.booleans())
+    n_nd, n_d = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [signed_magnitudes(rng, (k, q) if shared else (m, k, q)) for _ in range(2)]
+
+    def fits(n):
+        out = []
+        for _ in range(m):
+            e = rng.integers(-4, 5, n).astype(float) if tied else rng.normal(size=n)
+            out.append(RobustFit(beta=signed_magnitudes(rng, q), sigma=rng.uniform(0.1, 10.0),
+                                 std_residuals=e, huber_weights=np.ones(n),
+                                 truncated_weights=rng.uniform(0.2, 1.8, n), iterations=1,
+                                 converged=True))
+        return out
+
+    return rows, fits(n_nd), fits(n_d)
+
+
+class TestBatchedProductsKeepBits:
+    """evaluate_stack's means and AUC sums are batched matmuls of (1, q) @
+    (q, 1) and (1, s) @ (s, 1) products.  They must keep, bit for bit, the
+    1-D products they replaced, so that a numpy release that takes this
+    shape off the dot kernel fails here, not in a moved Youden index."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(product_stacks())
+    def test_means_and_auc_sums_equal_one_dimensional_products(self, drawn):
+        rows, nd_fits, d_fits = drawn
+        nd, d = GroupStack.from_fits(nd_fits), GroupStack.from_fits(d_fits)
+        means = [_means(r, g.beta) for r, g in zip(rows, (nd, d))]
+        auc = evaluate_stack(nd, d, *rows)[0]
+        for i, fits in enumerate(zip(nd_fits, d_fits)):
+            want = [np.array(row_means(f, r if r.ndim == 2 else r[i]), dtype=float)
+                    for f, r in zip(fits, rows)]
+            for got, w in zip(means, want):
+                assert got[i].tobytes() == w.tobytes()
+            pair = PopulationPair(*(GroupFit(f, SplineSpec((None,))) for f in fits))
+            assert auc[i].tobytes() == np.array([point_auc(pair, *mu) for mu in zip(*want)],
+                                                dtype=float).tobytes()
 
 
 class TestExactIntegralIdentity:

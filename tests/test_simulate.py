@@ -445,9 +445,17 @@ class TestEqualsParentLoop:
         assert report.knot_counts == (counts if select_candidates is not None else None)
         return report
 
-    def test_study_workload_case(self):
-        # 25 replicates of 200: one chunk of 20 and a remainder of 5
+    def test_study_workload_case(self, monkeypatch):
+        # 25 replicates of 200 at 4096 values a chunk: one chunk of 20 and a
+        # remainder of 5
+        monkeypatch.setattr(simulate, "REFIT_CHUNK_VALUES", 4096)
         assert simulate.REFIT_CHUNK_VALUES // 200 == 20
+        self.assert_equal_studies(scenario("IV", contamination=0.05), 200, 100, 25, 0,
+                                  ("robust", "ols_linear"), 0, [0, 3])
+
+    def test_study_workload_case_at_the_default_chunk(self):
+        # the same 25 replicates in one chunk
+        assert simulate.REFIT_CHUNK_VALUES // 200 >= 25
         self.assert_equal_studies(scenario("IV", contamination=0.05), 200, 100, 25, 0,
                                   ("robust", "ols_linear"), 0, [0, 3])
 
