@@ -27,7 +27,7 @@ from .errors import NumericalError
 # irls_fit stays bound here beside irls_refit: bench/tracer.py wraps it at
 # every module-level name, bootstrap's included, and bench/test_bench.py
 # checks that
-from .huber import irls_fit, irls_refit
+from .huber import _check_integer, irls_fit, irls_refit
 from .roc import GroupStack, PopulationPair, evaluate, evaluate_stack, unconditional_auc
 from .splines import _two_dim
 
@@ -51,6 +51,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_replicates < 1:
             raise ValueError("need at least one bootstrap replicate")
+        _check_integer("n_replicates", self.n_replicates, 1)
+        _check_integer("seed", self.seed, 0)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
 

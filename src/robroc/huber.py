@@ -35,6 +35,7 @@ get weight one, the rest keep their Huber weight.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,13 @@ def _check_tuning(b) -> None:
     inf, least squares, is valid."""
     if not b > 0.0:
         raise ValueError(f"tuning constant must be positive, got {b}")
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Refuse a count or seed that is not a Python or numpy integer of at
+    least `least`, naming it."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def huber_psi(u, b: float = DEFAULT_TUNING):
@@ -76,17 +84,15 @@ def huber_weight(u, b: float = DEFAULT_TUNING):
 
 
 def _row_mad_scales(R: np.ndarray) -> np.ndarray:
-    """The MAD scale of each row of R, by one selection along the rows: the
-    middle order statistics, and the last place, where any NaN sorts."""
+    """The MAD scale of each row of R, from one sort along the rows: the
+    middle order statistics, and the last place, where any NaN sorts.  The
+    sort finds the same order statistics as np.median's selection, so each
+    scale is 1.4826 * np.median(|r|) bit for bit, NaN for a row with a NaN."""
     a = np.abs(R)
+    a.sort(axis=1)
     n = a.shape[1]
     k = n // 2
-    if n % 2:
-        a.partition((k, n - 1), axis=1)
-        mid = a[:, k]
-    else:
-        a.partition((k - 1, k, n - 1), axis=1)
-        mid = (a[:, k - 1] + a[:, k]) / 2.0
+    mid = a[:, k] if n % 2 else (a[:, k - 1] + a[:, k]) / 2.0
     return MAD_FACTOR * np.where(np.isnan(a[:, -1]), np.nan, mid)
 
 
@@ -100,8 +106,7 @@ class FitConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        _check_integer("max_iterations", self.max_iterations, 1)
         for name in ("tol", "tuning", "truncation"):
             value = getattr(self, name)
             if not value > 0.0:
@@ -138,8 +143,10 @@ def _workspace(n: int, q: int) -> tuple[int, int]:
     return int(geqp3_work[0]), int(orgqr_work[0])
 
 
-def _lapack_ok(name: str, info: int) -> None:
-    if info != 0:
+def _lapack_ok(name: str, infos) -> None:
+    """Raise the first nonzero info of a routine's calls across a stack."""
+    info = next((i for i in infos if i), 0)
+    if info:
         raise NumericalError(f"LAPACK {name} failed with info={info}")
 
 
@@ -162,39 +169,44 @@ def _stacked_lstsq(Zs: np.ndarray, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     pivoting=True) and solve_triangular directly, in the same order and with
     the same arguments (dgeqp3, dorgqr, then dtrtrs on R.T as lower and
     transposed), so each solution is bit for bit theirs without their
-    per-call wrapper cost.  The LAPACK calls and Q^T y run system by system;
-    the rank check (the triangular factor's diagonal, with a 1e-10 relative
-    threshold) and the finite check run once across the stack between them.
-    Zs is overwritten: a Fortran-ordered Zs[i] is factored in place.
-    Returns the solutions, NaN for the singular systems, and the mask of
-    those systems.
+    per-call wrapper cost.  The three LAPACK routines still run system by
+    system, since each factors or solves one matrix; their infos are
+    checked once per routine across the stack.  The rank check (the
+    triangular factor's diagonal, with a 1e-10 relative threshold), Q^T y
+    and the finite check run once across the stack.  dorgqr leaves each Q
+    in place of its system, so Q^T y is one stacked np.matmul of the
+    (q, n) @ (n, 1) products, each through the same gemv as a one-system
+    Q.T @ y, and therefore the same bits.  Zs is overwritten: each system
+    is factored in place, after one up-front copy of the stack unless
+    every Zs[i] is Fortran-ordered.  Returns the solutions, NaN for the
+    singular systems, and the mask of those systems.
     """
     m, n, q = Zs.shape
     if Zs.size == 0 or n < q:
         return np.full((m, q), np.nan), np.ones(m, dtype=bool)
+    # each system's transpose, C-ordered and writeable, is the system
+    # Fortran-ordered, which LAPACK factors in place
+    systems = Zs.transpose(0, 2, 1)
+    if not systems.flags.carray:
+        systems = systems.copy()
+        Zs = systems.transpose(0, 2, 1)
     geqp3_lwork, orgqr_lwork = _workspace(n, q)
-    factors = [dgeqp3(Z, geqp3_lwork, 1) for Z in Zs]
-    for *_, info in factors:
-        _lapack_ok("dgeqp3", info)
-    # each R, copied before dorgqr overwrites its qr
-    R = np.array([qr[:q] for qr, *_ in factors])
+    _, jpvts, taus, _, infos = zip(*[dgeqp3(Z, geqp3_lwork, 1) for Z in Zs])
+    _lapack_ok("dgeqp3", infos)
+    # each R, copied before dorgqr overwrites its system
+    R = Zs[:, :q].copy()
     diag = np.abs(R.diagonal(0, 1, 2))
     singular = diag.min(axis=1) <= 1e-10 * diag.max(axis=1)
     solved = (~singular).nonzero()[0].tolist()
-    rhs = np.zeros((m, q))
-    for i in solved:
-        qr, _, tau, _, _ = factors[i]
-        Q, _, info = dorgqr(qr, tau, orgqr_lwork, 1)
-        _lapack_ok("dorgqr", info)
-        rhs[i] = Q.T @ Ys[i]
-    _require_finite(rhs)
-    x = np.empty((m, q))
+    _lapack_ok("dorgqr", [dorgqr(Zs[i], taus[i], orgqr_lwork, 1)[2] for i in solved])
+    # a singular system's product is never used
+    x = np.matmul(systems, Ys[:, :, None])[:, :, 0]
+    _require_finite(x[~singular])
+    # dtrtrs solves each system in place of its Q^T y
+    _lapack_ok("dtrtrs", [dtrtrs(R[i].T, x[i], 1, 1, overwrite_b=1)[1] for i in solved])
     x[singular] = np.nan
-    for i in solved:
-        x[i], info = dtrtrs(R[i].T, rhs[i], 1, 1)
-        _lapack_ok("dtrtrs", info)
     beta = np.empty((m, q))
-    beta[np.arange(m)[:, None], np.array([f[1] for f in factors]) - 1] = x
+    beta[np.arange(m)[:, None], np.array(jpvts) - 1] = x
     return beta, singular
 
 

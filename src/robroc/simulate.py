@@ -38,7 +38,7 @@ from scipy.special import ndtr
 from .bootstrap import REFIT_CHUNK_VALUES
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, irls_refit, ols_refit
+from .huber import FitConfig, _check_integer, irls_refit, ols_refit
 from .model_select import _layouts, _ranked, _scored
 from .roc import GroupFit, GroupStack, _sample_fit, evaluate_stack
 from .splines import _counts, _two_dim, design_stack, grid_stack
@@ -269,6 +269,8 @@ def run_study(scn: Scenario, n_nondiseased: int, n_diseased: int,
     """
     if n_replicates < 1:
         raise ValueError(f"need at least one replicate, got {n_replicates}")
+    _check_integer("n_replicates", n_replicates, 1)
+    _check_integer("seed", seed, 0)
     p = scn.n_covariates
     plans = {}
     for kind in estimators:

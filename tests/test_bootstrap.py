@@ -116,6 +116,14 @@ class TestBootstrapConfig:
             BootstrapConfig(alpha=1.0)
         cfg = BootstrapConfig(n_replicates=10, alpha=0.1, seed=4)
         assert (cfg.n_replicates, cfg.alpha, cfg.seed) == (10, 0.1, 4)
+        cfg = BootstrapConfig(n_replicates=np.int64(10), seed=np.uint32(4))
+        assert (cfg.n_replicates, cfg.seed) == (10, 4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", "3"), ("n_replicates", 2.5), ("n_replicates", 3.0)])
+    def test_seed_and_count_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BootstrapConfig(**{field: value})
 
 
 class TestResampleIndices:

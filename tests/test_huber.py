@@ -121,14 +121,17 @@ class TestLossPieces:
 
 class TestFitConfig:
     @pytest.mark.parametrize("field, value", [
-        ("max_iterations", 0), ("max_iterations", -2), ("tol", 0.0), ("tol", -1.0),
-        ("tol", float("nan")), ("tuning", 0.0), ("truncation", -3.0)])
+        ("max_iterations", 0), ("max_iterations", -2), ("max_iterations", 2.5),
+        ("max_iterations", 3.0), ("max_iterations", "3"), ("max_iterations", None),
+        ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")), ("tuning", 0.0),
+        ("truncation", -3.0)])
     def test_nonsense_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             FitConfig(**{field: value})
 
     def test_defaults_and_infinite_tuning_accepted(self):
         assert FitConfig().max_iterations == 50
+        assert FitConfig(max_iterations=np.int32(3)).max_iterations == 3
         assert FitConfig(tuning=float("inf"), truncation=float("inf")).tol == 1e-8
 
 
@@ -161,6 +164,12 @@ class TestMadScale:
         for r in cases:
             expected = 1.4826 * np.median(np.abs(r))
             assert np.array_equal(mad_scale(r), expected, equal_nan=True)
+        # stacked rows, each row's scale that of the row alone: the row sort
+        # must keep np.median's order statistics and NaN rule row by row
+        for m in (1, 2, 7, 60):
+            stack = np.array([cases[i] for i in rng.integers(len(cases), size=m)])
+            expected = [1.4826 * np.median(np.abs(r)) for r in stack]
+            assert np.array_equal(_row_mad_scales(stack), expected, equal_nan=True)
 
     def test_input_left_unchanged(self):
         r = np.array([3.0, -1.0, 2.0, -5.0])
@@ -267,6 +276,21 @@ class TestScaledLstsq:
                 assert np.array_equal(b, wrapper_lstsq(Z, y, w))
                 assert np.array_equal(ols_fit(Z, y).beta,
                                       wrapper_lstsq(Z, y, np.ones(n)))
+        if n > 300:
+            return
+        # a bootstrap-sized stack of Fortran-ordered systems with one singular
+        # system in the middle (weights zero past its first q - 1 rows): each
+        # solved system's Q^T y comes from the stacked product, and must match
+        Z = rng.normal(size=(n, q)) * rng.uniform(0.01, 100.0, size=q)
+        Z[:, 0] = 1.0
+        Y = rng.standard_t(3, size=(51, n)) * 10.0
+        W = huber_weight(rng.standard_t(2, size=(51, n)), B)
+        W[25, q - 1:] = 0.0
+        beta, singular = huber._stacked_lstsq(scaled_stack(Z, W), Y * np.sqrt(W))
+        assert singular.nonzero()[0].tolist() == [25]
+        assert np.isnan(beta[25]).all()
+        for i in np.flatnonzero(~singular):
+            assert np.array_equal(beta[i], wrapper_lstsq(Z, Y[i], W[i]))
 
     @pytest.mark.parametrize("column", ["duplicate", "zero"])
     def test_singular_design_rejected(self, column):

@@ -305,6 +305,12 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="at least one replicate"):
             run_study(scenario("I"), 30, 30, n_replicates)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("seed", {"seed": -1}), ("seed", {"seed": 1.5}), ("n_replicates", {"n_replicates": 2.5})])
+    def test_seed_and_count_must_be_integers(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            run_study(scenario("I"), 30, 30, **{"n_replicates": 2, **kwargs})
+
     def test_grid_column_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             run_study(scenario("IV"), 30, 30, 1,
