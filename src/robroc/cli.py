@@ -6,7 +6,8 @@ ROBROC_CONFIG environment variable) > built-in default.  Every run writes
 CSV tables plus a manifest.json into --out.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure.  A new setting is declared once,
 as a RunConfig field: its flag, config key, type, default, help, flag group
-and least value all come from there.
+and least value all come from there.  Option strings (comma-separated
+lists, knot counts, start:stop:count grids) are parsed here too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import __version__
 from .bootstrap import BootstrapConfig, residual_bootstrap, unconditional_auc_bootstrap
 from .errors import DataError, NumericalError, UsageError
 from .huber import FitConfig
-from .io import parse_grid, parse_knots, parse_values, read_csv, write_manifest, write_table
+from .io import read_csv, write_manifest, write_table
 from .model_select import knot_grid, select_knots
 from .roc import auc_grid, evaluate, fit_pair, robust_unconditional_auc, roc_curve
 from .simulate import ESTIMATORS, run_study, scenario
@@ -68,13 +69,18 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _items(raw) -> list[str]:
+    """The non-empty items of a comma-separated option string, stripped."""
+    return [s.strip() for s in str(raw).split(",") if s.strip()]
+
+
 def _typed(f, raw, source: str):
     """A flag or config-file string as field f's annotated type; source
     names it in the error.  A typed value (a store_true flag) passes."""
     if not isinstance(raw, str) or f.type.startswith("str"):
         return raw
     if f.type == "list[str]":
-        return [c.strip() for c in raw.split(",") if c.strip()]
+        return _items(raw)
     if f.type == "bool":
         value = _BOOLEANS.get(raw.strip().lower())
         if value is None:
@@ -226,12 +232,60 @@ def _check(cfg: RunConfig, args) -> tuple[FitConfig, BootstrapConfig | None]:
 def _ints(flag: str, raw: str, least: int) -> list[int]:
     """Parse a non-empty comma-separated list of integers, none below least."""
     try:
-        values = [int(s) for s in str(raw).split(",") if s.strip()]
+        values = [int(s) for s in _items(raw)]
     except ValueError:
         values = []
     if not values or min(values) < least:
         raise UsageError(f"{flag} needs comma-separated integers >= {least}, got {raw!r}")
     return values
+
+
+def parse_knots(raw: str, n_covariates: int) -> list[int | None]:
+    """Per-covariate interior knot counts; 'cat' marks a 0/1 passthrough
+    column; a single entry broadcasts to all covariates."""
+    items = _items(raw)
+    if not items:
+        raise UsageError("empty knots specification")
+    parsed: list[int | None] = []
+    for item in items:
+        if item.lower() == "cat":
+            parsed.append(None)
+        else:
+            try:
+                value = int(item)
+            except ValueError:
+                raise UsageError(f"bad knot count {item!r}") from None
+            if value < 0:
+                raise UsageError(f"knot count must be >= 0, got {value}")
+            parsed.append(value)
+    if len(parsed) == 1 and n_covariates > 1:
+        parsed = parsed * n_covariates
+    if len(parsed) != n_covariates:
+        raise UsageError(
+            f"{len(parsed)} knot entries for {n_covariates} covariates"
+        )
+    return parsed
+
+
+def parse_grid(raw: str) -> np.ndarray:
+    """Parse 'start:stop:count' into an inclusive linspace."""
+    parts = str(raw).split(":")
+    if len(parts) != 3:
+        raise UsageError(f"grid must be start:stop:count, got {raw!r}")
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise UsageError(f"grid must be start:stop:count, got {raw!r}") from None
+    if count < 1:
+        raise UsageError("grid count must be >= 1")
+    return np.linspace(start, stop, count)
+
+
+def parse_values(raw: str) -> np.ndarray:
+    try:
+        return np.asarray([float(s) for s in _items(raw)])
+    except ValueError:
+        raise UsageError(f"bad numeric list {raw!r}") from None
 
 
 def _n_covariates(cfg: RunConfig) -> int:
@@ -248,7 +302,7 @@ def _load_groups(cfg: RunConfig):
         raise UsageError("no data file; pass --data or set data= in the config")
     ds = read_csv(cfg.data, cfg.outcome, cfg.disease, cfg.covariates,
                   skip_missing=cfg.skip_missing)
-    return ds.group(0), ds.group(1)
+    return ds.nondiseased, ds.diseased
 
 
 def _fitted_pair(cfg: RunConfig, fit_config: FitConfig):
@@ -432,7 +486,7 @@ def _cmd_simulate(cfg, fit_config, args, write) -> None:
     knots = parse_knots(cfg.knots, scn.n_covariates)
     if any(k is None for k in knots):
         raise UsageError("simulate expects integer knot counts")
-    estimators = tuple(s.strip() for s in cfg.estimators.split(",") if s.strip())
+    estimators = tuple(_items(cfg.estimators))
     if not estimators:
         raise UsageError(f"--estimators needs one or more of: {', '.join(ESTIMATORS)}")
     select = sorted(set(_ints("--select", cfg.select, 0))) if cfg.select else None

@@ -155,10 +155,19 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _scale_floor(y: np.ndarray) -> float:
+def _scale_floors(Y: np.ndarray) -> np.ndarray:
     # relative floor: interpolation leaves only rounding-level residue, and a
-    # scale that far below the outcome scale is a collapse, not a spread
-    return 1e-12 * max(float(np.sqrt(y @ y / y.size)), 1.0)
+    # scale that far below the outcome scale is a collapse, not a spread.
+    # Each row's RMS is sqrt(y @ y / n), a stacked matmul of the same dot
+    # products; a row whose y @ y overflows is scaled by its largest
+    # magnitude first.
+    n = Y.shape[1]
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0] / n)
+    for i in np.flatnonzero(rms == np.inf):
+        top = np.abs(Y[i]).max()
+        rms[i] = top * np.sqrt((Y[i] / top) @ (Y[i] / top) / n)
+    return 1e-12 * np.maximum(rms, 1.0)
 
 
 def _stacked_lstsq(Zs: np.ndarray, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +292,7 @@ def irls_refit(Z, Y, config: FitConfig | None,
     # the rows still iterating: their index in Y, outcomes, scale floors,
     # coefficients, residuals and (stacked) designs
     rows = np.arange(m)
-    floors = np.array([_scale_floor(y) for y in Y])
+    floors = _scale_floors(Y)
     # the scaled systems of one step, each Fortran-ordered so that LAPACK
     # factors it in place
     systems = np.empty((m, q, n))
@@ -374,9 +383,9 @@ def ols_refit(Z, Y) -> list[RobustFit | NumericalError]:
     B, singular = _lstsq_start(Z, Y, np.empty((m, q, n)))
     R = Y - np.matmul(Z, B[:, :, None])[:, :, 0]
     fits: list[RobustFit | NumericalError] = []
-    for y, b, r, bad in zip(Y, B, R, singular.tolist()):
+    for floor, b, r, bad in zip(_scale_floors(Y).tolist(), B, R, singular.tolist()):
         sigma = float(np.sqrt(r @ r / (n - q)))
-        if bad or sigma <= _scale_floor(y):
+        if bad or sigma <= floor:
             fits.append(NumericalError(_SINGULAR if bad else
                                        "degenerate scale: zero residual variance"))
         else:

@@ -1,10 +1,12 @@
-"""CSV ingestion, option-value parsers, and output tables.
+"""Data files in, output tables out.
 
-Data files are headered CSV.  Missing-value tokens ("", "NA", "NaN",
-"null", case-insensitive) either abort ingestion with the offending row
-named or, with the skip policy enabled, drop the row and count it.  Output
-tables are CSV with floats written through repr, so reading a table back
-reproduces every value exactly.
+A data file is a headered CSV with an outcome column, a 0/1 disease column
+and covariate columns, and read_csv returns it as its two groups.
+Missing-value tokens ("", "NA", "NaN", "null", case-insensitive) either
+abort ingestion with the offending row named or, with the skip policy
+enabled, drop the row and count it.  Every fault in a data file is a
+DataError.  Output tables are CSV with floats written through repr, so
+reading a table back reproduces every value exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroupSample
-from .errors import DataError, UsageError
+from .errors import DataError
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 _FLAGS = (0.0, 1.0)
@@ -26,78 +28,59 @@ _FLAGS = (0.0, 1.0)
 
 @dataclass
 class Dataset:
-    """Parsed study data: one outcome, one 0/1 disease marker, covariates."""
+    """A study table as its two groups, each holding its 1-based data-row
+    numbers, and the number of rows skipped for missing values."""
 
-    outcomes: np.ndarray
-    disease: np.ndarray
-    covariates: np.ndarray
-    outcome_name: str
-    disease_name: str
-    covariate_names: list[str]
-    rows: np.ndarray
+    nondiseased: GroupSample
+    diseased: GroupSample
     n_skipped: int = 0
 
     @property
     def n(self) -> int:
-        return self.outcomes.size
-
-    def group(self, label: int) -> GroupSample:
-        mask = self.disease == label
-        name = "diseased" if label == 1 else "nondiseased"
-        if not np.any(mask):
-            raise DataError(f"no rows with {self.disease_name} == {label}")
-        return GroupSample(
-            outcomes=self.outcomes[mask],
-            covariates=self.covariates[mask],
-            label=name,
-            rows=self.rows[mask],
-        )
+        return self.nondiseased.n + self.diseased.n
 
 
-def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in _MISSING_TOKENS
-
-
-def _checked_row(i: int, row: list[str], column: dict[str, int], used: list[str],
-                 disease: str, skip_missing: bool) -> list[float] | None:
+def _checked_row(i: int, row: list[str], cols: list[int], used: list[str],
+                 skip_missing: bool) -> list[float] | None:
     """Parse data row i cell by cell, naming its first fault in this order: a
-    missing token, an unparseable cell, a disease code other than 0/1.
+    missing token, an unparseable cell, a disease code other than 0/1.  cols
+    holds the column of each name in used, whose second is the disease.
     Return the used columns' values, or None when the row is skipped."""
-    cells = {name: (row[column[name]] if column[name] < len(row) else "")
-             for name in used}
-    missing = [name for name, cell in cells.items() if _is_missing(cell)]
-    if missing:
-        if skip_missing:
-            return None
-        raise DataError(f"missing value in column {missing[0]!r} at data row {i}")
-    parsed = {}
-    for name, cell in cells.items():
+    cells = [row[j] if j < len(row) else "" for j in cols]
+    for name, cell in zip(used, cells):
+        if cell.strip().lower() in _MISSING_TOKENS:
+            if skip_missing:
+                return None
+            raise DataError(f"missing value in column {name!r} at data row {i}")
+    parsed = []
+    for name, cell in zip(used, cells):
         try:
-            parsed[name] = float(cell)
+            parsed.append(float(cell))
         except ValueError:
             raise DataError(
                 f"cannot parse {cell!r} in column {name!r} at data row {i}"
             ) from None
-    if parsed[disease] not in _FLAGS:
+    if parsed[1] not in _FLAGS:
         raise DataError(
-            f"disease column {disease!r} must be 0 or 1, got {cells[disease]!r}"
+            f"disease column {used[1]!r} must be 0 or 1, got {cells[1]!r}"
             f" at data row {i}"
         )
-    return [parsed[name] for name in used]
+    return parsed
 
 
 def read_csv(path, outcome: str, disease: str, covariates,
              skip_missing: bool = False) -> Dataset:
-    """Load a headered CSV into a Dataset.
+    """Load a headered CSV as its nondiseased (disease 0) and diseased
+    (disease 1) groups.
 
     Row numbers in error messages are 1-based data rows (the header is row
     0); blank lines are not counted.  Where a column name repeats in the
     header, its last column is used.  With skip_missing, rows containing a
     missing token in any used column are dropped and counted instead of
     raising.  A file the csv module cannot split, or that does not decode,
-    is a DataError too.
+    is a DataError too, and so is a group with no rows or with a
+    non-finite value.
     """
-    covariates = list(covariates)
     used = [outcome, disease, *covariates]
     try:
         # utf-8-sig also drops the byte-order mark that Excel writes
@@ -118,7 +101,8 @@ def read_csv(path, outcome: str, disease: str, covariates,
                     raise DataError(
                         f"column {name!r} not in data file (columns: {', '.join(header)})"
                     )
-            pick = operator.itemgetter(*(column[name] for name in used))
+            cols = [column[name] for name in used]
+            pick = operator.itemgetter(*cols)
             # A row whose used cells all parse, none to NaN, with a 0/1
             # disease code is taken as it is; any other row is parsed again
             # cell by cell to find its fault.  A NaN may be a missing token.
@@ -128,7 +112,7 @@ def read_csv(path, outcome: str, disease: str, covariates,
                 except (ValueError, IndexError):
                     parsed = None
                 if parsed is None or parsed[1] not in _FLAGS or (s := sum(parsed)) != s:
-                    parsed = _checked_row(i, row, column, used, disease, skip_missing)
+                    parsed = _checked_row(i, row, cols, used, skip_missing)
                     if parsed is None:
                         n_skipped += 1
                         continue
@@ -142,68 +126,18 @@ def read_csv(path, outcome: str, disease: str, covariates,
     if not rows:
         raise DataError("no usable data rows")
     table = np.array(values, dtype=float).reshape(len(rows), len(used))
-    ds = Dataset(
-        outcomes=table[:, 0].copy(),
-        disease=table[:, 1].astype(int),
-        covariates=table[:, 2:].copy(),
-        outcome_name=outcome,
-        disease_name=disease,
-        covariate_names=covariates,
-        rows=np.asarray(rows, dtype=int),
-        n_skipped=n_skipped,
-    )
-    for label in (0, 1):
-        if not np.any(ds.disease == label):
+    # both labels are checked before either group is built, so that a
+    # missing group is named before a non-finite value
+    masks = [table[:, 1] == label for label in (0, 1)]
+    for label, mask in enumerate(masks):
+        if not mask.any():
             raise DataError(f"no rows with {disease} == {label}")
-    return ds
-
-
-def parse_knots(raw: str, n_covariates: int) -> list[int | None]:
-    """Per-covariate interior knot counts; 'cat' marks a 0/1 passthrough
-    column; a single entry broadcasts to all covariates."""
-    items = [s.strip() for s in str(raw).split(",") if s.strip()]
-    if not items:
-        raise UsageError("empty knots specification")
-    parsed: list[int | None] = []
-    for item in items:
-        if item.lower() == "cat":
-            parsed.append(None)
-        else:
-            try:
-                value = int(item)
-            except ValueError:
-                raise UsageError(f"bad knot count {item!r}") from None
-            if value < 0:
-                raise UsageError(f"knot count must be >= 0, got {value}")
-            parsed.append(value)
-    if len(parsed) == 1 and n_covariates > 1:
-        parsed = parsed * n_covariates
-    if len(parsed) != n_covariates:
-        raise UsageError(
-            f"{len(parsed)} knot entries for {n_covariates} covariates"
-        )
-    return parsed
-
-
-def parse_grid(raw: str) -> np.ndarray:
-    """Parse 'start:stop:count' into an inclusive linspace."""
-    parts = str(raw).split(":")
-    if len(parts) != 3:
-        raise UsageError(f"grid must be start:stop:count, got {raw!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError(f"grid must be start:stop:count, got {raw!r}") from None
-    if count < 1:
-        raise UsageError("grid count must be >= 1")
-    return np.linspace(start, stop, count)
-
-
-def parse_values(raw: str) -> np.ndarray:
-    try:
-        return np.asarray([float(s) for s in str(raw).split(",") if s.strip()])
-    except ValueError:
-        raise UsageError(f"bad numeric list {raw!r}") from None
+    rows = np.asarray(rows, dtype=int)
+    nondiseased, diseased = (
+        GroupSample(outcomes=table[mask, 0], covariates=table[mask, 2:], label=label,
+                    rows=rows[mask])
+        for mask, label in zip(masks, ("nondiseased", "diseased")))
+    return Dataset(nondiseased, diseased, n_skipped)
 
 
 def _format_cell(value) -> str:

@@ -17,6 +17,7 @@ lexicographically smallest knot vector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,9 +39,12 @@ def raic_penalty(fit: RobustFit, Z) -> float:
     b = fit.tuning
     inside = (np.abs(u) <= b).astype(float)
     psi = huber_psi(u, b)
-    s2 = fit.sigma ** 2
-    J = (Z * inside[:, None]).T @ Z / (n * s2)
-    U = (Z * (psi ** 2)[:, None]).T @ Z / (n * s2)
+    # the sigma^2 factors cancel, so where n sigma^2 overflows J and U are
+    # formed without them (a float's ** raises past sigma = 1.34e154)
+    ns2 = n * fit.sigma ** 2 if fit.sigma < 1e154 else math.inf
+    ns2 = ns2 if ns2 < math.inf else n
+    J = (Z * inside[:, None]).T @ Z / ns2
+    U = (Z * (psi ** 2)[:, None]).T @ Z / ns2
     try:
         L = np.linalg.cholesky(J)
     except np.linalg.LinAlgError:

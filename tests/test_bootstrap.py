@@ -86,6 +86,10 @@ class TestPercentileInterval:
         with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
             percentile_interval(np.arange(10.0), alpha)
 
+    def test_no_values_rejected(self):
+        with pytest.raises(ValueError, match="no replicate values"):
+            percentile_interval([], 0.05)
+
     def test_brackets_center(self):
         rng = np.random.default_rng(13)
         values = rng.normal(size=501)

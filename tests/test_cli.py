@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import read_table
-from robroc.cli import _build_parser, main
+from robroc.cli import _build_parser, main, parse_grid, parse_knots, parse_values
+from robroc.errors import UsageError
 from robroc.simulate import generate, scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,6 +182,7 @@ class TestExitCodes:
         (["uauc", "--seed", "-1"], "--seed must be at least 0, got -1"),
         (["fit", "--covariates", "age,age", "--knots", "2,cat"],
          "--covariates names a covariate twice: age,age"),
+        (["fit", "--knots", ","], "empty knots specification"),
     ])
     def test_nonsense_settings_rejected(self, tmp_path, data_csv, capsys, argv, message):
         # settings are checked before the data file is read; the case's own
@@ -190,6 +193,16 @@ class TestExitCodes:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error") and message in err
+
+    def test_disjoint_covariate_ranges_have_no_default_grid(self, tmp_path, capsys):
+        data = tmp_path / "apart.csv"
+        # nondiseased ages in [0, 1), diseased in [2, 3)
+        rng = np.random.default_rng(5)
+        rows = [f"{y!r},{flag},{x!r}" for flag in (0, 1) for y, x in
+                zip(rng.normal(size=30).tolist(), (rng.uniform(size=30) + 2 * flag).tolist())]
+        data.write_text("\n".join(["outcome,disease,age", *rows]) + "\n")
+        assert run(tmp_path, "auc", "--data", str(data), "--covariates", "age")[0] == 2
+        assert capsys.readouterr().err == "data error: group covariate ranges do not overlap\n"
 
     def test_bootstrap_settings_unused_without_ci(self, tmp_path, data_csv):
         assert run(tmp_path, "auc", "--data", str(data_csv), "--covariates", "age",
@@ -224,12 +237,66 @@ class TestExitCodes:
          "radial outliers need kappa >= 0"),
         (["--estimators", ","], "--estimators needs one or more"),
         (["--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["--kappa", "5"], "--kappa needs two values: nondiseased,diseased"),
+        (["--knots", "cat"], "simulate expects integer knot counts"),
     ])
     def test_nonsense_study_settings_rejected(self, tmp_path, capsys, argv, message):
         code, _ = run(tmp_path, "simulate", "--scenario", "I", "--sizes", "30,30", *argv)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error") and message in err
+
+
+class TestHugeOutcomes:
+    """Outcomes whose sum of squares overflows fit like their unscaled
+    copy, with no numpy warning: the AUC does not depend on the units."""
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_same_auc_as_unscaled(self, tmp_path, capsys, scale):
+        data = write_study_csv(tmp_path / "data.csv", n=100)
+        header, *lines = data.read_text().splitlines()
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join([header, *(f"{float(y) * scale!r},{rest}" for y, rest in
+                                              (line.split(",", 1) for line in lines))]) + "\n")
+        argv = ["bootstrap", "--covariates", "age", "--x", "0.5", "--replicates", "40"]
+        assert run(tmp_path / "unscaled", *argv, "--data", str(data))[0] == 0
+        want = capsys.readouterr().out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path / "huge", *argv, "--data", str(huge))[0] == 0
+            assert capsys.readouterr() == (want, "")
+            # rAIC forms its information matrices without sigma^2 here
+            assert run(tmp_path / "select", "select-knots", "--covariates", "age",
+                       "--candidates", "0,1", "--data", str(huge))[0] == 0
+
+
+class TestParsers:
+    def test_parse_knots_broadcast(self):
+        assert parse_knots("2", 3) == [2, 2, 2]
+        assert parse_knots("1,cat,0", 3) == [1, None, 0]
+
+    def test_parse_knots_errors(self):
+        with pytest.raises(UsageError, match="bad knot count"):
+            parse_knots("two", 1)
+        with pytest.raises(UsageError, match=">= 0"):
+            parse_knots("-1", 1)
+        with pytest.raises(UsageError, match="2 knot entries for 3"):
+            parse_knots("1,2", 3)
+
+    def test_parse_grid(self):
+        grid = parse_grid("0:1:5")
+        np.testing.assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+        with pytest.raises(UsageError):
+            parse_grid("0:1")
+        with pytest.raises(UsageError):
+            parse_grid("0:1:0")
+        with pytest.raises(UsageError):
+            parse_grid("a:b:3")
+
+    def test_parse_values(self):
+        np.testing.assert_allclose(parse_values("1.5, 2, -3"), [1.5, 2.0, -3.0])
+        with pytest.raises(UsageError):
+            parse_values("1,foo")
 
 
 class TestNegativeOptionValues:

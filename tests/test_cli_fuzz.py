@@ -4,7 +4,8 @@ with a traceback, and a run that succeeds writes every file its manifest
 lists.
 
 The data sets mix tied outcomes and covariates, constant covariates,
-one-row groups and magnitudes from 1e-8 to 1e8.  test_every_subcommand
+one-row groups, magnitudes from 1e-8 to 1e8, and outcomes of 1e150, 1e200
+and 1e300, whose sums of squares overflow.  test_every_subcommand
 draws each argv from the subcommand's recorded option set (OPTIONS in
 test_golden_cli.py), with values valid and invalid, on CSVs that also hold
 NaN and inf cells, missing tokens, disease codes other than 0/1, empty
@@ -26,13 +27,17 @@ from robroc.cli import main
 from test_golden_cli import OPTIONS
 
 
+# outcome magnitudes from 1e-8 to 1e8, and 1e150 to 1e300: y @ y overflows past 1e153
+Y_EXPONENTS = st.sampled_from([*range(-8, 9), 150, 200, 300])
+
+
 @st.composite
 def data_sets(draw):
     """CSV text with an outcome, the disease code, x and a binary z, and
     the point to bootstrap at."""
     sizes = [draw(st.sampled_from([25, 12, 6, 2, 1])) for _ in range(2)]
     x_scale = 10.0 ** draw(st.integers(-8, 8))
-    y_scale = 10.0 ** draw(st.integers(-8, 8))
+    y_scale = 10.0 ** draw(Y_EXPONENTS)
     x_kind = draw(st.sampled_from(["spread"] * 3 + ["tied", "constant"]))
     tied_y = draw(st.booleans())
     buffer = io.StringIO()
@@ -142,7 +147,7 @@ def faulty_csv(draw):
     x_kind = draw(st.sampled_from(["spread", "spread", "spread", "negative", "negative",
                                    "constant", "binary", "tied"]))
     x_scale = 10.0 ** draw(st.integers(-8, 8))
-    y_scale = 10.0 ** draw(st.integers(-8, 8))
+    y_scale = 10.0 ** draw(Y_EXPONENTS)
     tied_y = draw(st.booleans())
     rows, xs = [], []
     for code, n in enumerate(sizes):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import assert_same_fit
 from robroc import bootstrap, huber, splines
 from robroc.errors import NumericalError
-from robroc.huber import (FitConfig, RobustFit, _row_mad_scales, huber_psi, huber_weight,
-                          irls_fit, irls_refit, ols_refit)
+from robroc.huber import (FitConfig, RobustFit, _row_mad_scales, _scale_floors, huber_psi,
+                          huber_weight, irls_fit, irls_refit, ols_refit)
 from robroc.simulate import generate, scenario
 
 B = 1.345
@@ -175,6 +175,25 @@ class TestMadScale:
         r = np.array([3.0, -1.0, 2.0, -5.0])
         mad_scale(r)
         np.testing.assert_array_equal(r, [3.0, -1.0, 2.0, -5.0])
+
+
+class TestScaleFloors:
+    @pytest.mark.parametrize("n", [1, 2, 200, 30000])
+    def test_bit_identical_to_the_row_formula(self, n):
+        # each row's floor as the one-row formula gave it, where y @ y is finite
+        rng = np.random.default_rng(n)
+        Y = rng.standard_cauchy((9, n)) * 10.0 ** rng.integers(-10, 140, size=(9, 1))
+        Y[0] = 0.0
+        expected = [1e-12 * max(float(np.sqrt(y @ y / y.size)), 1.0) for y in Y]
+        assert np.array_equal(_scale_floors(Y), expected)
+
+    def test_overflowing_rows_scaled_first(self):
+        # y @ y overflows past an RMS of about 1e154; the floor stays 1e-12 RMS
+        y = np.array([3.0, -4.0, 0.0, 12.0])
+        with np.errstate(over="raise"):
+            floors = _scale_floors(np.array([y, y * 1e160, y * 1e300]))
+        np.testing.assert_allclose(floors, 1e-12 * np.sqrt(169 / 4) * np.array([1, 1e160, 1e300]),
+                                   rtol=1e-15)
 
 
 class TestOlsFit:

@@ -10,15 +10,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_table
-from robroc.errors import DataError, UsageError
 from robroc.cli import RunConfig, load_config
-from robroc.io import (Dataset, _format_cell, parse_grid, parse_knots, parse_values,
-                       read_csv, write_manifest, write_table)
+from robroc.data import GroupSample
+from robroc.errors import DataError, UsageError
+from robroc.io import Dataset, _format_cell, read_csv, write_manifest, write_table
+
+LABELS = ("nondiseased", "diseased")
 
 
 def reference_read_csv(path, outcome, disease, covariates, skip_missing=False):
     """The row-at-a-time reader (csv.DictReader, every cell stripped and
-    checked) that read_csv must agree with."""
+    checked, the groups split by a mask) that read_csv must agree with."""
     covariates = list(covariates)
     try:
         handle = open(path, newline="")
@@ -66,20 +68,18 @@ def reference_read_csv(path, outcome, disease, covariates, skip_missing=False):
             rows.append(i)
     if not y:
         raise DataError("no usable data rows")
-    ds = Dataset(
-        outcomes=np.asarray(y, dtype=float),
-        disease=np.asarray(dz, dtype=int),
-        covariates=np.asarray(X, dtype=float),
-        outcome_name=outcome,
-        disease_name=disease,
-        covariate_names=covariates,
-        rows=np.asarray(rows, dtype=int),
-        n_skipped=n_skipped,
-    )
+    dz = np.asarray(dz, dtype=int)
     for label in (0, 1):
-        if not np.any(ds.disease == label):
+        if not np.any(dz == label):
             raise DataError(f"no rows with {disease} == {label}")
-    return ds
+    y, X, rows = np.asarray(y, dtype=float), np.asarray(X, dtype=float), np.asarray(rows)
+    return Dataset(*(GroupSample(outcomes=y[dz == label], covariates=X[dz == label],
+                                 label=LABELS[label], rows=rows[dz == label])
+                     for label in (0, 1)), n_skipped=n_skipped)
+
+
+def groups(ds):
+    return ds.nondiseased, ds.diseased
 
 
 def reference_write_table(path, header, rows):
@@ -109,17 +109,13 @@ class TestReadCsv:
     def test_basic_file(self, tmp_path):
         ds = read_csv(write_data(tmp_path, BASIC), "outcome", "disease", ["age"])
         assert ds.n == 3
-        np.testing.assert_array_equal(ds.outcomes, [1.5, 2.5, 3.5])
-        np.testing.assert_array_equal(ds.disease, [0, 1, 1])
-        assert ds.covariates.shape == (3, 1)
-        np.testing.assert_array_equal(ds.rows, [1, 2, 3])
+        for group, outcomes, ages in zip(groups(ds), ([1.5], [2.5, 3.5]), ([30], [40, 50])):
+            np.testing.assert_array_equal(group.outcomes, outcomes)
+            np.testing.assert_array_equal(group.covariates, np.array(ages, dtype=float)[:, None])
         assert ds.n_skipped == 0
-        assert ds.covariate_names == ["age"]
 
     def test_group_split(self, tmp_path):
-        ds = read_csv(write_data(tmp_path, BASIC), "outcome", "disease", ["age"])
-        nd = ds.group(0)
-        d = ds.group(1)
+        nd, d = groups(read_csv(write_data(tmp_path, BASIC), "outcome", "disease", ["age"]))
         assert nd.label == "nondiseased"
         assert d.label == "diseased"
         np.testing.assert_array_equal(nd.outcomes, [1.5])
@@ -152,7 +148,8 @@ class TestReadCsv:
                       ["age"], skip_missing=True)
         assert ds.n == 2
         assert ds.n_skipped == 1
-        np.testing.assert_array_equal(ds.rows, [1, 3])
+        np.testing.assert_array_equal(ds.nondiseased.rows, [1])
+        np.testing.assert_array_equal(ds.diseased.rows, [3])
 
     def test_missing_in_unused_column_is_ignored(self, tmp_path):
         text = "outcome,disease,age,extra\n1.0,0,30,NA\n2.0,1,40,\n"
@@ -164,6 +161,17 @@ class TestReadCsv:
         with pytest.raises(DataError, match="no rows with disease == 0"):
             read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"])
 
+    @pytest.mark.parametrize("text, message", [
+        ("inf,0,30\n2.0,1,40\n", "non-finite outcomes in group 'nondiseased'"),
+        ("1.0,0,30\n2.0,1,-nan\n", "non-finite covariates in group 'diseased'"),
+        ("inf,1,30\n2.0,1,40\n", "no rows with disease == 0"),
+    ], ids=["inf_outcome", "nan_covariate", "label_before_value"])
+    def test_group_faults_raised_by_the_reader(self, tmp_path, text, message):
+        # both labels are checked before either group is built
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read_csv(write_data(tmp_path, "outcome,disease,age\n" + text), "outcome",
+                     "disease", ["age"])
+
     def test_empty_file_rejected(self, tmp_path):
         text = "outcome,disease,age\n"
         with pytest.raises(DataError, match="no usable data rows"):
@@ -171,8 +179,8 @@ class TestReadCsv:
 
     def test_no_covariates_gives_empty_matrix(self, tmp_path):
         ds = read_csv(write_data(tmp_path, BASIC), "outcome", "disease", [])
-        assert ds.covariates.shape == (3, 0)
-        assert ds.group(1).covariates.shape == (2, 0)
+        assert ds.nondiseased.covariates.shape == (1, 0)
+        assert ds.diseased.covariates.shape == (2, 0)
 
     def test_absent_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open data file"):
@@ -190,8 +198,9 @@ class TestReadCsv:
         path.write_bytes(b"\xef\xbb\xbf" + BASIC.encode())
         ds = read_csv(path, "outcome", "disease", ["age"])
         plain = read_csv(write_data(tmp_path, BASIC), "outcome", "disease", ["age"])
-        for name in ("outcomes", "disease", "covariates", "rows"):
-            np.testing.assert_array_equal(getattr(ds, name), getattr(plain, name))
+        for group, want in zip(groups(ds), groups(plain)):
+            for name in ("outcomes", "covariates", "rows"):
+                np.testing.assert_array_equal(getattr(group, name), getattr(want, name))
 
     def test_non_utf8_byte_names_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -207,15 +216,18 @@ class TestReadCsv:
 # would differ.
 NUMBERS = ["0", "1", "1.5", "-3e2", " 4.25", "1_0", "inf", "-Infinity", "-nan",
            "+NaN", "5e-324", "1,5"]
+# the numbers that parse to finite values: with the others most files end
+# in an error before any group is compared
+FINITE = ["0", "1", "1.5", "-3e2", " 4.25", "1_0", "5e-324"]
 CODES = ["0", "1", "1.0", "-0", " 1 ", "0e0"]
 FAULTS = ["2", "0.5", "", " ", "NA", "na", " nan ", "NaN", "NULL", "Null",
           "x", '"7"', "1,5", "-nan"]
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, numbers=NUMBERS):
     """CSV text with repeated header names, blank lines, and short and long
-    rows, plus the covariate list to ask for."""
+    rows, cells drawn from numbers, plus the covariate list to ask for."""
     header = draw(st.permutations(
         ["y", "d", "a", "b", *draw(st.lists(st.sampled_from(["y", "d", "a", "e"]),
                                             max_size=2))]))
@@ -230,7 +242,7 @@ def csv_files(draw):
             buffer.write("\n")
             continue
         size = draw(st.sampled_from([len(header)] * 6 + [code_at, len(header) + 1]))
-        row = [draw(st.sampled_from(CODES if j == code_at else NUMBERS))
+        row = [draw(st.sampled_from(CODES if j == code_at else numbers))
                for j in range(max(size, 1))]
         for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FAULTS))
@@ -251,7 +263,16 @@ class TestReadCsvMatchesReference:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=csv_files(), skip_missing=st.booleans())
     def test_same_arrays_counts_and_errors(self, tmp_path, data, skip_missing):
-        text, covariates = data
+        self.check(tmp_path, *data, skip_missing)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=csv_files(FINITE), skip_missing=st.booleans())
+    def test_same_groups_from_finite_cells(self, tmp_path, data, skip_missing):
+        self.check(tmp_path, *data, skip_missing)
+
+    @staticmethod
+    def check(tmp_path, text, covariates, skip_missing):
         path = write_data(tmp_path, text)
         got = load_outcome(read_csv, path, covariates, skip_missing)
         want = load_outcome(reference_read_csv, path, covariates, skip_missing)
@@ -259,19 +280,35 @@ class TestReadCsvMatchesReference:
             assert got == want
             return
         assert isinstance(got, Dataset), got
-        for name in ("outcomes", "disease", "covariates", "rows"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert np.array_equal(a, b, equal_nan=True), name
-            assert a.flags.c_contiguous, name
-        assert got.n_skipped == want.n_skipped
-        assert got.covariate_names == want.covariate_names
+        for group, want_group in zip(groups(got), groups(want)):
+            assert group.label == want_group.label
+            for name in ("outcomes", "covariates", "rows"):
+                a, b = getattr(group, name), getattr(want_group, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert np.array_equal(a, b), name
+                assert a.flags.c_contiguous, name
+        assert got.n == want.n and got.n_skipped == want.n_skipped
 
     def test_repeated_header_name_takes_last_column(self, tmp_path):
         text = "outcome,age,disease,age\n1.0,5,0,30\n\n2.0,6,1,40\n"
-        ds = read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"])
-        np.testing.assert_array_equal(ds.covariates[:, 0], [30.0, 40.0])
-        np.testing.assert_array_equal(ds.rows, [1, 2])
+        nd, d = groups(read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"]))
+        np.testing.assert_array_equal(nd.covariates[:, 0], [30.0])
+        np.testing.assert_array_equal(d.covariates[:, 0], [40.0])
+        np.testing.assert_array_equal(nd.rows, [1])
+        np.testing.assert_array_equal(d.rows, [2])
+
+
+class TestGroupSample:
+    @pytest.mark.parametrize("outcomes, covariates, message", [
+        ([1.0, 2.0], np.zeros((2, 1, 1)), "covariates must be a 2-d array"),
+        ([1.0, 2.0], np.zeros((3, 1)), "2 outcomes but 3 covariate rows"),
+        ([], np.zeros((0, 1)), "empty group 'g'"),
+        ([1.0, np.nan], np.zeros((2, 1)), "non-finite outcomes in group 'g'"),
+        ([1.0, 2.0], [[0.0], [np.inf]], "non-finite covariates in group 'g'"),
+    ], ids=["three_dim", "row_mismatch", "empty", "nan_outcome", "inf_covariate"])
+    def test_bad_group_rejected(self, outcomes, covariates, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            GroupSample(outcomes=outcomes, covariates=covariates, label="g")
 
 
 class TestLoadConfig:
@@ -329,35 +366,6 @@ class TestRunConfig:
         assert cfg.reps == 50
         assert cfg.contamination == 0.05
         assert cfg.grid_points == 11
-
-
-class TestParsers:
-    def test_parse_knots_broadcast(self):
-        assert parse_knots("2", 3) == [2, 2, 2]
-        assert parse_knots("1,cat,0", 3) == [1, None, 0]
-
-    def test_parse_knots_errors(self):
-        with pytest.raises(UsageError, match="bad knot count"):
-            parse_knots("two", 1)
-        with pytest.raises(UsageError, match=">= 0"):
-            parse_knots("-1", 1)
-        with pytest.raises(UsageError, match="2 knot entries for 3"):
-            parse_knots("1,2", 3)
-
-    def test_parse_grid(self):
-        grid = parse_grid("0:1:5")
-        np.testing.assert_allclose(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
-        with pytest.raises(UsageError):
-            parse_grid("0:1")
-        with pytest.raises(UsageError):
-            parse_grid("0:1:0")
-        with pytest.raises(UsageError):
-            parse_grid("a:b:3")
-
-    def test_parse_values(self):
-        np.testing.assert_allclose(parse_values("1.5, 2, -3"), [1.5, 2.0, -3.0])
-        with pytest.raises(UsageError):
-            parse_values("1,foo")
 
 
 class TestTables:

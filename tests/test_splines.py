@@ -65,6 +65,10 @@ class TestKnotSequence:
         with pytest.raises(DataError, match="empty"):
             knot_sequence([], 2)
 
+    def test_three_dim_stack_rejected(self):
+        with pytest.raises(ValueError, match="got 3 dims"):
+            knot_sequence(np.zeros((2, 3, 4)), 1)
+
     def test_nonfinite_column_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             knot_sequence([1.0, np.nan, 2.0], 0)

@@ -4,16 +4,20 @@ the working tree, for a change that must leave every output bit unchanged.
 Exports a base revision (the parent) with tools/ab_bench.py's export into a
 temporary directory, writes the input CSVs once, runs every case on both
 sides as `python -m robroc` with PYTHONPATH at that side's src/, and
-reports each exit code, stdout or output file (CSV tables and
+reports each exit code, stdout, stderr or output file (CSV tables and
 manifest.json) that differs byte for byte.  Each side's output directory
-is shown as <out> in stdout and in manifest.json before the comparison, so
-manifest paths do not count; the inputs are shared, so their paths match.
+is shown as <out> in stdout, stderr and manifest.json before the
+comparison, so manifest paths do not count; the inputs are shared, so
+their paths match.
 
 The cases are every CASES entry of tests/test_golden_cli.py on
-tests/golden/data.csv (CASES is read with ast, not imported), and the runs
+tests/golden/data.csv (CASES is read with ast, not imported), the runs
 of EXTRA_CASES below on the benchmark's seed-0 inputs, written by
 bench/inputs.py: bootstraps and studies whose replicates cross the refit
-chunks, capped iterations, and the large-n knot selection and fit.
+chunks, capped iterations, and the large-n knot selection and fit, and
+the failing runs of FAILING_CASES: usage errors, and data errors on small
+CSVs that this tool writes (SMALL_FILES), whose messages and exit codes
+must match too.
 
     python3 tools/same_outputs.py --base HEAD [--cases fit,boot_knots2]
 
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -66,6 +72,50 @@ EXTRA_CASES = {
 }
 
 
+def clean_rows() -> list[list[str]]:
+    """30 nondiseased then 30 diseased rows of outcome, disease and age."""
+    rng = random.Random(0)
+    return [[repr(rng.gauss(2.0 * d, 1.0)), str(d), repr(rng.random())]
+            for d in (0, 1) for _ in range(30)]
+
+
+def with_cells(*changes):
+    """The clean rows with each (row, column, cell) change made."""
+    rows = clean_rows()
+    for i, j, cell in changes:
+        rows[i][j] = cell
+    return rows
+
+
+# Small data files, by name: their rows under the header outcome,disease,age
+SMALL_FILES = {
+    "clean": clean_rows,
+    "one_class": lambda: [[y, "1", x] for y, _, x in clean_rows()],
+    "na_cell": lambda: with_cells((3, 0, "NA")),
+    "bad_cell": lambda: with_cells((4, 2, "old")),
+    "code_2": lambda: with_cells((35, 1, "2")),
+    "inf_outcome": lambda: with_cells((40, 0, "inf")),
+    "nan_covariate": lambda: with_cells((6, 2, "-nan")),
+    "empty": lambda: [],
+    "missing_cells": lambda: with_cells((2, 0, "NA"), (31, 2, ""), (50, 0, "null")),
+}
+# Runs that fail, and one that skips rows, by name: (input kind, argv); an
+# input kind "small:<name>" is the SMALL_FILES entry, "small:absent" a path
+# where no file is
+FAILING_CASES = {
+    "usage_bad_x": ("small:clean", ["roc", "--covariates", "age", "--x", "abc"]),
+    "usage_empty_knots": ("small:clean", ["fit", "--covariates", "age", "--knots", ","]),
+    "usage_grid_count": ("small:clean", ["auc", "--covariates", "age", "--x-grid", "0:1:0"]),
+    "usage_sizes": (None, ["simulate", "--scenario", "I", "--sizes", "5"]),
+    "usage_kappa": (None, ["simulate", "--scenario", "I", "--sizes", "20,20", "--kappa", "5"]),
+    "data_missing_column": ("small:clean", ["fit", "--covariates", "weight"]),
+    **{f"data_{name}": (f"small:{name}", ["fit", "--covariates", "age"])
+       for name in ("one_class", "na_cell", "bad_cell", "code_2", "inf_outcome",
+                    "nan_covariate", "empty", "absent")},
+    "skip_missing": ("small:missing_cells", ["fit", "--covariates", "age", "--skip-missing"]),
+}
+
+
 def golden_cases() -> dict[str, tuple[str | None, list[str]]]:
     """tests/test_golden_cli.py's CASES, each on the golden data unless it
     simulates."""
@@ -85,18 +135,28 @@ def write_inputs(kinds: set[str], dest: Path) -> dict[str, list[str]]:
         subprocess.run([sys.executable, str(ROOT / "bench" / "inputs.py"), *INPUTS[kind],
                         f"0={path}"], check=True, cwd=ROOT)
         args[kind] = ["--data", str(path), *COLUMNS]
+    for kind in sorted(k for k in kinds if k.startswith("small:")):
+        name = kind.partition(":")[2]
+        path = dest / f"small_{name}.csv"
+        if name in SMALL_FILES:
+            with open(path, "w", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerows([["outcome", "disease", "age"], *SMALL_FILES[name]()])
+        args[kind] = ["--data", str(path)]
     return args
 
 
 def run_case(src: Path, argv: list[str], out: Path) -> dict[str, bytes]:
-    """The exit code, stdout and each output file of one CLI run, with the
-    out directory shown as <out> in stdout and the manifest."""
+    """The exit code, stdout, stderr and each output file of one CLI run,
+    with the out directory shown as <out> in stdout, stderr and the
+    manifest."""
     proc = subprocess.run([sys.executable, "-m", "robroc", *argv, "--out", str(out)],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                           timeout=900)
     marker = str(out).encode()
     outputs = {"exit code": str(proc.returncode).encode(),
-               "stdout": proc.stdout.replace(marker, b"<out>")}
+               "stdout": proc.stdout.replace(marker, b"<out>"),
+               "stderr": proc.stderr.replace(marker, b"<out>")}
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         data = path.read_bytes()
         outputs[path.name] = data.replace(marker, b"<out>") if path.suffix == ".json" else data
@@ -122,7 +182,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
     parser.add_argument("--cases", help="comma-separated case names (default all)")
     args = parser.parse_args(argv)
-    cases = {**golden_cases(), **EXTRA_CASES}
+    cases = {**golden_cases(), **EXTRA_CASES, **FAILING_CASES}
     if args.cases:
         unknown = set(args.cases.split(",")) - cases.keys()
         if unknown:
