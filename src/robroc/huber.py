@@ -36,12 +36,39 @@ from __future__ import annotations
 
 import functools
 import numbers
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
+import scipy
 
 from .errors import NumericalError
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, scipy.linalg._flapack, without
+    running scipy/linalg/__init__.py, whose array-API layer costs most of
+    an import.  The module is registered under its own name, so a later
+    import of scipy.linalg takes this very module, and its routines are the
+    objects scipy.linalg.lapack exports."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+        paths = [stem + suffix for suffix in EXTENSION_SUFFIXES if os.path.exists(stem + suffix)]
+        if not paths:
+            from scipy.linalg import _flapack
+            return _flapack
+        spec = spec_from_file_location(name, paths[0], loader=ExtensionFileLoader(name, paths[0]))
+        sys.modules[name] = module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
+dgeqp3, dorgqr, dtrtrs, dpotrs = _flapack.dgeqp3, _flapack.dorgqr, _flapack.dtrtrs, _flapack.dpotrs
 
 DEFAULT_TUNING = 1.345
 DEFAULT_TRUNCATION = 3.0
@@ -155,19 +182,22 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _scale_floors(Y: np.ndarray) -> np.ndarray:
-    # relative floor: interpolation leaves only rounding-level residue, and a
-    # scale that far below the outcome scale is a collapse, not a spread.
-    # Each row's RMS is sqrt(y @ y / n), a stacked matmul of the same dot
-    # products; a row whose y @ y overflows is scaled by its largest
-    # magnitude first.
-    n = Y.shape[1]
+def _row_rms(Y: np.ndarray, d: int) -> np.ndarray:
+    """Each row's sqrt(y @ y / d), from a stacked matmul of the same dot
+    products; only a row whose y @ y overflows is scaled by its largest
+    magnitude first, so every other row keeps the one-row dot's bits."""
     with np.errstate(over="ignore"):
-        rms = np.sqrt(np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0] / n)
+        rms = np.sqrt(np.matmul(Y[:, None, :], Y[:, :, None])[:, 0, 0] / d)
     for i in np.flatnonzero(rms == np.inf):
         top = np.abs(Y[i]).max()
-        rms[i] = top * np.sqrt((Y[i] / top) @ (Y[i] / top) / n)
-    return 1e-12 * np.maximum(rms, 1.0)
+        rms[i] = top * np.sqrt((Y[i] / top) @ (Y[i] / top) / d)
+    return rms
+
+
+def _scale_floors(Y: np.ndarray) -> np.ndarray:
+    # relative floor: interpolation leaves only rounding-level residue, and a
+    # scale that far below the outcome scale is a collapse, not a spread
+    return 1e-12 * np.maximum(_row_rms(Y, Y.shape[1]), 1.0)
 
 
 def _stacked_lstsq(Zs: np.ndarray, Ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,8 +413,8 @@ def ols_refit(Z, Y) -> list[RobustFit | NumericalError]:
     B, singular = _lstsq_start(Z, Y, np.empty((m, q, n)))
     R = Y - np.matmul(Z, B[:, :, None])[:, :, 0]
     fits: list[RobustFit | NumericalError] = []
-    for floor, b, r, bad in zip(_scale_floors(Y).tolist(), B, R, singular.tolist()):
-        sigma = float(np.sqrt(r @ r / (n - q)))
+    for floor, sigma, b, r, bad in zip(_scale_floors(Y).tolist(), _row_rms(R, n - q).tolist(),
+                                       B, R, singular.tolist()):
         if bad or sigma <= floor:
             fits.append(NumericalError(_SINGULAR if bad else
                                        "degenerate scale: zero residual variance"))

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .data import GroupSample
 from .errors import NumericalError
-from .huber import FitConfig, RobustFit, huber_psi, irls_refit
+from .huber import FitConfig, RobustFit, dpotrs, huber_psi, irls_refit
 from .splines import SplineSpec, _counts, design_stack
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bootstrap import REFIT_CHUNK_VALUES
 from .data import GroupSample
@@ -207,6 +206,8 @@ def true_auc(scn: Scenario, x) -> np.ndarray | float:
     delta = scn.mean_d(X) - scn.mean_nd(X)
     spread = np.sqrt(np.broadcast_to(scn.scale_d(X), (X.shape[0],)) ** 2
                      + np.broadcast_to(scn.scale_nd(X), (X.shape[0],)) ** 2)
+    # imported here: scipy.special costs every other command ~40 ms of import
+    from scipy.special import ndtr
     out = ndtr(delta / spread)
     return float(out[0]) if single else out
 

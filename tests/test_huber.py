@@ -864,6 +864,15 @@ class TestOlsRefit:
     def test_no_rows(self):
         assert ols_refit(np.ones((5, 2)), np.empty((0, 5))) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scale_of_huge_outcomes_does_not_overflow(self):
+        # r @ r overflows past an RMS of about 1e154; the scale and the
+        # standardized residuals stay those of the unscaled fit
+        Z, Y = design_stack(np.random.default_rng(21), 1, 40, 3)
+        fit, huge = ols_refit(Z[0], np.vstack([Y, Y * 1e200]))
+        assert huge.sigma == pytest.approx(1e200 * fit.sigma, rel=1e-12)
+        np.testing.assert_allclose(huge.std_residuals, fit.std_residuals, rtol=1e-12)
+
     def test_checks_are_irls_refits(self):
         Z, Y = design_stack(np.random.default_rng(20), 3, 20, 2)
         for refit in (ols_refit, lambda Z, Y: irls_refit(Z, Y, None)):
