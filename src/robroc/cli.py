@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bootstrap import BootstrapConfig, residual_bootstrap, unconditional_auc_bootstrap
 from .errors import DataError, NumericalError, UsageError
-from .huber import FitConfig
+from .huber import FitConfig, _one_blas_thread
 from .io import read_csv, write_manifest, write_table
 from .model_select import knot_grid, select_knots
 from .roc import auc_grid, evaluate, fit_pair, robust_unconditional_auc, roc_curve
@@ -529,7 +529,10 @@ def main(argv=None) -> int:
             write_table(outputs[-1], header, columns)
             return outputs[-1]
 
-        args.run(cfg, fit_config, args, write)
+        # one BLAS thread a pool: the count is process-wide, and the CLI
+        # owns its process
+        with _one_blas_thread():
+            args.run(cfg, fit_config, args, write)
         write_manifest(path("manifest.json"), args.command, asdict(cfg), outputs)
         return 0
     except DataError as exc:

@@ -34,6 +34,8 @@ get weight one, the rest keep their Huber weight.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import numbers
 import os
@@ -69,6 +71,52 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgeqp3, dorgqr, dtrtrs, dpotrs = _flapack.dgeqp3, _flapack.dorgqr, _flapack.dtrtrs, _flapack.dpotrs
+
+
+@functools.cache
+def _blas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS that numpy's and
+    scipy's wheels have already loaded; RTLD_NOLOAD opens nothing new, and
+    another BLAS (MKL, Accelerate, a system library) yields none."""
+    pools = []
+    for package in (np, scipy):
+        libs = package.__path__[0] + ".libs"
+        names = os.listdir(libs) if os.path.isdir(libs) else []
+        for name in names:
+            if not (name.startswith("libscipy_openblas") and name.endswith(".so")):
+                continue
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    pools.append((get, put))
+                    break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's and scipy's OpenBLAS pools at one thread
+    each, and give back the counts found.  With a thread per core each, the
+    two pools contend on the IRLS's tall-skinny QR, which level-2 BLAS
+    bounds, and the results do not depend on the count.  The count is
+    process-wide, so only the CLI, which owns its process, calls this."""
+    pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    try:
+        for _, put in pools:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(pools, counts):
+            put(count)
+
 
 DEFAULT_TUNING = 1.345
 DEFAULT_TRUNCATION = 3.0

@@ -5,7 +5,9 @@ lists.
 
 The data sets mix tied outcomes and covariates, constant covariates,
 one-row groups, magnitudes from 1e-8 to 1e8, and outcomes of 1e150, 1e200
-and 1e300, whose sums of squares overflow.  test_every_subcommand
+and 1e300, whose sums of squares overflow; at those outcomes
+test_huge_outcomes_fit_and_select also draws clean data sets, which
+select-knots, fit and auc must fit.  test_every_subcommand
 draws each argv from the subcommand's recorded option set (OPTIONS in
 test_golden_cli.py), with values valid and invalid, on CSVs that also hold
 NaN and inf cells, missing tokens, disease codes other than 0/1, empty
@@ -86,6 +88,42 @@ def test_exit_code_without_traceback(tmp_path_factory, data, argv, replicates):
         code = main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def huge_outcome_sets(draw):
+    """CSV text of two groups of 25 to 60 clean rows, x spread over its
+    range and outcomes of 1e150 to 1e300: every fit must succeed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x_scale = 10.0 ** draw(st.integers(-8, 8))
+    y_scale = 10.0 ** draw(st.sampled_from([150, 200, 300]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["outcome", "disease", "x"])
+    for code in (0, 1):
+        n = draw(st.integers(25, 60))
+        x = rng.uniform(0.0, 1.0, n)
+        y = rng.uniform(-3.0, 3.0, n) + x + 2.0 * code
+        writer.writerows([repr(float(yi)), code, repr(float(xi))]
+                         for yi, xi in zip(y * y_scale, x * x_scale))
+    return buffer.getvalue()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(text=huge_outcome_sets())
+def test_huge_outcomes_fit_and_select(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("huge")
+    (work / "data.csv").write_text(text)
+    for command in ("select-knots", "fit", "auc"):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, "--data", str(work / "data.csv"), "--covariates", "x",
+                         "--out", str(work / command)])
+        assert code == 0, err.getvalue()
+    with open(work / "select-knots" / "raic.csv", newline="") as handle:
+        selected = [row for row in csv.DictReader(handle) if row["selected"] == "1"]
+    assert len(selected) == 2
+    assert all(np.isfinite(float(row["raic"])) for row in selected)
 
 
 # Values drawn for each option that takes one: (valid, invalid), an

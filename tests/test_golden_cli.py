@@ -185,7 +185,10 @@ def run_module(argv: list[str], out: Path, blas_threads: str | None) -> str:
 class TestSingleThreadedBlas:
     """One BLAS thread gives the outputs of the default threading: on the
     golden cases, and on a fit large enough for OpenBLAS to split its
-    products across threads."""
+    products across threads.  The CLI runs its subcommands on one thread
+    whatever OPENBLAS_NUM_THREADS says, so both runs here use one thread;
+    tests/test_blas_threads.py compares the default pools with one thread
+    on the library's fit."""
 
     @pytest.mark.parametrize("name", ["bootstrap", "fit"])
     def test_golden_case(self, name, tmp_path):

@@ -1,6 +1,7 @@
 """The import contract: robroc takes scipy's compiled LAPACK module without
 importing scipy.linalg, and scipy.special only when a true AUC is asked
-for, so that `import robroc.cli` stays cheap.
+for, and looks up no OpenBLAS library, so that `import robroc.cli` stays
+cheap.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported both packages.
@@ -26,6 +27,7 @@ if order == "scipy_first":
     import scipy.linalg
 import robroc.cli
 loaded = [name for name in %r if name in sys.modules]
+lookups = sys.modules["robroc.huber"]._blas_pools.cache_info().misses
 import numpy as np
 import scipy.linalg.lapack as lapack
 from scipy.special import ndtr
@@ -36,7 +38,7 @@ scn = simulate.scenario("III")
 X = np.linspace(0.0, 1.0, 7)[:, None]
 spread = np.sqrt(scn.scale_d(X) ** 2 + scn.scale_nd(X) ** 2)
 auc = np.array_equal(simulate.true_auc(scn, X[:, 0]), ndtr((scn.mean_d(X) - scn.mean_nd(X)) / spread))
-print(json.dumps({"loaded": loaded, "same": same, "auc": auc}))
+print(json.dumps({"loaded": loaded, "lookups": lookups, "same": same, "auc": auc}))
 """ % (HEAVY,)
 
 
@@ -56,5 +58,7 @@ def test_cli_import_and_lapack_routines(order):
     else:
         # imported up front, or by the loader when no extension file is found
         assert "scipy.linalg" in got["loaded"]
+    # the OpenBLAS pools are looked up on first use, not on import
+    assert got["lookups"] == 0
     assert got["same"] == [True] * 4
     assert got["auc"]

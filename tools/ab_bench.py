@@ -8,11 +8,12 @@ then workloads.  Each run prints one line with its end-to-end metrics; a
 pair prints the change/parent ratio of each.  At the end, per workload and
 seed, each side's median and quartiles, the change's wins (ties count for
 neither), the relative change of the medians and the parent's interquartile
-range are printed for every metric.  `within bound` reads NO where the
-change's median is worse than the parent's by more than the metric's bound
-in BENCHMARK.json, and `claim` reads yes where ten or more pairs ran, the
-change won at least nine tenths of them and the medians differ by more than
-the parent's interquartile range.
+range are printed for every metric, with each side's median cpu_s/wall_s,
+which reads about 1.0 for a run that keeps one core busy.  `within bound`
+reads NO where the change's median is worse than the parent's by more than
+the metric's bound in BENCHMARK.json, and `claim` reads yes where ten or
+more pairs ran, the change won at least nine tenths of them and the medians
+differ by more than the parent's interquartile range.
 
     python3 tools/ab_bench.py --base HEAD --workloads boot_grid,study \\
         --seeds 0,7 --pairs 10 [--out record.json]
@@ -107,6 +108,18 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
     return out
 
 
+def cpu_per_wall(pairs: list[dict]) -> dict:
+    """Each side's median cpu_s / wall_s: about 1.0 when a run keeps one
+    core busy, above it when threads run in parallel or spin."""
+    out = {}
+    for side in ("parent", "change"):
+        ratios = [p[side]["metrics"]["cpu_s"] / p[side]["metrics"]["wall_s"]
+                  for p in pairs if "metrics" in p[side]]
+        if ratios:
+            out[side] = statistics.median(ratios)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
@@ -150,9 +163,12 @@ def main(argv=None) -> int:
         summary = []
         for (workload, seed), pairs in runs.items():
             metrics = summarize(pairs, spec["end_to_end"])
+            ratio = cpu_per_wall(pairs)
             summary.append({"workload": workload, "seed": seed, "metrics": metrics,
+                            "cpu_per_wall": ratio,
                             "correct": all(p[s].get("correct") for p in pairs for s in sides)})
-            print(f"\n{workload} seed {seed}: correct {summary[-1]['correct']}")
+            print(f"\n{workload} seed {seed}: correct {summary[-1]['correct']}  cpu_s/wall_s "
+                  + "  ".join(f"{side} {value:.3g}" for side, value in ratio.items()))
             for name, m in metrics.items():
                 rel = m["relative_change"]
                 print(f"  {name:13} parent {m['parent']['median']:.5g} "
