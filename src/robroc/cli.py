@@ -538,7 +538,8 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
+        # numpy refuses an allocation it cannot make before making any
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

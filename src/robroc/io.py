@@ -15,6 +15,7 @@ import csv
 import json
 import operator
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import DataError
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 _FLAGS = (0.0, 1.0)
+# Bytes that np.loadtxt strips from a number as whitespace and float() refuses
+_LOADTXT_ONLY_SPACES = b"\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -68,6 +71,52 @@ def _checked_row(i: int, row: list[str], cols: list[int], used: list[str],
     return parsed
 
 
+def _one_line_a_row(data: bytes, n_rows: int) -> bool:
+    """Whether np.loadtxt's n_rows rows of a data file, whose bytes are
+    data, are the csv module's rows: no byte that only loadtxt reads as a
+    space, no line break but LF and CRLF, the header and each row on one
+    nonblank line of its own, and no row, with the blank lines after it,
+    longer than the csv module's field limit.  A quoted field may hold line
+    breaks, and loadtxt reads no field of a column it does not use, so a
+    row over several lines could hide a field that the csv module refuses."""
+    if any(byte in data for byte in _LOADTXT_ONLY_SPACES) or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return False
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # with no lone CR, a line is blank when it starts with a CR or an LF
+    starts = np.concatenate(([0], np.flatnonzero(buf[:-1] == 10) + 1))
+    starts = starts[(buf[starts] != 10) & (buf[starts] != 13)]
+    return (len(starts) == n_rows + 1
+            and np.diff(starts, append=len(buf)).max() <= csv.field_size_limit())
+
+
+def _whole_body(handle, reader, cols: list[int]) -> np.ndarray | None:
+    """The data rows of an open data file, read past its header, parsed in
+    one np.loadtxt pass as the values of cols, when that table is the row
+    loop's: it has a row, no NaN (a missing token may parse to one), only
+    0/1 disease codes, and _one_line_a_row holds.  Otherwise None, with
+    reader at the first data row, since only the row loop names a fault or
+    skips a row."""
+    if not handle.seekable():  # a pipe cannot be read twice
+        return None
+    try:
+        with warnings.catch_warnings():
+            # the row loop names a body with no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
+                               usecols=cols, dtype=float, ndmin=2)
+    except ValueError:  # a cell or a row loadtxt refuses, or bytes that do not decode
+        table = None
+    handle.seek(0)
+    if (table is not None and len(table) and not np.isnan(table).any()
+            and ((table[:, 1] == 0) | (table[:, 1] == 1)).all()
+            and _one_line_a_row(handle.buffer.read(), len(table))):
+        return table
+    handle.seek(0)
+    next(reader)  # the header again
+    return None
+
+
 def read_csv(path, outcome: str, disease: str, covariates,
              skip_missing: bool = False) -> Dataset:
     """Load a headered CSV as its nondiseased (disease 0) and diseased
@@ -102,37 +151,43 @@ def read_csv(path, outcome: str, disease: str, covariates,
                         f"column {name!r} not in data file (columns: {', '.join(header)})"
                     )
             cols = [column[name] for name in used]
-            pick = operator.itemgetter(*cols)
-            # A row whose used cells all parse, none to NaN, with a 0/1
-            # disease code is taken as it is; any other row is parsed again
-            # cell by cell to find its fault.  A NaN may be a missing token.
-            for i, row in enumerate(filter(None, reader), start=1):
-                try:
-                    parsed = [*map(float, pick(row))]
-                except (ValueError, IndexError):
-                    parsed = None
-                if parsed is None or parsed[1] not in _FLAGS or (s := sum(parsed)) != s:
-                    parsed = _checked_row(i, row, cols, used, skip_missing)
-                    if parsed is None:
-                        n_skipped += 1
-                        continue
-                values.extend(parsed)
-                rows.append(i)
+            table = _whole_body(handle, reader, cols)
+            if table is None:
+                pick = operator.itemgetter(*cols)
+                # A row whose used cells all parse, none to NaN, with a 0/1
+                # disease code is taken as it is; any other row is parsed
+                # again cell by cell to find its fault.  A NaN may be a
+                # missing token.
+                for i, row in enumerate(filter(None, reader), start=1):
+                    try:
+                        parsed = [*map(float, pick(row))]
+                    except (ValueError, IndexError):
+                        parsed = None
+                    if parsed is None or parsed[1] not in _FLAGS or (s := sum(parsed)) != s:
+                        parsed = _checked_row(i, row, cols, used, skip_missing)
+                        if parsed is None:
+                            n_skipped += 1
+                            continue
+                    values.extend(parsed)
+                    rows.append(i)
         except csv.Error as exc:
             at = "its header" if i < 0 else f"data row {i + 1}"
             raise DataError(f"cannot read data file {path} at {at}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot decode data file {path}: {exc}") from None
-    if not rows:
-        raise DataError("no usable data rows")
-    table = np.array(values, dtype=float).reshape(len(rows), len(used))
+    if table is None:
+        if not rows:
+            raise DataError("no usable data rows")
+        table = np.array(values, dtype=float).reshape(len(rows), len(used))
+        rows = np.asarray(rows, dtype=int)
+    else:
+        rows = np.arange(1, len(table) + 1)
     # both labels are checked before either group is built, so that a
     # missing group is named before a non-finite value
     masks = [table[:, 1] == label for label in (0, 1)]
     for label, mask in enumerate(masks):
         if not mask.any():
             raise DataError(f"no rows with {disease} == {label}")
-    rows = np.asarray(rows, dtype=int)
     nondiseased, diseased = (
         GroupSample(outcomes=table[mask, 0], covariates=table[mask, 2:], label=label,
                     rows=rows[mask])
@@ -163,6 +218,18 @@ def _format_column(column) -> list[str]:
     return [v if type(v) is str else _format_cell(v) for v in column]
 
 
+def _plain(column, cells: list[str]) -> bool:
+    """Whether the csv module writes each of a column's formatted cells as
+    it is: a number always, and a str that is not empty and holds no
+    delimiter, quote or line break."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return True
+    if "" in cells:
+        return False
+    text = "".join(cells)
+    return not any(char in text for char in ',"\r\n')
+
+
 def write_table(path, header, columns) -> None:
     """CSV with repr-formatted floats, newline-terminated rows.  columns
     holds one equal-length sequence per header name."""
@@ -173,9 +240,13 @@ def write_table(path, header, columns) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for start in range(0, n, _BLOCK_ROWS):
-            block = [_format_column(column[start:start + _BLOCK_ROWS])
-                     for column in columns]
-            writer.writerows(zip(*block))
+            parts = [column[start:start + _BLOCK_ROWS] for column in columns]
+            block = [_format_column(part) for part in parts]
+            if all(map(_plain, parts, block)):
+                # no cell is quoted, so the csv module would only join them
+                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
+            else:
+                writer.writerows(zip(*block))
 
 
 def write_manifest(path, command: str, options: dict, outputs) -> None:

@@ -147,6 +147,26 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["auc", "--x-grid", f"0.1:0.9:{10**16}"],
+        ["roc", "--x", "0.5", "--t-points", str(10**16)],
+        ["roc", "--x", "0.5", "--simpson-panels", str(10**16)],
+        ["bootstrap", "--x", "0.5", "--replicates", "2", "--t-points", str(10**16)],
+        ["simulate", "--scenario", "I", "--sizes", "30,30", "--grid-points", str(10**16)],
+        ["simulate", "--scenario", "I", "--sizes", f"{10**16},100"],
+        ["simulate", "--scenario", "I", "--sizes", "30,30", "--reps", str(10**16)],
+    ], ids=["auc_grid", "roc_t_points", "simpson_panels", "bootstrap_t_points",
+            "grid_points", "sizes", "reps"])
+    def test_count_too_large_to_allocate(self, tmp_path, data_csv, capsys, argv):
+        # numpy refuses the allocation up front, so nothing is allocated
+        data = [] if argv[0] == "simulate" else ["--data", str(data_csv), "--covariates",
+                                                 "age"]
+        code, _ = run(tmp_path, argv[0], *data, *argv[1:])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Unable to allocate ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
     @pytest.mark.parametrize("argv, message", [
         (["fit", "--max-iterations", "0"], "max_iterations"),

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -94,7 +97,7 @@ def reference_write_table(path, header, rows):
 
 def write_data(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, newline="")
     return path
 
 
@@ -172,10 +175,14 @@ class TestReadCsv:
             read_csv(write_data(tmp_path, "outcome,disease,age\n" + text), "outcome",
                      "disease", ["age"])
 
-    def test_empty_file_rejected(self, tmp_path):
+    def test_empty_file_rejected(self, tmp_path, capfd):
+        # np.loadtxt warns of a body with no rows; the row loop names it
         text = "outcome,disease,age\n"
-        with pytest.raises(DataError, match="no usable data rows"):
-            read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^no usable data rows$"):
+                read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"])
+        assert capfd.readouterr() == ("", "")
 
     def test_no_covariates_gives_empty_matrix(self, tmp_path):
         ds = read_csv(write_data(tmp_path, BASIC), "outcome", "disease", [])
@@ -191,6 +198,47 @@ class TestReadCsv:
         path = write_data(tmp_path, text)
         with pytest.raises(DataError, match=f"{path}.*data row 4.*field larger"):
             read_csv(path, "outcome", "disease", ["age"])
+
+    @pytest.mark.parametrize("field", [
+        "9" * 200_000, ("x" * 999 + "\n") * 200, ("x" * 999 + "\r\n") * 200,
+    ], ids=["one_line", "lf_lines", "crlf_lines"])
+    def test_field_over_csv_limit_in_unused_column_names_row(self, tmp_path, field):
+        # np.loadtxt reads no field of a column it does not use
+        text = "outcome,disease,age,note\n1.5,0,30,a\n2.5,1,40,b\n"
+        path = write_data(tmp_path, text + f'3.5,1,50,"{field}"\n4.5,0,60,c\n')
+        with pytest.raises(DataError, match=f"{path}.*data row 3.*field larger"):
+            read_csv(path, "outcome", "disease", ["age"])
+
+    def test_rows_split_by_lone_cr_do_not_hide_a_long_field(self, tmp_path):
+        # 201 rows on one LF line, split by lone CRs, and one row over 201
+        # LF lines: as many rows as nonblank LF lines, so a count of LF
+        # lines alone cannot tell that a field is over the csv limit
+        rows = "\r".join(f"{k}.5,{k % 2},30,a" for k in range(201))
+        field = ("x" * 999 + "\n") * 200
+        path = write_data(tmp_path, f'outcome,disease,age,note\n{rows}\n3.5,1,50,"{field}"\n')
+        with pytest.raises(DataError, match=f"{path}.*data row 202.*field larger"):
+            read_csv(path, "outcome", "disease", ["age"])
+
+    @pytest.mark.parametrize("space", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_cell_with_a_separator_control_is_unparseable(self, tmp_path, space):
+        # np.loadtxt strips these from a number as whitespace; float() does not
+        text = f"outcome,disease,age\n1.0,0,30\n2.0,1,40{space}\n"
+        with pytest.raises(DataError, match=r"'40\\x1.' in column 'age' at data row 2"):
+            read_csv(write_data(tmp_path, text), "outcome", "disease", ["age"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_once(self, tmp_path):
+        # a pipe cannot be rewound, so the row loop reads it
+        path = tmp_path / "data.pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(BASIC,))
+        writer.start()
+        try:
+            ds = read_csv(path, "outcome", "disease", ["age"])
+        finally:
+            writer.join()
+        np.testing.assert_array_equal(ds.diseased.outcomes, [2.5, 3.5])
+        np.testing.assert_array_equal(ds.diseased.rows, [2, 3])
 
     def test_utf8_byte_order_mark_dropped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a byte-order mark
@@ -213,40 +261,47 @@ class TestReadCsv:
 # written several ways; up to two cells per row are then swapped for a
 # fault: a missing token in mixed case or padding, a disease code of 2 or
 # 0.5, or a cell that float() takes or refuses where a stricter parser
-# would differ.
+# would differ.  Files end their lines with LF, CRLF or a lone CR, and
+# some rows are written with every cell quoted.
 NUMBERS = ["0", "1", "1.5", "-3e2", " 4.25", "1_0", "inf", "-Infinity", "-nan",
-           "+NaN", "5e-324", "1,5"]
+           "+NaN", "5e-324", "1,5", "1_000", "\uff17", "#2", "3\x1c"]
 # the numbers that parse to finite values: with the others most files end
 # in an error before any group is compared
-FINITE = ["0", "1", "1.5", "-3e2", " 4.25", "1_0", "5e-324"]
+FINITE = ["0", "1", "1.5", "-3e2", " 4.25", "1_0", "5e-324", "1_000", "\uff17"]
+# the finite numbers that np.loadtxt parses too, so that most files are
+# read in one pass
+PLAIN = ["0", "1", "1.5", "-3e2", " 4.25", "5e-324", "-0.0"]
 CODES = ["0", "1", "1.0", "-0", " 1 ", "0e0"]
 FAULTS = ["2", "0.5", "", " ", "NA", "na", " nan ", "NaN", "NULL", "Null",
-          "x", '"7"', "1,5", "-nan"]
+          "x", '"7"', "1,5", "-nan", "#", "6\n", "8\r\n9"]
 
 
 @st.composite
-def csv_files(draw, numbers=NUMBERS):
-    """CSV text with repeated header names, blank lines, and short and long
-    rows, cells drawn from numbers, plus the covariate list to ask for."""
+def csv_files(draw, numbers=NUMBERS, faults=(0, 0, 0, 1, 2)):
+    """CSV text with repeated header names, blank and whitespace-only lines,
+    and short and long rows, cells drawn from numbers and each row's count
+    of faults from faults, plus the covariate list to ask for."""
     header = draw(st.permutations(
         ["y", "d", "a", "b", *draw(st.lists(st.sampled_from(["y", "d", "a", "e"]),
                                             max_size=2))]))
     code_at = len(header) - 1 - header[::-1].index("d")
+    end = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writers = [csv.writer(buffer, lineterminator=end, quoting=quoting)
+               for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL)]
     if draw(st.integers(0, 9)) == 1:
-        buffer.write("\n")
-    writer.writerow(header)
+        buffer.write(end)
+    writers[0].writerow(header)
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 9)) == 1:
-            buffer.write("\n")
+            buffer.write(draw(st.sampled_from(["", "", " ", "\t"])) + end)
             continue
         size = draw(st.sampled_from([len(header)] * 6 + [code_at, len(header) + 1]))
         row = [draw(st.sampled_from(CODES if j == code_at else numbers))
                for j in range(max(size, 1))]
-        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        for _ in range(draw(st.sampled_from(faults))):
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FAULTS))
-        writer.writerow(row)
+        writers[draw(st.sampled_from([0, 0, 0, 1]))].writerow(row)
     covariates = draw(st.lists(st.sampled_from(["a", "b"]), max_size=2))
     return buffer.getvalue(), covariates
 
@@ -269,6 +324,12 @@ class TestReadCsvMatchesReference:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=csv_files(FINITE), skip_missing=st.booleans())
     def test_same_groups_from_finite_cells(self, tmp_path, data, skip_missing):
+        self.check(tmp_path, *data, skip_missing)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=csv_files(PLAIN, faults=(0,) * 19 + (1,)), skip_missing=st.booleans())
+    def test_same_groups_from_plain_cells(self, tmp_path, data, skip_missing):
         self.check(tmp_path, *data, skip_missing)
 
     @staticmethod
@@ -459,6 +520,17 @@ class TestWriteTableMatchesReference:
                    rng.uniform(size=n) < 0.5, np.column_stack([rng.normal(size=n)] * 2).T[1]]
         write_table(tmp_path / "got.csv", list("abcde"), columns)
         reference_write_table(tmp_path / "want.csv", list("abcde"), zip(*columns))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_each_row_block_chooses_its_writer(self, tmp_path):
+        # the first block's cells are plain; the second's need the csv
+        # module, which writes a lone CR unquoted where it ends lines with LF
+        n = 4096 + 6
+        names = ["plain"] * n
+        names[4096:4099] = ["a,b", "\r", ""]
+        columns = [names, np.arange(n), np.linspace(0.0, 1.0, n)]
+        write_table(tmp_path / "got.csv", list("abc"), columns)
+        reference_write_table(tmp_path / "want.csv", list("abc"), zip(*columns))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

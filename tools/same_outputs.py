@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import io
 import os
 import random
 import shutil
@@ -72,6 +73,9 @@ EXTRA_CASES = {
 }
 
 
+HEADER = ["outcome", "disease", "age"]
+
+
 def clean_rows() -> list[list[str]]:
     """30 nondiseased then 30 diseased rows of outcome, disease and age."""
     rng = random.Random(0)
@@ -87,21 +91,45 @@ def with_cells(*changes):
     return rows
 
 
-# Small data files, by name: their rows under the header outcome,disease,age
+def csv_text(rows, header=HEADER, **fmtparams) -> str:
+    """A header and rows as CSV text, lines ending in LF unless fmtparams
+    say otherwise."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, **{"lineterminator": "\n", **fmtparams})
+    writer.writerows([header, *rows])
+    return buffer.getvalue()
+
+
+def with_note(rows, long_at: int) -> str:
+    """The rows with a note column, one character long but at row long_at,
+    where it is 200,000 characters: more than the csv module takes."""
+    return csv_text([[*row, "9" * 200_000 if i == long_at else "n"]
+                     for i, row in enumerate(rows)], header=[*HEADER, "note"])
+
+
+# Small data files, by name: their text, most under the header
+# outcome,disease,age
 SMALL_FILES = {
-    "clean": clean_rows,
-    "one_class": lambda: [[y, "1", x] for y, _, x in clean_rows()],
-    "na_cell": lambda: with_cells((3, 0, "NA")),
-    "bad_cell": lambda: with_cells((4, 2, "old")),
-    "code_2": lambda: with_cells((35, 1, "2")),
-    "inf_outcome": lambda: with_cells((40, 0, "inf")),
-    "nan_covariate": lambda: with_cells((6, 2, "-nan")),
-    "empty": lambda: [],
-    "missing_cells": lambda: with_cells((2, 0, "NA"), (31, 2, ""), (50, 0, "null")),
+    "clean": lambda: csv_text(clean_rows()),
+    "one_class": lambda: csv_text([[y, "1", x] for y, _, x in clean_rows()]),
+    "na_cell": lambda: csv_text(with_cells((3, 0, "NA"))),
+    "bad_cell": lambda: csv_text(with_cells((4, 2, "old"))),
+    "code_2": lambda: csv_text(with_cells((35, 1, "2"))),
+    "inf_outcome": lambda: csv_text(with_cells((40, 0, "inf"))),
+    "nan_covariate": lambda: csv_text(with_cells((6, 2, "-nan"))),
+    "empty": lambda: csv_text([]),
+    "missing_cells": lambda: csv_text(with_cells((2, 0, "NA"), (31, 2, ""), (50, 0, "null"))),
+    # Excel's "CSV UTF-8": a byte-order mark, CRLF line ends; every cell quoted
+    "bom_crlf_quoted": lambda: "\ufeff" + csv_text(clean_rows(), lineterminator="\r\n",
+                                                   quoting=csv.QUOTE_ALL),
+    # an outcome that float() reads and a stricter parser refuses
+    "underscore_outcome": lambda: csv_text(with_cells((5, 0, "1_000"))),
+    "long_unused_field": lambda: with_note(clean_rows(), 44),
 }
-# Runs that fail, and one that skips rows, by name: (input kind, argv); an
-# input kind "small:<name>" is the SMALL_FILES entry, "small:absent" a path
-# where no file is
+# Runs on the small files, by name: (input kind, argv); an input kind
+# "small:<name>" is the SMALL_FILES entry, "small:absent" a path where no
+# file is.  Most fail; the others skip rows or read a file that some
+# parser other than the csv module's would read differently.
 FAILING_CASES = {
     "usage_bad_x": ("small:clean", ["roc", "--covariates", "age", "--x", "abc"]),
     "usage_empty_knots": ("small:clean", ["fit", "--covariates", "age", "--knots", ","]),
@@ -111,8 +139,11 @@ FAILING_CASES = {
     "data_missing_column": ("small:clean", ["fit", "--covariates", "weight"]),
     **{f"data_{name}": (f"small:{name}", ["fit", "--covariates", "age"])
        for name in ("one_class", "na_cell", "bad_cell", "code_2", "inf_outcome",
-                    "nan_covariate", "empty", "absent")},
+                    "nan_covariate", "empty", "absent", "long_unused_field")},
     "skip_missing": ("small:missing_cells", ["fit", "--covariates", "age", "--skip-missing"]),
+    "read_bom_crlf_quoted": ("small:bom_crlf_quoted", ["fit", "--covariates", "age"]),
+    "read_underscore_outcome": ("small:underscore_outcome", ["fit", "--covariates", "age"]),
+    "read_outcome_as_covariate": ("small:clean", ["fit", "--covariates", "outcome"]),
 }
 
 
@@ -139,9 +170,7 @@ def write_inputs(kinds: set[str], dest: Path) -> dict[str, list[str]]:
         name = kind.partition(":")[2]
         path = dest / f"small_{name}.csv"
         if name in SMALL_FILES:
-            with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerows([["outcome", "disease", "age"], *SMALL_FILES[name]()])
+            path.write_text(SMALL_FILES[name](), encoding="utf-8", newline="")
         args[kind] = ["--data", str(path)]
     return args
 
