@@ -539,7 +539,9 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
-        # numpy refuses an allocation it cannot make before making any
+        # any allocation that fails: numpy refuses a count too large to hold
+        # before allocating, but memory can also run out partway, after
+        # some tables are written and before the manifest
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -12,10 +12,10 @@ reading a table back reproduces every value exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,13 @@ from .errors import DataError
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 _FLAGS = (0.0, 1.0)
-# Bytes that np.loadtxt strips from a number as whitespace and float() refuses
-_LOADTXT_ONLY_SPACES = b"\x1c\x1d\x1e\x1f"
+# Characters that np.loadtxt strips from a number as whitespace and float()
+# refuses
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+# Characters of body lines parsed per np.loadtxt call: a chunk that the
+# row loop must read costs one chunk's parse, and no more than a chunk of
+# the file is held as text.
+_CHUNK_CHARS = 1 << 18
 
 
 @dataclass
@@ -71,50 +76,36 @@ def _checked_row(i: int, row: list[str], cols: list[int], used: list[str],
     return parsed
 
 
-def _one_line_a_row(data: bytes, n_rows: int) -> bool:
-    """Whether np.loadtxt's n_rows rows of a data file, whose bytes are
-    data, are the csv module's rows: no byte that only loadtxt reads as a
-    space, no line break but LF and CRLF, the header and each row on one
-    nonblank line of its own, and no row, with the blank lines after it,
-    longer than the csv module's field limit.  A quoted field may hold line
-    breaks, and loadtxt reads no field of a column it does not use, so a
-    row over several lines could hide a field that the csv module refuses."""
-    if any(byte in data for byte in _LOADTXT_ONLY_SPACES) or (
-            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
-        return False
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # with no lone CR, a line is blank when it starts with a CR or an LF
-    starts = np.concatenate(([0], np.flatnonzero(buf[:-1] == 10) + 1))
-    starts = starts[(buf[starts] != 10) & (buf[starts] != 13)]
-    return (len(starts) == n_rows + 1
-            and np.diff(starts, append=len(buf)).max() <= csv.field_size_limit())
-
-
-def _whole_body(handle, reader, cols: list[int]) -> np.ndarray | None:
-    """The data rows of an open data file, read past its header, parsed in
-    one np.loadtxt pass as the values of cols, when that table is the row
-    loop's: it has a row, no NaN (a missing token may parse to one), only
-    0/1 disease codes, and _one_line_a_row holds.  Otherwise None, with
-    reader at the first data row, since only the row loop names a fault or
-    skips a row."""
-    if not handle.seekable():  # a pipe cannot be read twice
+def _chunk_table(lines: list[str], cols: list[int]) -> np.ndarray | None:
+    """A chunk of a data file's body lines parsed by np.loadtxt as the
+    values of cols, when these are the row loop's rows: no character that
+    only loadtxt reads as a space, no line longer than the csv module's
+    field limit, every row on one nonblank line, no NaN (a missing token
+    may parse to one) and only 0/1 disease codes.  Otherwise None, since
+    only the row loop names a fault or skips a row.  A quoted field may
+    hold line breaks, and loadtxt reads no field of a column it does not
+    use, so a row over several lines could hide a field that the csv
+    module refuses."""
+    text = "".join(lines)
+    if (any(char in text for char in _LOADTXT_ONLY_SPACES)
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
+    # A line of zeros after the chunk is a row of its own only when the
+    # chunk does not end inside a quoted field.  loadtxt ends each line of
+    # the list it is given, the last line of a file with no line break too.
+    zeros = ",".join(["0"] * (max(cols) + 1)) + "\n"
     try:
-        with warnings.catch_warnings():
-            # the row loop names a body with no rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None,
-                               usecols=cols, dtype=float, ndmin=2)
-    except ValueError:  # a cell or a row loadtxt refuses, or bytes that do not decode
-        table = None
-    handle.seek(0)
-    if (table is not None and len(table) and not np.isnan(table).any()
-            and ((table[:, 1] == 0) | (table[:, 1] == 1)).all()
-            and _one_line_a_row(handle.buffer.read(), len(table))):
-        return table
-    handle.seek(0)
-    next(reader)  # the header again
-    return None
+        table = np.loadtxt([*lines, zeros], delimiter=",", quotechar='"', comments=None,
+                           usecols=cols, dtype=float, ndmin=2)
+    except ValueError:  # a cell or a row loadtxt refuses
+        return None
+    # The file is read with newline="", so a line ends in LF, CRLF or a
+    # lone CR, as a csv module row does, and is blank when it is that alone.
+    n_rows = len(lines) - sum(map(lines.count, ("\n", "\r\n", "\r")))
+    if (len(table) != n_rows + 1 or np.isnan(table).any()
+            or not ((table[:, 1] == 0) | (table[:, 1] == 1)).all()):
+        return None
+    return table[:-1]
 
 
 def read_csv(path, outcome: str, disease: str, covariates,
@@ -136,6 +127,7 @@ def read_csv(path, outcome: str, disease: str, covariates,
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open data file {path}: {exc}") from None
+    blocks = []  # tables of rows taken a chunk at a time
     values, rows = [], []
     n_skipped = 0
     i = -1
@@ -151,37 +143,52 @@ def read_csv(path, outcome: str, disease: str, covariates,
                         f"column {name!r} not in data file (columns: {', '.join(header)})"
                     )
             cols = [column[name] for name in used]
-            table = _whole_body(handle, reader, cols)
-            if table is None:
-                pick = operator.itemgetter(*cols)
-                # A row whose used cells all parse, none to NaN, with a 0/1
-                # disease code is taken as it is; any other row is parsed
-                # again cell by cell to find its fault.  A NaN may be a
-                # missing token.
-                for i, row in enumerate(filter(None, reader), start=1):
-                    try:
-                        parsed = [*map(float, pick(row))]
-                    except (ValueError, IndexError):
-                        parsed = None
-                    if parsed is None or parsed[1] not in _FLAGS or (s := sum(parsed)) != s:
-                        parsed = _checked_row(i, row, cols, used, skip_missing)
-                        if parsed is None:
-                            n_skipped += 1
-                            continue
-                    values.extend(parsed)
-                    rows.append(i)
+            # The body is parsed a chunk at a time until a chunk holds a row
+            # that the row loop must read.  Bytes that do not decode send
+            # the whole file back to the row loop, which names the first
+            # fault, in an earlier row or in them; so a pipe, which cannot
+            # be read again, goes to the row loop from the start.
+            if handle.seekable():
+                try:
+                    while lines := handle.readlines(_CHUNK_CHARS):
+                        table = _chunk_table(lines, cols)
+                        if table is None:
+                            # the row loop reads the rest from this chunk on
+                            reader = csv.reader(itertools.chain(lines, handle))
+                            break
+                        blocks.append(table)
+                        i += len(table)
+                except UnicodeDecodeError:
+                    i = 0
+                    handle.seek(0)
+                    reader = csv.reader(handle)
+                    next(reader)  # the header again
+            n_taken = i
+            pick = operator.itemgetter(*cols)
+            # A row whose used cells all parse, none to NaN, with a 0/1
+            # disease code is taken as it is; any other row is parsed again
+            # cell by cell to find its fault.  A NaN may be a missing token.
+            for i, row in enumerate(filter(None, reader), start=n_taken + 1):
+                try:
+                    parsed = [*map(float, pick(row))]
+                except (ValueError, IndexError):
+                    parsed = None
+                if parsed is None or parsed[1] not in _FLAGS or (s := sum(parsed)) != s:
+                    parsed = _checked_row(i, row, cols, used, skip_missing)
+                    if parsed is None:
+                        n_skipped += 1
+                        continue
+                values.extend(parsed)
+                rows.append(i)
         except csv.Error as exc:
             at = "its header" if i < 0 else f"data row {i + 1}"
             raise DataError(f"cannot read data file {path} at {at}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot decode data file {path}: {exc}") from None
-    if table is None:
-        if not rows:
-            raise DataError("no usable data rows")
-        table = np.array(values, dtype=float).reshape(len(rows), len(used))
-        rows = np.asarray(rows, dtype=int)
-    else:
-        rows = np.arange(1, len(table) + 1)
+    if not n_taken + len(rows):
+        raise DataError("no usable data rows")
+    table = np.concatenate([*blocks, np.array(values, dtype=float).reshape(-1, len(used))])
+    rows = np.concatenate([np.arange(1, n_taken + 1), np.array(rows, dtype=int)])
     # both labels are checked before either group is built, so that a
     # missing group is named before a non-finite value
     masks = [table[:, 1] == label for label in (0, 1)]

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_table
+from robroc import io as robroc_io
 from robroc.cli import RunConfig, load_config
 from robroc.data import GroupSample
 from robroc.errors import DataError, UsageError
@@ -219,6 +220,53 @@ class TestReadCsv:
         with pytest.raises(DataError, match=f"{path}.*data row 202.*field larger"):
             read_csv(path, "outcome", "disease", ["age"])
 
+    def test_quoted_field_across_chunks_joins_its_lines(self, tmp_path, monkeypatch):
+        # each line is a chunk: parsed alone, the second line would be a row
+        monkeypatch.setattr(robroc_io, "_CHUNK_CHARS", 1)
+        text = 'note,outcome,disease\nx,1.5,0,"a\nb",2.5,1\ny,3.5,1\n'
+        nd, d = groups(read_csv(write_data(tmp_path, text), "outcome", "disease", []))
+        np.testing.assert_array_equal(nd.outcomes, [1.5])
+        np.testing.assert_array_equal(d.outcomes, [3.5])
+        np.testing.assert_array_equal(d.rows, [2])
+
+    @pytest.mark.parametrize("skip_missing", [False, True])
+    def test_row_numbers_continue_after_taken_chunks(self, tmp_path, monkeypatch,
+                                                     skip_missing):
+        # a blank line after each row, which is not counted
+        monkeypatch.setattr(robroc_io, "_CHUNK_CHARS", 40)
+        lines = [f"{k}.5,{k % 2},30\n\n" for k in range(1, 41)]
+        lines[36] = "NA,1,30\n\n"
+        path = write_data(tmp_path, "outcome,disease,age\n" + "".join(lines))
+        if not skip_missing:
+            message = "^missing value in column 'outcome' at data row 37$"
+            with pytest.raises(DataError, match=message):
+                read_csv(path, "outcome", "disease", ["age"])
+            return
+        ds = read_csv(path, "outcome", "disease", ["age"], skip_missing=True)
+        assert ds.n_skipped == 1
+        rows = np.sort(np.concatenate([ds.nondiseased.rows, ds.diseased.rows]))
+        np.testing.assert_array_equal(rows, [k for k in range(1, 41) if k != 37])
+
+    @pytest.mark.parametrize("chunk", [None, 3000], ids=["one_chunk", "third_chunk"])
+    @pytest.mark.parametrize("skip_missing, message", [
+        (False, "missing value in column 'outcome' at data row 700"),
+        (True, "cannot decode data file"),
+    ], ids=["fault_first", "skipped"])
+    def test_bytes_that_do_not_decode_after_a_fault(self, tmp_path, monkeypatch, chunk,
+                                                    skip_missing, message):
+        # The text decoder reads 8 KiB at a time, so the bytes are met after
+        # row 700 has been read, both here and in the row loop alone; with
+        # 3,000-character chunks, two chunks are taken first.
+        if chunk:
+            monkeypatch.setattr(robroc_io, "_CHUNK_CHARS", chunk)
+        rows = [f"{k}.5,{k % 2},30\n".encode() for k in range(1, 2001)]
+        rows[699] = b"NA,1,30\n"
+        rows[899] = b"4.5,0,\xe9\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"outcome,disease,age\n" + b"".join(rows))
+        with pytest.raises(DataError, match=message):
+            read_csv(path, "outcome", "disease", ["age"], skip_missing=skip_missing)
+
     @pytest.mark.parametrize("space", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_cell_with_a_separator_control_is_unparseable(self, tmp_path, space):
         # np.loadtxt strips these from a number as whitespace; float() does not
@@ -239,6 +287,20 @@ class TestReadCsv:
             writer.join()
         np.testing.assert_array_equal(ds.diseased.outcomes, [2.5, 3.5])
         np.testing.assert_array_equal(ds.diseased.rows, [2, 3])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_that_does_not_decode_names_file(self, tmp_path):
+        # past the text decoder's first 8 KiB, so that the header decodes
+        path = tmp_path / "data.pipe"
+        os.mkfifo(path)
+        text = BASIC + "".join(f"{k}.5,{k % 2},30\n" for k in range(1000))
+        writer = threading.Thread(target=path.write_bytes, args=(text.encode() + b"\xe9\n",))
+        writer.start()
+        try:
+            with pytest.raises(DataError, match=f"cannot decode data file {path}"):
+                read_csv(path, "outcome", "disease", ["age"])
+        finally:
+            writer.join()
 
     def test_utf8_byte_order_mark_dropped(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a byte-order mark
@@ -330,6 +392,17 @@ class TestReadCsvMatchesReference:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=csv_files(PLAIN, faults=(0,) * 19 + (1,)), skip_missing=st.booleans())
     def test_same_groups_from_plain_cells(self, tmp_path, data, skip_missing):
+        self.check(tmp_path, *data, skip_missing)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=csv_files(PLAIN, faults=(0,) * 9 + (1,)), skip_missing=st.booleans(),
+           chunk=st.integers(1, 80))
+    def test_same_groups_over_small_chunks(self, tmp_path, monkeypatch, data,
+                                           skip_missing, chunk):
+        # chunk boundaries fall inside quoted fields and between a row the
+        # row loop must read and the rows before it
+        monkeypatch.setattr(robroc_io, "_CHUNK_CHARS", chunk)
         self.check(tmp_path, *data, skip_missing)
 
     @staticmethod

@@ -15,7 +15,7 @@ tests/golden/data.csv (CASES is read with ast, not imported), the runs
 of EXTRA_CASES below on the benchmark's seed-0 inputs, written by
 bench/inputs.py: bootstraps and studies whose replicates cross the refit
 chunks, capped iterations, and the large-n knot selection and fit, and
-the failing runs of FAILING_CASES: usage errors, and data errors on small
+the failing runs of FAILING_CASES: usage errors, and data errors on
 CSVs that this tool writes (SMALL_FILES), whose messages and exit codes
 must match too.
 
@@ -83,6 +83,13 @@ def clean_rows() -> list[list[str]]:
             for d in (0, 1) for _ in range(30)]
 
 
+def many_rows(n: int) -> list[list[str]]:
+    """n rows of outcome, disease and age, the two groups in turn."""
+    rng = random.Random(1)
+    return [[repr(rng.gauss(2.0 * (i % 2), 1.0)), str(i % 2), repr(rng.random())]
+            for i in range(n)]
+
+
 def with_cells(*changes):
     """The clean rows with each (row, column, cell) change made."""
     rows = clean_rows()
@@ -107,7 +114,7 @@ def with_note(rows, long_at: int) -> str:
                      for i, row in enumerate(rows)], header=[*HEADER, "note"])
 
 
-# Small data files, by name: their text, most under the header
+# Data files written from text, by name, most under the header
 # outcome,disease,age
 SMALL_FILES = {
     "clean": lambda: csv_text(clean_rows()),
@@ -125,10 +132,13 @@ SMALL_FILES = {
     # an outcome that float() reads and a stricter parser refuses
     "underscore_outcome": lambda: csv_text(with_cells((5, 0, "1_000"))),
     "long_unused_field": lambda: with_note(clean_rows(), 44),
+    # about 420 kB, longer than io.read_csv's first chunk, with a missing
+    # outcome in the last row
+    "late_na": lambda: csv_text([*many_rows(9_999), ["NA", "1", "0.5"]]),
 }
-# Runs on the small files, by name: (input kind, argv); an input kind
-# "small:<name>" is the SMALL_FILES entry, "small:absent" a path where no
-# file is.  Most fail; the others skip rows or read a file that some
+# Runs on the files written from text, by name: (input kind, argv); an
+# input kind "small:<name>" is the SMALL_FILES entry, "small:absent" a path
+# where no file is.  Most fail; the others skip rows or read a file that some
 # parser other than the csv module's would read differently.
 FAILING_CASES = {
     "usage_bad_x": ("small:clean", ["roc", "--covariates", "age", "--x", "abc"]),
@@ -139,8 +149,9 @@ FAILING_CASES = {
     "data_missing_column": ("small:clean", ["fit", "--covariates", "weight"]),
     **{f"data_{name}": (f"small:{name}", ["fit", "--covariates", "age"])
        for name in ("one_class", "na_cell", "bad_cell", "code_2", "inf_outcome",
-                    "nan_covariate", "empty", "absent", "long_unused_field")},
+                    "nan_covariate", "empty", "absent", "long_unused_field", "late_na")},
     "skip_missing": ("small:missing_cells", ["fit", "--covariates", "age", "--skip-missing"]),
+    "skip_late_na": ("small:late_na", ["fit", "--covariates", "age", "--skip-missing"]),
     "read_bom_crlf_quoted": ("small:bom_crlf_quoted", ["fit", "--covariates", "age"]),
     "read_underscore_outcome": ("small:underscore_outcome", ["fit", "--covariates", "age"]),
     "read_outcome_as_covariate": ("small:clean", ["fit", "--covariates", "outcome"]),
